@@ -24,13 +24,16 @@ import numpy as np
 from ._util import canonicalize
 from .backends import BackendClient, BackendDescriptor
 from .errors import ValidationError
-from .graph import ConceptCombination, is_novel
+from .graph import ConceptCombination
 
 logger = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_NGRAM_SIZES = (8, 10, 13, 15)
 EMBED_BATCH_SIZE = 128
+# Synthesized rows per block of the item x seed cosine matrix, so memory
+# stays bounded by the seed count rather than the item count.
+SIMILARITY_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -126,13 +129,17 @@ def similarity_distribution(
     """Per item: max cosine against all seed embeddings, plus a fixed-width
     histogram over [0, 1] and its CDF (one cumulative fraction per upper
     bin edge). Scores are clipped into [0, 1] for binning so counts always
-    sum to the item count."""
+    sum to the item count. The cosines are taken ``SIMILARITY_BLOCK_ROWS``
+    synthesized rows at a time."""
     if not synth_texts or not seed_texts:
         raise ValidationError("similarity_distribution needs nonempty corpora")
     synth_vecs = _embed_batched(client, embedder, synth_texts)
     seed_vecs = _embed_batched(client, embedder, seed_texts)
-    sims = synth_vecs @ seed_vecs.T
-    per_item = np.clip(sims.max(axis=1), -1.0, 1.0)
+    row_max = [
+        (synth_vecs[start:start + SIMILARITY_BLOCK_ROWS] @ seed_vecs.T).max(axis=1)
+        for start in range(0, len(synth_vecs), SIMILARITY_BLOCK_ROWS)
+    ]
+    per_item = np.clip(np.concatenate(row_max), -1.0, 1.0)
     edges = np.asarray(_bin_edges(bin_width))
     counts, _ = np.histogram(np.clip(per_item, 0.0, 1.0), bins=edges)
     cdf = np.cumsum(counts) / len(per_item)
@@ -172,11 +179,26 @@ def novelty_rate(
     combinations: Sequence[ConceptCombination],
     seed_concept_sets: Sequence[Iterable[str]],
 ) -> float:
-    """Fraction of items whose concept set appears in no seed example."""
+    """Fraction of items whose concept set appears in no seed example.
+
+    Counts what :func:`graph.is_novel` would for each item, through an
+    inverted index built once (concept id -> positions of the seeds holding
+    it): an item is covered by a seed iff the posting lists of its concepts
+    intersect. Empty combinations are not novel.
+    """
     if not combinations:
         return 0.0
-    seed_sets = [set(s) for s in seed_concept_sets]
-    novel = sum(1 for combo in combinations if is_novel(combo, seed_sets))
+    postings: dict[str, set[int]] = {}
+    for pos, concepts in enumerate(seed_concept_sets):
+        for cid in concepts:
+            postings.setdefault(cid, set()).add(pos)
+    novel = 0
+    for combo in combinations:
+        if not combo.concept_ids:
+            continue
+        lists = sorted((postings.get(cid, set()) for cid in set(combo.concept_ids)), key=len)
+        if not lists[0].intersection(*lists[1:]):
+            novel += 1
     return novel / len(combinations)
 
 

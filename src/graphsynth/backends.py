@@ -138,13 +138,6 @@ class UsageTracker:
         with self._lock:
             return {k: dict(v) for k, v in self._totals.items()}
 
-    def grand_totals(self) -> dict[str, int]:
-        out = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-        for entry in self.totals().values():
-            for key in out:
-                out[key] += entry[key]
-        return out
-
 
 def _approx_tokens(text: str) -> int:
     return len(text.split())

@@ -134,10 +134,6 @@ class RunConfig:
         if stage == "synthesize" and not self.judges:
             raise ConfigurationError("stage 'synthesize' needs at least one judge")
 
-    def uses_mock(self) -> bool:
-        descriptors = list(self.backends.values()) + self.judges
-        return any(d.is_mock for d in descriptors)
-
 
 def _parse_descriptor(key: str, role: str, rec: dict) -> BackendDescriptor:
     if not isinstance(rec, dict):

@@ -5,6 +5,10 @@ embedding-similarity banding with judge confirmation of borderline pairs,
 single-linkage clustering of the merge relation, and representative
 selection per cluster.
 
+Only non-distinct pairs (cosine at or above the judge band) are ever
+materialised as verdicts: a concept pair with no verdict is distinct, so
+the similarity tail holds the candidate pairs rather than all K(K-1)/2.
+
 Failure posture is asymmetric on purpose: a quality judge that cannot be
 parsed keeps the concept (losing one bad concept is cheaper than losing a
 good one), while a synonym judge that cannot be parsed refuses the merge
@@ -29,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 SAME_BAND_THRESHOLD = 0.90
 JUDGE_BAND_THRESHOLD = 0.70
+# Rows of the cosine matrix held at once by pairwise_similarity.
+SIMILARITY_BLOCK_ROWS = 1024
 
 BANDS = ("distinct", "judge_checked", "same")
 QUALITY_CATEGORIES = ("ok", "vague", "incorrect", "overly_detailed")
@@ -240,21 +246,34 @@ def pairwise_similarity(
     same_threshold: float = SAME_BAND_THRESHOLD,
     judge_threshold: float = JUDGE_BAND_THRESHOLD,
 ) -> list[SimilarityVerdict]:
-    """One banded verdict per unordered concept pair (cosine on unit vectors)."""
+    """Banded verdicts for the non-distinct concept pairs only.
+
+    Cosines on unit vectors are computed in blocks of
+    ``SIMILARITY_BLOCK_ROWS`` rows, and a verdict is built only for a pair
+    whose band is ``same`` or ``judge_checked``. Every pair left out is
+    distinct. Each pair is ordered by concept id and the list is sorted by
+    pair. Memory is one block plus the returned pairs, not K(K-1)/2 verdicts.
+    """
     if len(concepts) < 2:
         raise ValidationError("pairwise_similarity requires at least two concepts")
     texts = [canonicalize(c.text) for c in concepts]
-    vectors = client.embed(embedder, texts)
-    sims = np.clip(vectors @ vectors.T, -1.0, 1.0)
-    verdicts = []
     order = sorted(range(len(concepts)), key=lambda i: concepts[i].id)
-    for pos_i in range(len(order)):
-        for pos_j in range(pos_i + 1, len(order)):
-            i, j = order[pos_i], order[pos_j]
-            cosine = float(sims[i, j])
+    ids = [concepts[i].id for i in order]
+    vectors = client.embed(embedder, texts)[order]
+    # band_for_cosine checks "same" first, so the lower threshold decides
+    # which pairs are non-distinct.
+    floor = min(same_threshold, judge_threshold)
+    verdicts = []
+    for start in range(0, len(ids), SIMILARITY_BLOCK_ROWS):
+        block = np.clip(vectors[start:start + SIMILARITY_BLOCK_ROWS] @ vectors[start:].T,
+                        -1.0, 1.0)
+        rows, cols = np.nonzero(block >= floor)
+        upper = cols > rows
+        rows, cols = rows[upper], cols[upper]
+        for r, c, cosine in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
             verdicts.append(
                 SimilarityVerdict(
-                    pair=(concepts[i].id, concepts[j].id),
+                    pair=(ids[start + r], ids[start + c]),
                     cosine=cosine,
                     band=band_for_cosine(cosine, same_threshold, judge_threshold),
                 )
@@ -310,19 +329,12 @@ def build_clusters(
 
     Merge edges are same-band pairs plus judge-confirmed borderline pairs;
     clusters are the connected components, so the partition does not depend
-    on input order. Singletons form their own clusters.
+    on input order. A pair absent from ``verdicts`` is distinct, so the
+    non-distinct list from :func:`pairwise_similarity` is enough. Singletons
+    form their own clusters.
     """
     ids = sorted(c.id for c in concepts)
     id_set = set(ids)
-    expected_pairs = len(ids) * (len(ids) - 1) // 2
-    covered = {
-        tuple(sorted(v.pair)) for v in verdicts
-        if v.pair[0] in id_set and v.pair[1] in id_set
-    }
-    if len(covered) < expected_pairs:
-        raise ValidationError(
-            f"verdicts cover {len(covered)} pairs, expected {expected_pairs}"
-        )
     parent = {i: i for i in ids}
 
     def find(x: str) -> str:

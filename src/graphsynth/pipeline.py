@@ -339,12 +339,14 @@ class PipelineRun:
                     same_threshold=thresholds["same_band"],
                     judge_threshold=thresholds["judge_band"],
                 )
+                # Only same and judge_checked pairs come back; every other
+                # pair is distinct and never reaches the judge.
+                same = [v for v in verdicts if v.band == "same"]
                 borderline = [v for v in verdicts if v.band == "judge_checked"]
                 confirmed = extraction.confirm_synonyms(
                     borderline, {c.id: c for c in kept}, kb_judge, self.client
                 )
-                confirmed_by_pair = {v.pair: v for v in confirmed}
-                verdicts = [confirmed_by_pair.get(v.pair, v) for v in verdicts]
+                verdicts = same + confirmed
             else:
                 verdicts = []
             clusters = extraction.build_clusters(kept, verdicts)

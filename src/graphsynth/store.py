@@ -329,10 +329,6 @@ def load_items(path: str | Path) -> list[SynthesizedItem]:
     return [SynthesizedItem.from_record(rec, line=lineno) for lineno, rec in rows]
 
 
-def save_items(path: str | Path, items: Sequence[SynthesizedItem]) -> None:
-    write_jsonl_atomic(path, [i.to_record() for i in items])
-
-
 def write_checkpoint(checkpoint: StageCheckpoint, path: str | Path) -> None:
     """Durably persist a checkpoint; the write is atomic (temp then rename)."""
     write_atomic(path, canonical_json(checkpoint.to_record()) + "\n")

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from conftest import make_descriptor
+from graphsynth import analytics
 from graphsynth.analytics import (
     CostModel,
     adherence_report,
@@ -21,7 +22,7 @@ from graphsynth.analytics import (
 )
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
 from graphsynth.errors import ValidationError
-from graphsynth.graph import ConceptCombination
+from graphsynth.graph import ConceptCombination, is_novel
 
 
 class TestExpansionRatio:
@@ -98,6 +99,19 @@ class TestSimilarityDistribution:
         with pytest.raises(ValidationError):
             similarity_distribution([], ["x"], self.embedder(), client)
 
+    def test_small_blocks_match_one_block(self, monkeypatch):
+        synth = [f"synth text {i}" for i in range(40)]
+        seeds = [f"seed text {i}" for i in range(12)]
+        whole = similarity_distribution(synth, seeds, self.embedder(),
+                                        BackendClient(mock=MockServer(seed=5)))
+        monkeypatch.setattr(analytics, "SIMILARITY_BLOCK_ROWS", 7)
+        blocked = similarity_distribution(synth, seeds, self.embedder(),
+                                          BackendClient(mock=MockServer(seed=5)))
+        assert blocked.histogram == whole.histogram
+        assert blocked.cdf == whole.cdf
+        assert blocked.per_item_max_cosine == pytest.approx(whole.per_item_max_cosine,
+                                                            abs=1e-12)
+
 
 class TestNoveltyRate:
     SEEDS = [{"A", "B", "C"}, {"B", "C", "D"}, {"D", "E"}]
@@ -119,6 +133,28 @@ class TestNoveltyRate:
 
     def test_empty_items(self):
         assert novelty_rate([], self.SEEDS) == 0.0
+
+    def test_matches_is_novel_randomized(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            concepts = [f"c{i}" for i in range(rng.randint(2, 10))]
+            seeds = [rng.sample(concepts, rng.randint(0, min(5, len(concepts))))
+                     for _ in range(rng.randint(0, 15))]
+            combos = []
+            for _ in range(rng.randint(1, 30)):
+                size = rng.choice([2, 3, 4])
+                if size > len(concepts):
+                    size = 2
+                kind = "community" if size > 2 else rng.choice(["one_hop", "two_hop"])
+                combos.append(ConceptCombination(kind, rng.sample(concepts, size), weight=1))
+            expected = sum(is_novel(c, seeds) for c in combos) / len(combos)
+            assert novelty_rate(combos, seeds) == expected
+
+    def test_empty_combination_not_novel(self):
+        empty = ConceptCombination.__new__(ConceptCombination)
+        empty.kind, empty.concept_ids, empty.weight, empty.witness = "community", [], 0, None
+        combos = self.combos([("A", "D")]) + [empty]
+        assert novelty_rate(combos, self.SEEDS) == 0.5
 
 
 class TestCostReport:

@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from graphsynth import extraction
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
 from graphsynth.errors import ExtractionError, ValidationError
 from graphsynth.extraction import (
@@ -143,6 +145,62 @@ class TestBandThresholds:
         assert (band == "distinct") == (c < 0.70)
 
 
+def exact_unit(lead, axis_a, axis_b, dim):
+    """A unit vector with ``lead`` on one axis and the rest on another,
+    nudged until its norm is exactly 1.0, so both normalisations on the
+    embed path return it unchanged."""
+    tail = math.sqrt(1.0 - lead * lead)
+    for _ in range(16):
+        vec = [0.0] * dim
+        vec[axis_a], vec[axis_b] = lead, tail
+        arr = np.asarray(vec)
+        norms = (np.linalg.norm(arr), np.linalg.norm(arr[None, :], axis=1)[0])
+        if norms == (1.0, 1.0):
+            return vec
+        tail = math.nextafter(tail, 0.0 if norms[0] > 1.0 else 1.0)
+    raise AssertionError(f"no exact unit vector with lead {lead}")
+
+
+def exact_embedding_corpus(rng, trial, dim=8):
+    """Concepts whose embeddings share at most one nonzero axis per pair.
+
+    Every cosine is then a single rounded product, identical under any
+    summation order, so a brute-force loop must agree bit for bit. Axis 0
+    carries a unit vector and two partners at exactly 0.70 and 0.90.
+    """
+    free_axes = [p for p in itertools.combinations(range(dim), 2) if 0 not in p]
+    rng.shuffle(free_axes)
+    vectors = [[1.0] + [0.0] * (dim - 1), exact_unit(0.70, 0, 1, dim),
+               exact_unit(0.90, 0, 2, dim)]
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.25:
+            vec = [0.0] * dim
+            vec[rng.randrange(dim)] = rng.choice([1.0, -1.0])
+        else:
+            a, b = free_axes.pop()
+            if rng.random() < 0.5:
+                a, b = b, a
+            lead = rng.choice([0.70, 0.90, round(rng.uniform(0.5, 1.0), 3)])
+            vec = exact_unit(rng.choice([lead, -lead]), a, b, dim)
+        vectors.append(vec)
+    rng.shuffle(vectors)
+    overrides = {f"exact {trial}-{n}": vec for n, vec in enumerate(vectors)}
+    return [kc(text) for text in overrides], overrides
+
+
+def brute_force_non_distinct(concepts, overrides):
+    """Naive all-pairs loop over ids in sorted order, distinct pairs dropped."""
+    by_id = sorted((c.id, overrides[c.text]) for c in concepts)
+    out = []
+    for (a, va), (b, vb) in itertools.combinations(by_id, 2):
+        cosine = max(-1.0, min(1.0, sum(x * y for x, y in zip(va, vb))))
+        if cosine >= 0.90:
+            out.append(((a, b), cosine, "same"))
+        elif cosine >= 0.70:
+            out.append(((a, b), cosine, "judge_checked"))
+    return out
+
+
 class TestPairwiseSimilarity:
     def test_identical_texts_same_band(self, descriptors):
         client = client_with()
@@ -169,19 +227,43 @@ class TestPairwiseSimilarity:
         assert verdicts[0].band == "judge_checked"
 
     def test_orthogonal_vectors_distinct(self, descriptors):
+        # Orthogonal, opposite and just-below-0.70 pairs are all distinct,
+        # so none of them is materialised.
+        below = math.sqrt(1 - 0.6999 ** 2)
         behaviors = MockBehaviors(embedding_overrides={
-            "alpha": [1.0, 0.0], "beta": [0.0, 1.0],
+            "alpha": [1.0, 0.0, 0.0], "beta": [0.0, 1.0, 0.0],
+            "gamma": [-1.0, 0.0, 0.0], "delta": [0.6999, 0.0, below],
         })
-        verdicts = pairwise_similarity([kc("alpha"), kc("beta")],
-                                       descriptors["embedder"], client_with(behaviors))
-        assert verdicts[0].cosine == pytest.approx(0.0, abs=1e-12)
-        assert verdicts[0].band == "distinct"
+        concepts = [kc(t) for t in ("alpha", "beta", "gamma", "delta")]
+        verdicts = pairwise_similarity(concepts, descriptors["embedder"],
+                                       client_with(behaviors))
+        assert verdicts == []
 
     def test_one_verdict_per_unordered_pair(self, descriptors):
-        concepts = [kc(f"concept {i}") for i in range(5)]
-        verdicts = pairwise_similarity(concepts, descriptors["embedder"], client_with())
-        assert len(verdicts) == 10
-        assert len({tuple(sorted(v.pair)) for v in verdicts}) == 10
+        # Identical vectors put every pair in the same band: exactly one
+        # verdict per unordered pair, each ordered by id, sorted by pair.
+        texts = [f"concept {i}" for i in range(5)]
+        behaviors = MockBehaviors(embedding_overrides={t: [0.0, 1.0] for t in texts})
+        concepts = [kc(t) for t in reversed(texts)]
+        verdicts = pairwise_similarity(concepts, descriptors["embedder"],
+                                       client_with(behaviors))
+        ids = sorted(c.id for c in concepts)
+        assert [v.pair for v in verdicts] == list(itertools.combinations(ids, 2))
+        assert all(v.band == "same" and v.cosine == 1.0 for v in verdicts)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_matches_brute_force_all_pairs(self, descriptors, monkeypatch, block_rows):
+        monkeypatch.setattr(extraction, "SIMILARITY_BLOCK_ROWS", block_rows)
+        rng = random.Random(23)
+        for trial in range(25):
+            concepts, overrides = exact_embedding_corpus(rng, trial)
+            client = client_with(MockBehaviors(embedding_overrides=overrides))
+            verdicts = pairwise_similarity(concepts, descriptors["embedder"], client)
+            got = [(v.pair, v.cosine, v.band) for v in verdicts]
+            assert got == brute_force_non_distinct(concepts, overrides)
+            assert all(v.judge_confirmed is None for v in verdicts)
+            # The engineered pairs sit exactly on both thresholds.
+            assert {0.70, 0.90} <= {cosine for _, cosine, _ in got}
 
     def test_single_concept_rejected(self, descriptors, mock_client):
         with pytest.raises(ValidationError):
@@ -270,11 +352,20 @@ class TestBuildClusters:
                                     band="judge_checked", judge_confirmed=False)
         assert len(build_clusters([a, b], [verdict])) == 2
 
-    def test_incomplete_coverage_rejected(self):
+    def test_absent_pair_is_distinct(self):
         a, b, c = kc("aa"), kc("bb"), kc("cc")
-        verdicts = verdicts_for([a, b], [])
+        assert len(build_clusters([a, b, c], [])) == 3
+        # Only a-b has a verdict; a-c and b-c are absent, so c stays alone.
+        verdict = SimilarityVerdict(pair=tuple(sorted((a.id, b.id))), cosine=0.95,
+                                    band="same")
+        got = {frozenset(cl.member_ids) for cl in build_clusters([a, b, c], [verdict])}
+        assert got == {frozenset({a.id, b.id}), frozenset({c.id})}
+
+    def test_unknown_concept_rejected(self):
+        a, b = kc("aa"), kc("bb")
+        verdict = SimilarityVerdict(pair=(a.id, "kc-unknown"), cosine=0.95, band="same")
         with pytest.raises(ValidationError):
-            build_clusters([a, b, c], verdicts)
+            build_clusters([a, b], [verdict])
 
     def test_order_independent_partitions(self):
         rng = random.Random(13)
@@ -312,6 +403,24 @@ class TestBuildClusters:
             union = set().union(*got) if got else set()
             assert union == set(ids)
             assert sum(len(m) for m in got) == len(ids)
+
+    def test_merge_pairs_alone_match_all_pairs(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            concepts = [kc(f"m{i}-{rng.random():.4f}") for i in range(n)]
+            ids = [c.id for c in concepts]
+            merge_pairs = {tuple(sorted((a, b)))
+                           for a, b in itertools.combinations(ids, 2)
+                           if rng.random() < 0.2}
+            all_pairs = verdicts_for(concepts, merge_pairs)
+            merge_only = [v for v in all_pairs if v.band != "distinct"]
+            expected = oracles.connected_components(ids, merge_pairs)
+            for verdicts in (all_pairs, merge_only):
+                clusters = build_clusters(concepts, verdicts)
+                assert {frozenset(c.member_ids) for c in clusters} == expected
+                assert [c.cluster_id for c in clusters] == sorted(
+                    f"cluster-{min(c.member_ids)}" for c in clusters)
 
 
 class TestSelectRepresentatives:

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
 
 from conftest import base_config, toy_corpus_seeds, write_config, write_corpus
+from graphsynth.backends import BackendClient, MockServer
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
 from graphsynth.errors import CheckpointError, ConfigurationError, ValidationError
 from graphsynth.pipeline import FAULT_ABORT_ENV, OUTPUT_FILES, RunLock, run_stage
-from graphsynth.store import load_concepts, load_items, load_seed_corpus
+from graphsynth.store import concept_id_for, load_concepts, load_items, load_seed_corpus
 
 G0_SEEDS = [
     {"id": "P1", "question": "Relate [Alpha], [Beta] and [Gamma] in one problem.",
@@ -83,6 +85,50 @@ class TestExtractStage:
         rejected = [r for r in filtered if not r["kept"]]
         assert rejected and rejected[0]["text"] == "Alpha"
         assert rejected[0]["category"] == "vague"
+
+
+class SynonymRecordingMock(MockServer):
+    """Records the (A, B) phrases of every synonym-check prompt in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.synonym_pairs = []
+
+    def _synonym_reply(self, prompt):
+        self.synonym_pairs.append((self._quoted(prompt, "A"), self._quoted(prompt, "B")))
+        return super()._synonym_reply(prompt)
+
+
+class TestExtractTail:
+    def test_same_and_confirmed_pairs_merge(self, tmp_path):
+        # Alpha-Beta is in the same band. Gamma-Delta, Alpha-Epsilon and
+        # Beta-Epsilon are borderline; the judge confirms only Gamma-Delta.
+        config_path, config_dict = make_run(tmp_path)
+        config_dict["mock"]["behaviors"].update({
+            "embedding_overrides": {
+                "Alpha": [1.0, 0.0, 0.0, 0.0, 0.0],
+                "Beta": [0.95, math.sqrt(1 - 0.95 ** 2), 0.0, 0.0, 0.0],
+                "Gamma": [0.0, 0.0, 1.0, 0.0, 0.0],
+                "Delta": [0.0, 0.0, 0.8, 0.6, 0.0],
+                "Epsilon": [0.75, 0.0, 0.0, 0.0, math.sqrt(1 - 0.75 ** 2)],
+            },
+            "synonym_yes": [["Gamma", "Delta"]],
+        })
+        write_config(config_path, config_dict)
+        config = load_config(config_path)
+        mock = SynonymRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "extract", client=BackendClient(mock=mock))
+
+        # The judge sees exactly the borderline pairs, once each, sorted by pair.
+        text_of = {concept_id_for(t): t for t in ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")}
+        borderline = sorted(tuple(sorted(map(concept_id_for, p))) for p in
+                            [("Gamma", "Delta"), ("Alpha", "Epsilon"), ("Beta", "Epsilon")])
+        assert mock.synonym_pairs == [(text_of[a], text_of[b]) for a, b in borderline]
+        clusters = [json.loads(line) for line in
+                    (config.run_dir / "clusters.jsonl").read_text().splitlines()]
+        assert {frozenset(text_of[m] for m in c["member_ids"]) for c in clusters} == {
+            frozenset({"Alpha", "Beta"}), frozenset({"Gamma", "Delta"}), frozenset({"Epsilon"}),
+        }
 
 
 class TestGraphStage:
