@@ -5,7 +5,8 @@ threshold, hub fraction, weight floor, caps, budgets, the random seed) live
 here as defaults so nothing quality-critical is hard-coded in stage logic.
 
 The config fingerprint covers every effective setting except the run
-directory; checkpoints written under a different fingerprint refuse to
+directory and ``max_in_flight``, which changes how work is chunked but not
+its results; checkpoints written under a different fingerprint refuse to
 resume.
 """
 
@@ -118,8 +119,12 @@ class RunConfig:
         return Path(value) if value else None
 
     def fingerprint(self) -> str:
-        """Hash of every effective setting except the run directory."""
-        effective = {k: v for k, v in self.raw.items() if k != "run_dir"}
+        """Hash of every effective setting except the run directory and
+        ``max_in_flight``: a resume may change either without changing
+        results."""
+        effective = {
+            k: v for k, v in self.raw.items() if k not in ("run_dir", "max_in_flight")
+        }
         return content_hash(canonical_json(effective))
 
     def require_roles(self, stage: str) -> None:

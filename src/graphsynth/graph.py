@@ -17,14 +17,35 @@ For multi-hop pairs, "weight" is the bottleneck weight: the maximum over all
 minimum-hop paths of the smallest edge weight on the path. It degenerates to
 the plain edge weight at distance one and favors pairs linked through
 well-attested co-occurrences.
+
+Two-hop pairs and communities are listed over an indexed view of the graph,
+built once per graph on first use: nodes are numbered in sorted-id order (so
+index order is id order), neighbours and weights sit in CSR arrays, and each
+node keeps its forward (higher-index) neighbours with their weights.
+
+* Two-hop pairs come from expanding every path ``a -> m -> b`` out of one
+  source row at a time with numpy, keeping ``b > a`` not adjacent to ``a``.
+  A path's width is ``min(w(a, m), w(m, b))``; each ``b`` keeps the widest
+  path and, on a tie, the smallest middle node ``m``, which is the tie rule
+  of the breadth-first search, so the witness is ``[a, m, b]``.
+* Cliques are listed in the manner of Chiba and Nishizeki (1985): each
+  triangle or quad is found once, in ascending index order, by intersecting
+  forward neighbour sets, so every size comes out already sorted.
+
+``pairs_at_distance`` keeps the breadth-first search: it serves three-hop
+pairs and any distance, and it is the reference the two-hop expansion is
+tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -82,20 +103,47 @@ class HubSet:
     min_degree_achieved: int
 
 
+class _IndexedView:
+    """Integer-indexed snapshot of an adjacency map.
+
+    ``ids[i]`` is the i-th node id in sorted order. Row ``i``'s neighbours
+    are ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with edge
+    weights at the same positions of ``weights``. ``forward[i]`` maps each
+    neighbour ``j > i`` to the edge weight, in ascending order of ``j``.
+    """
+
+    def __init__(self, adj: dict[str, dict[str, int]]) -> None:
+        self.ids = sorted(adj)
+        index = {node: i for i, node in enumerate(self.ids)}
+        rows = [sorted((index[v], w) for v, w in adj[node].items()) for node in self.ids]
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=self.indptr[1:])
+        self.indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
+        self.weights = np.array([w for row in rows for _, w in row], dtype=np.int64)
+        self.forward = [{j: w for j, w in row if j > i} for i, row in enumerate(rows)]
+
+
 class ConceptGraph:
-    """Immutable after build; all queries are pure and thread-safe."""
+    """Immutable after build; all queries are pure and thread-safe.
+
+    The indexed view is built on first use; two threads racing on it build
+    equal views, and either may be kept.
+    """
 
     def __init__(self) -> None:
         self._adj: dict[str, dict[str, int]] = {}
+        self._view: _IndexedView | None = None
 
     # -- construction (module-private; use build_graph) ----------------------
 
     def _add_node(self, node: str) -> None:
+        self._view = None
         self._adj.setdefault(node, {})
 
     def _add_cooccurrence(self, a: str, b: str) -> None:
         if a == b:
             return
+        self._view = None
         self._adj.setdefault(a, {})[b] = self._adj.setdefault(a, {}).get(b, 0) + 1
         self._adj.setdefault(b, {})[a] = self._adj.setdefault(b, {}).get(a, 0) + 1
 
@@ -140,6 +188,12 @@ class ConceptGraph:
     def _require(self, node: str) -> None:
         if node not in self._adj:
             raise ValidationError(f"unknown concept id {node!r}")
+
+    def _indexed(self) -> _IndexedView:
+        view = self._view
+        if view is None:
+            view = self._view = _IndexedView(self._adj)
+        return view
 
     # -- distance machinery ----------------------------------------------------
 
@@ -284,11 +338,42 @@ def pairs_at_distance(
 
 
 def enumerate_two_hop(g: ConceptGraph) -> list[ConceptCombination]:
-    """Pairs connected through exactly one intermediate node."""
-    return [
-        ConceptCombination(kind="two_hop", concept_ids=[a, b], weight=w, witness=path)
-        for a, b, w, path in pairs_at_distance(g, 2)
-    ]
+    """Pairs connected through exactly one intermediate node.
+
+    Equal to ``pairs_at_distance(g, 2)`` in pairs, weights and witnesses,
+    computed by middle-node expansion one source row at a time.
+    """
+    view = g._indexed()
+    ids, indptr, indices, weights = view.ids, view.indptr, view.indices, view.weights
+    adjacent = np.zeros(len(ids), dtype=bool)
+    out: list[ConceptCombination] = []
+    for a in range(len(ids)):
+        lo, hi = indptr[a], indptr[a + 1]
+        mids = indices[lo:hi]
+        starts = indptr[mids]
+        counts = indptr[mids + 1] - starts
+        # CSR position of every path a -> m -> b, grouped by m.
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        positions = shift + np.arange(shift.size)
+        ends = indices[positions]
+        adjacent[mids] = True
+        keep = (ends > a) & ~adjacent[ends]
+        adjacent[mids] = False
+        ends = ends[keep]
+        via = np.repeat(mids, counts)[keep]
+        width = np.minimum(np.repeat(weights[lo:hi], counts)[keep], weights[positions[keep]])
+        # Per end node: widest path first, then the smallest middle node.
+        order = np.lexsort((via, -width, ends))
+        ends, via, width = ends[order], via[order], width[order]
+        first = np.ones(ends.size, dtype=bool)
+        first[1:] = ends[1:] != ends[:-1]
+        src = ids[a]
+        for b, m, w in zip(ends[first].tolist(), via[first].tolist(), width[first].tolist()):
+            out.append(ConceptCombination(
+                kind="two_hop", concept_ids=[src, ids[b]], weight=w,
+                witness=[src, ids[m], ids[b]],
+            ))
+    return out
 
 
 def identify_hubs(g: ConceptGraph, fraction: float) -> HubSet:
@@ -328,60 +413,63 @@ def enumerate_communities(
     edge weight. ``cap`` truncates each clique size deterministically after
     sorting by member ids; 3-cliques nested inside 4-cliques are kept.
     """
-    sizes = sorted(set(sizes))
-    if any(s not in (3, 4) for s in sizes):
-        raise ValidationError("community sizes must be within {3, 4}")
+    sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
         raise ValidationError("cap must be >= 0")
-    triangles: list[tuple[str, str, str]] = []
-    for a, b, _ in g.edges():
-        common = sorted(set(g._adj[a]) & set(g._adj[b]))
-        for c in common:
-            if c > b:
-                triangles.append((a, b, c))
-    triangles.sort()
+    view = g._indexed()
     out: list[ConceptCombination] = []
-    if 3 in sizes:
-        chosen3 = triangles if cap is None else triangles[:cap]
-        for tri in chosen3:
-            out.append(
-                ConceptCombination(
-                    kind="community",
-                    concept_ids=list(tri),
-                    weight=_min_internal_weight(g, tri),
-                )
-            )
-    if 4 in sizes:
-        quads: list[tuple[str, str, str, str]] = []
-        for a, b, c in triangles:
-            common = sorted(set(g._adj[a]) & set(g._adj[b]) & set(g._adj[c]))
-            for d in common:
-                if d > c:
-                    quads.append((a, b, c, d))
-        quads.sort()
-        chosen4 = quads if cap is None else quads[:cap]
-        for quad in chosen4:
-            out.append(
-                ConceptCombination(
-                    kind="community",
-                    concept_ids=list(quad),
-                    weight=_min_internal_weight(g, quad),
-                )
-            )
+    for size in sizes:
+        for members in itertools.islice(_cliques(view, size), cap):
+            out.append(ConceptCombination(
+                kind="community",
+                concept_ids=[view.ids[i] for i in members],
+                weight=_clique_weight(view, members),
+            ))
     return out
 
 
-def _min_internal_weight(g: ConceptGraph, members: tuple[str, ...]) -> int:
+def count_communities(g: ConceptGraph, sizes: Iterable[int] = (3, 4)) -> int:
+    """Number of cliques ``enumerate_communities(g, sizes)`` lists without a
+    cap, counted without building them."""
+    view = g._indexed()
+    return sum(sum(1 for _ in _cliques(view, size)) for size in _community_sizes(sizes))
+
+
+def _community_sizes(sizes: Iterable[int]) -> list[int]:
+    sizes = sorted(set(sizes))
+    if any(s not in (3, 4) for s in sizes):
+        raise ValidationError("community sizes must be within {3, 4}")
+    return sizes
+
+
+def _cliques(view: _IndexedView, size: int) -> Iterator[tuple[int, ...]]:
+    """Every ``size``-clique (3 or 4) as an ascending index tuple, in sorted
+    order: each clique is reached once, from its lowest member, through
+    forward neighbour sets."""
+    forward = view.forward
+    for a, fa in enumerate(forward):
+        for b in fa:
+            common = fa.keys() & forward[b].keys()
+            for c in sorted(common):
+                if size == 3:
+                    yield (a, b, c)
+                else:
+                    for d in sorted(common & forward[c].keys()):
+                        yield (a, b, c, d)
+
+
+def _clique_weight(view: _IndexedView, members: tuple[int, ...]) -> int:
+    """Minimum edge weight among ascending ``members``; raises when an edge
+    is missing."""
     weights = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            w = g.weight(members[i], members[j])
-            if w is None:
-                raise ValidationError(
-                    f"community {members} is not a clique: missing edge "
-                    f"{members[i]}-{members[j]}"
-                )
-            weights.append(w)
+    for u, v in itertools.combinations(members, 2):
+        w = view.forward[u].get(v)
+        if w is None:
+            raise ValidationError(
+                f"community {tuple(view.ids[i] for i in members)} is not a clique: "
+                f"missing edge {view.ids[u]}-{view.ids[v]}"
+            )
+        weights.append(w)
     return min(weights)
 
 

@@ -364,10 +364,11 @@ class PipelineRun:
         )
         save_seed_corpus(self.paths.file("seeds_enriched"), enriched)
 
-        item_usage = _sum_usage(
-            list(extract_results.values()) + list(quality_results.values())
+        item_usage = _merge_usage(
+            *(rec.get("usage") or {}
+              for rec in [*extract_results.values(), *quality_results.values()]),
+            tail_meter.to_record(),
         )
-        item_usage = _merge_usage(item_usage, tail_meter.to_record())
         self._write_stats("extract", {
             "seeds": len(seeds),
             "extraction_failures": extraction_failures,
@@ -407,9 +408,9 @@ class PipelineRun:
             g, hubs, min_weight=float(params["three_hop_min_weight"])
         )
         cap = params.get("community_cap")
+        community_sizes = params.get("community_sizes", (3, 4))
         communities = graphmod.enumerate_communities(
-            g, sizes=params.get("community_sizes", (3, 4)),
-            cap=int(cap) if cap is not None else None,
+            g, sizes=community_sizes, cap=int(cap) if cap is not None else None,
         )
         all_combos = one_hop + two_hop + three_hop + communities
         budget = params.get("combination_budget")
@@ -425,11 +426,8 @@ class PipelineRun:
             kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
         capped = 0
         if cap is not None:
-            # Record how many cliques the cap removed (recomputed uncapped).
-            uncapped = graphmod.enumerate_communities(
-                g, sizes=params.get("community_sizes", (3, 4)), cap=None
-            )
-            capped = len(uncapped) - len(communities)
+            # Record how many cliques the cap removed.
+            capped = graphmod.count_communities(g, community_sizes) - len(communities)
         self._write_stats("graph", {
             "nodes": g.node_count(),
             "edges": g.edge_count(),
@@ -563,7 +561,9 @@ class PipelineRun:
         status_counts: dict[str, int] = {}
         for item in items:
             status_counts[item["status"]] = status_counts.get(item["status"], 0) + 1
-        usage = _sum_usage(list(generated.values()) + list(evaluated.values()))
+        usage = _merge_usage(
+            *(rec.get("usage") or {} for rec in [*generated.values(), *evaluated.values()])
+        )
         self._write_stats("synthesize", {
             "combinations": len(combos),
             "generation_failures": generation_failures,
@@ -752,15 +752,6 @@ def _read_cache_tolerant(path: Path) -> list[dict]:
             except json.JSONDecodeError:
                 logger.warning("skipping torn cache line in %s", path)
     return records
-
-
-def _sum_usage(records: list[dict]) -> dict:
-    total = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-    for rec in records:
-        usage = rec.get("usage") or {}
-        for key in total:
-            total[key] += int(usage.get(key, 0))
-    return total
 
 
 def _merge_usage(*usages: dict) -> dict:

@@ -11,6 +11,7 @@ from graphsynth.graph import (
     ConceptCombination,
     build_graph,
     bottleneck_weight,
+    count_communities,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_three_hop,
@@ -30,13 +31,13 @@ def g0():
     return build_graph(G0_SEEDS)
 
 
-def random_graph(rng, max_nodes=12, max_weight=4):
+def random_graph(rng, max_nodes=12, max_weight=4, density=0.3, label="n{:02d}".format):
     n = rng.randint(2, max_nodes)
-    nodes = [f"n{i:02d}" for i in range(n)]
+    nodes = sorted(label(i) for i in range(n))
     adj = {v: set() for v in nodes}
     weights = {}
     for a, b in itertools.combinations(nodes, 2):
-        if rng.random() < 0.3:
+        if rng.random() < density:
             adj[a].add(b)
             adj[b].add(a)
             weights[(a, b)] = rng.randint(1, max_weight)
@@ -139,6 +140,27 @@ class TestTwoHop:
         g = build_graph([("P", {"x", "y", "z"})])
         assert enumerate_two_hop(g) == []
 
+    def test_matches_breadth_first_reference(self):
+        # Weights 1-2 make equal-width paths common, so the smallest-middle
+        # tie rule is exercised; ids like n5 and n123 sort unlike numbers.
+        rng = random.Random(47)
+        for _ in range(200):
+            g, _, _ = random_graph(rng, max_nodes=14, max_weight=2, density=0.35,
+                                   label=lambda i: f"n{i * 37 % 1000}")
+            got = [(*c.concept_ids, c.weight, c.witness) for c in enumerate_two_hop(g)]
+            assert got == pairs_at_distance(g, 2)
+
+    def test_mutation_after_query_is_seen(self):
+        g = build_graph([("P", {"a", "b"}), ("Q", {"b", "c"})])
+        assert [c.witness for c in enumerate_two_hop(g)] == [["a", "b", "c"]]
+        g._add_cooccurrence("a", "c")
+        assert enumerate_two_hop(g) == []
+        g._add_node("d")
+        g._add_cooccurrence("c", "d")
+        g._add_cooccurrence("c", "d")
+        got = [(c.concept_ids, c.weight, c.witness) for c in enumerate_two_hop(g)]
+        assert got == [(["a", "d"], 1, ["a", "c", "d"]), (["b", "d"], 1, ["b", "c", "d"])]
+
     def test_witness_is_valid_shortest_path(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -238,6 +260,37 @@ class TestCommunities:
             for combo in enumerate_communities(g):
                 for a, b in itertools.combinations(combo.concept_ids, 2):
                     assert b in adj[a]
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 10_000])
+    def test_caps_match_oracle_with_min_weights(self, cap):
+        rng = random.Random(53)
+        for _ in range(30):
+            g, adj, weights = random_graph(rng, max_nodes=10, density=0.6)
+            expected = []
+            for size in (3, 4):
+                cliques = sorted(oracles.cliques_of_size(adj, size))[:cap]
+                expected += [
+                    (list(c), min(weights[e] for e in itertools.combinations(c, 2)))
+                    for c in cliques
+                ]
+            got = [(c.concept_ids, c.weight) for c in enumerate_communities(g, cap=cap)]
+            assert got == expected
+
+    @pytest.mark.parametrize("sizes", [(3,), (4,), (3, 4)])
+    def test_count_matches_uncapped_enumeration(self, sizes):
+        rng = random.Random(59)
+        for _ in range(20):
+            g, _, _ = random_graph(rng, max_nodes=10, density=0.6)
+            assert count_communities(g, sizes) == len(enumerate_communities(g, sizes, cap=None))
+
+    def test_mutation_after_query_is_seen(self):
+        g = build_graph([("P", {"a", "b"}), ("Q", {"b", "c"})])
+        assert enumerate_communities(g) == []
+        g._add_cooccurrence("a", "c")
+        g._add_cooccurrence("a", "c")
+        combos = enumerate_communities(g)
+        assert [(c.concept_ids, c.weight) for c in combos] == [(["a", "b", "c"], 1)]
+        assert count_communities(g) == 1
 
     def test_cap_truncates_deterministically(self):
         g = build_graph([("P", {"a", "b", "c", "d", "e"})])  # K5

@@ -404,6 +404,25 @@ class TestDeterminismAndResume:
         with pytest.raises(CheckpointError, match="restart"):
             run_stage(load_config(config_path), "run-all")
 
+    def test_resume_with_changed_max_in_flight(self, tmp_path, monkeypatch):
+        # max_in_flight changes chunking, not results, so it must not block
+        # a resume.
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        baseline_dict = base_config(tmp_path, corpus, run_name="inflight-base")
+        baseline = load_config(write_config(tmp_path / "ib.json", baseline_dict))
+        run_stage(baseline, "run-all")
+
+        config_dict = base_config(tmp_path, corpus, run_name="inflight", max_in_flight=4)
+        config_path = write_config(tmp_path / "inflight.json", config_dict)
+        monkeypatch.setenv(FAULT_ABORT_ENV, "7")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        config_dict["max_in_flight"] = 1
+        write_config(config_path, config_dict)
+        run_stage(load_config(config_path), "run-all")
+        assert read_outputs(baseline.run_dir) == read_outputs(Path(config_dict["run_dir"]))
+
     def test_torn_cache_line_recovered_on_resume(self, tmp_path, monkeypatch):
         # A hard kill can truncate the final cache append; the torn record
         # was never checkpointed, so resume must quietly redo it.
@@ -588,12 +607,13 @@ class TestConfigParsing:
         assert config.graph_params["three_hop_min_weight"] == 2
         assert config.analytics_params["ngram_sizes"] == [8, 10, 13, 15]
 
-    def test_fingerprint_ignores_run_dir_only(self, tmp_path):
+    def test_fingerprint_ignores_run_dir_and_max_in_flight_only(self, tmp_path):
         base = {"run_dir": "a", "seed_corpus": "c.jsonl"}
         fp1 = parse_config(dict(base)).fingerprint()
         fp2 = parse_config(dict(base, run_dir="b")).fingerprint()
         fp3 = parse_config(dict(base, random_seed=5)).fingerprint()
-        assert fp1 == fp2
+        fp4 = parse_config(dict(base, max_in_flight=1)).fingerprint()
+        assert fp1 == fp2 == fp4
         assert fp1 != fp3
 
     def test_bad_threshold_rejected(self, tmp_path):
