@@ -16,7 +16,7 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -353,27 +353,59 @@ class _Meter:
 def run_bounded(
     tasks: Sequence[Callable[[], Any]],
     max_in_flight: int,
+    on_ready: Callable[[list[Any]], None] | None = None,
 ) -> list[Any]:
     """Run callables with at most ``max_in_flight`` executing at once.
 
-    Results come back in input order regardless of completion order. A
-    failing task does not abort the batch: its slot holds the exception
-    instance instead of a value (mirroring ``asyncio.gather`` with
+    One pool serves the whole task list: a sliding window keeps up to
+    ``max_in_flight`` tasks running and starts the next one as soon as any
+    finishes. Results come back in input order regardless of completion
+    order. A failing task does not abort the batch: its slot holds the
+    exception instance instead of a value (mirroring ``asyncio.gather`` with
     ``return_exceptions=True``).
+
+    Whenever the completed prefix (in input order) grows, ``on_ready`` is
+    called on the calling thread with the newly completed results; the
+    calls together cover every task exactly once, in order. An exception
+    raised by ``on_ready`` stops the run: no further task is started, the
+    tasks in flight are waited for, and the exception propagates.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     results: list[Any] = [None] * len(tasks)
-    if not tasks:
-        return results
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = {pool.submit(task): idx for idx, task in enumerate(tasks)}
-        for fut in as_completed(futures):
-            idx = futures[fut]
-            try:
-                results[idx] = fut.result()
-            except Exception as exc:  # per-slot failure, batch continues
-                results[idx] = exc
+    finished = [False] * len(tasks)
+    in_flight: dict[Future, int] = {}
+    next_task = 0  # index of the first task not yet submitted
+    ready = 0  # length of the completed prefix handed to on_ready
+    pool = ThreadPoolExecutor(max_workers=max_in_flight)
+
+    def fill_window() -> None:
+        nonlocal next_task
+        while next_task < len(tasks) and len(in_flight) < max_in_flight:
+            in_flight[pool.submit(tasks[next_task])] = next_task
+            next_task += 1
+
+    try:
+        fill_window()
+        while in_flight:
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for fut in done:
+                idx = in_flight.pop(fut)
+                try:
+                    results[idx] = fut.result()
+                except Exception as exc:  # per-slot failure, batch continues
+                    results[idx] = exc
+                finished[idx] = True
+            # Refill the freed slots before on_ready, so its work overlaps
+            # with running tasks.
+            fill_window()
+            start = ready
+            while ready < len(tasks) and finished[ready]:
+                ready += 1
+            if on_ready is not None and ready > start:
+                on_ready(results[start:ready])
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return results
 
 

@@ -5,9 +5,9 @@ threshold, hub fraction, weight floor, caps, budgets, the random seed) live
 here as defaults so nothing quality-critical is hard-coded in stage logic.
 
 The config fingerprint covers every effective setting except the run
-directory and ``max_in_flight``, which changes how work is chunked but not
-its results; checkpoints written under a different fingerprint refuse to
-resume.
+directory and ``max_in_flight``, which changes how many items run at once
+but not their results; checkpoints written under a different fingerprint
+refuse to resume.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Stage orchestration: extract -> graph -> synthesize -> analyze.
 
 Expensive per-item work (model calls) runs through a checkpointed runner:
-results are appended to a per-stage cache file, the checkpoint is advanced
-after every committed chunk, and the stage's final output file is rebuilt
-wholesale (atomically) from the cache. Interrupting a run at any point and
-resuming therefore lands on the same final bytes as an uninterrupted run,
-because every mock-backed computation is a pure function of its inputs.
+one pool per stage keeps up to ``max_in_flight`` items in flight, and results
+are appended, in input order, to a per-stage cache file that is the only
+record of which items are done. The stage checkpoint is a header written once
+per stage; it holds the config fingerprint the cached results were computed
+under. The stage's final output file is rebuilt wholesale (atomically) from
+the cache. Interrupting a run at any point and resuming therefore lands on
+the same final bytes as an uninterrupted run, because every mock-backed
+computation is a pure function of its inputs.
 
 A run directory is owned exclusively via a pid lock file; stale locks from
 dead processes are replaced automatically.
@@ -24,7 +27,7 @@ from . import graph as graphmod
 from ._util import canonical_json, canonicalize, read_jsonl, write_atomic, write_jsonl_atomic
 from .backends import BackendClient, MockServer, run_bounded
 from .config import RunConfig
-from .errors import CheckpointError, ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .evaluation import JudgePanel
 from .store import (
     KeyConcept,
@@ -176,44 +179,51 @@ class PipelineRun:
         stage: str,
         work: Sequence[tuple[str, Any]],
         task_fn: Callable[[Any], dict],
-        chunk_size: int | None = None,
     ) -> dict[str, dict]:
         """Run ``task_fn`` per work item with resumable progress.
 
         Returns one JSON-able result record per work id. Task exceptions are
         captured into {"failed": message} records so one bad item never
         aborts the stage.
+
+        The stage's results cache is its only progress record: an id with a
+        complete line there is done and never runs again. The checkpoint is a
+        header naming the config fingerprint those results were computed
+        under; it is written once, before the first append. A cache without a
+        header cannot be trusted and is discarded.
         """
         fingerprint = self.config.fingerprint()
-        ids = [wid for wid, _ in work]
-        checkpoint = read_checkpoint(self.paths.checkpoint(stage))
-        pending = select_resumable_work(ids, checkpoint, fingerprint)
-        done_ids = set(ids) - set(pending)
-
+        checkpoint_path = self.paths.checkpoint(stage)
         cache_path = self.paths.cache(stage)
+        checkpoint = read_checkpoint(checkpoint_path)
         results: dict[str, dict] = {}
-        if cache_path.exists():
-            for rec in _read_cache_tolerant(cache_path):
-                if rec.get("id") in done_ids and rec["id"] not in results:
-                    results[rec["id"]] = rec["result"]
-        missing = done_ids - set(results)
-        if missing:
-            raise CheckpointError(
-                f"stage {stage!r}: checkpoint lists {len(missing)} completed items "
-                "with no cached results; remove the checkpoint to restart the stage"
-            )
+        intact_bytes = 0
+        if checkpoint is not None:
+            results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
+            checkpoint.completed_item_ids = set(results)
+        pending = select_resumable_work((wid for wid, _ in work), checkpoint, fingerprint)
+        if not pending:
+            return results
 
         payloads = dict(work)
-        chunk = chunk_size or max(1, self.config.max_in_flight)
-        completed = set(done_ids)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        for start in range(0, len(pending), chunk):
-            batch = pending[start:start + chunk]
-            outcomes = run_bounded(
-                [self._wrap_task(task_fn, payloads[wid]) for wid in batch],
-                self.config.max_in_flight,
-            )
-            with open(cache_path, "a", encoding="utf-8") as handle:
+        with open(cache_path, "a", encoding="utf-8") as handle:
+            # Cut a torn final line (or a headerless cache) before appending,
+            # so the next record starts on a line of its own.
+            if os.fstat(handle.fileno()).st_size > intact_bytes:
+                handle.truncate(intact_bytes)
+                os.fsync(handle.fileno())
+            if checkpoint is None:
+                write_checkpoint(
+                    StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint),
+                    checkpoint_path,
+                )
+            committed = 0
+
+            def commit(outcomes: list[Any]) -> None:
+                nonlocal committed
+                batch = pending[committed:committed + len(outcomes)]
+                committed += len(outcomes)
                 for wid, outcome in zip(batch, outcomes):
                     if isinstance(outcome, BaseException):
                         outcome = {"failed": f"{type(outcome).__name__}: {outcome}"}
@@ -221,16 +231,13 @@ class PipelineRun:
                     handle.write(canonical_json({"id": wid, "result": outcome}) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-            completed.update(batch)
-            write_checkpoint(
-                StageCheckpoint(
-                    stage_name=stage,
-                    completed_item_ids=completed,
-                    config_fingerprint=fingerprint,
-                ),
-                self.paths.checkpoint(stage),
+                self._abort.on_commit(len(outcomes))
+
+            run_bounded(
+                [self._wrap_task(task_fn, payloads[wid]) for wid in pending],
+                self.config.max_in_flight,
+                on_ready=commit,
             )
-            self._abort.on_commit(len(batch))
         return results
 
     def _wrap_task(self, task_fn: Callable[[Any], dict], payload: Any) -> Callable[[], dict]:
@@ -735,23 +742,36 @@ class PipelineRun:
         self.cmd_analyze()
 
 
-def _read_cache_tolerant(path: Path) -> list[dict]:
-    """Read a results cache, skipping torn lines.
+def _read_cache_tolerant(path: Path, wanted: set[str]) -> tuple[dict[str, dict], int]:
+    """Read a results cache: (results of the ``wanted`` ids, intact bytes).
 
-    A hard kill can truncate the final append; such a record was never
-    checkpointed, so dropping it is exactly the right recovery.
+    Streams the file and keeps only the wanted ids; the first record for an
+    id wins. A line counts only once its newline is written, so a hard kill
+    that truncates the final append leaves a torn tail that is dropped: the
+    second value is the byte length up to the end of the last complete line.
+    A complete line that does not parse is skipped with a warning.
     """
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    results: dict[str, dict] = {}
+    intact_bytes = 0
+    if not path.exists():
+        return results, intact_bytes
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
+            if not line.endswith(b"\n"):
+                logger.warning("dropping torn cache tail in %s", path)
+                break
+            intact_bytes += len(line)
+            if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                logger.warning("skipping torn cache line in %s", path)
-    return records
+                rec = json.loads(line)
+            except ValueError:
+                logger.warning("skipping unreadable cache line in %s", path)
+                continue
+            wid = rec.get("id")
+            if wid in wanted and wid not in results:
+                results[wid] = rec["result"]
+    return results, intact_bytes
 
 
 def _merge_usage(*usages: dict) -> dict:

@@ -1,9 +1,14 @@
 """Persistent data model: corpus records, knowledge-base records, synthesized
-items, and atomic stage checkpoints.
+items, and stage checkpoints.
 
 Everything on disk is line-delimited JSON (one entity per line) so stages can
 stream large corpora instead of loading them whole. Records without an id get
 a content-addressed one, which keeps deduplication stable across runs.
+
+A stage checkpoint on disk is a header: the stage name and the fingerprint of
+the configuration its cached results were computed under. It is written
+atomically once per stage; which items are done is read from the stage's
+append-only results cache, not from the checkpoint.
 """
 
 from __future__ import annotations
@@ -242,18 +247,23 @@ class SynthesizedItem:
 
 @dataclass
 class StageCheckpoint:
-    """Progress marker for one pipeline stage, keyed by completed item ids."""
+    """Progress marker for one pipeline stage.
+
+    ``completed_item_ids`` is the in-memory done set; the pipeline fills it
+    from the ids in the stage's results cache. ``to_record`` leaves it out
+    when empty, so the header the pipeline writes holds only the stage name
+    and the config fingerprint.
+    """
 
     stage_name: str
     completed_item_ids: set[str] = field(default_factory=set)
     config_fingerprint: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "stage_name": self.stage_name,
-            "completed_item_ids": sorted(self.completed_item_ids),
-            "config_fingerprint": self.config_fingerprint,
-        }
+        rec = {"stage_name": self.stage_name, "config_fingerprint": self.config_fingerprint}
+        if self.completed_item_ids:
+            rec["completed_item_ids"] = sorted(self.completed_item_ids)
+        return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "StageCheckpoint":

@@ -276,6 +276,62 @@ class TestRunBounded:
         tasks = [make(v, d) for v, d in zip(values, delays)]
         assert run_bounded(tasks, cap) == values
 
+    def test_on_ready_gets_in_order_prefixes_on_calling_thread(self):
+        rng = random.Random(7)
+        delays = [rng.uniform(0, 0.003) for _ in range(40)]
+        calls = []
+
+        def make(i):
+            def task():
+                time.sleep(delays[i])
+                return i
+            return task
+
+        def on_ready(prefix):
+            calls.append((threading.get_ident(), list(prefix)))
+
+        results = run_bounded([make(i) for i in range(40)], 4, on_ready=on_ready)
+        assert results == list(range(40))
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert all(prefix for _, prefix in calls)
+        assert [i for _, prefix in calls for i in prefix] == list(range(40))
+
+    def test_one_pool_per_call(self):
+        lock = threading.Lock()
+        workers = set()
+
+        def task():
+            with lock:
+                workers.add(threading.get_ident())
+
+        run_bounded([task] * 200, max_in_flight=3, on_ready=lambda prefix: None)
+        assert 1 <= len(workers) <= 3
+        assert threading.get_ident() not in workers
+
+    def test_on_ready_exception_stops_new_tasks(self):
+        lock = threading.Lock()
+        state = {"stopped": False, "late_starts": 0, "started": 0, "running": 0}
+
+        def task():
+            with lock:
+                state["started"] += 1
+                state["running"] += 1
+                state["late_starts"] += state["stopped"]
+            time.sleep(0.002)
+            with lock:
+                state["running"] -= 1
+
+        def on_ready(prefix):
+            with lock:
+                state["stopped"] = True
+            raise KeyboardInterrupt("stop")
+
+        with pytest.raises(KeyboardInterrupt, match="stop"):
+            run_bounded([task] * 50, max_in_flight=2, on_ready=on_ready)
+        assert state["late_starts"] == 0
+        assert state["running"] == 0  # tasks in flight were waited for
+        assert state["started"] < 50
+
 
 class TestMeter:
     def test_meter_counts_only_own_thread(self):

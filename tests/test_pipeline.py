@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,13 @@ from graphsynth.backends import BackendClient, MockServer
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
 from graphsynth.errors import CheckpointError, ConfigurationError, ValidationError
-from graphsynth.pipeline import FAULT_ABORT_ENV, OUTPUT_FILES, RunLock, run_stage
+from graphsynth.pipeline import (
+    FAULT_ABORT_ENV,
+    OUTPUT_FILES,
+    RunLock,
+    _read_cache_tolerant,
+    run_stage,
+)
 from graphsynth.store import concept_id_for, load_concepts, load_items, load_seed_corpus
 
 G0_SEEDS = [
@@ -341,6 +349,24 @@ class TestAnalyzeStage:
         assert report["adherence"] == "not computed"
 
 
+def cached_ids(cache: Path) -> set[str]:
+    return {json.loads(line)["id"] for line in cache.read_text(encoding="utf-8").splitlines()}
+
+
+class PromptRecordingMock(MockServer):
+    """Records the prompt of every chat request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prompts = []
+        self._lock = threading.Lock()
+
+    def chat_completion(self, request):
+        with self._lock:
+            self.prompts.append("\n".join(m["content"] for m in request["messages"]))
+        return super().chat_completion(request)
+
+
 class TestDeterminismAndResume:
     def test_two_runs_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
@@ -443,20 +469,93 @@ class TestDeterminismAndResume:
         run_stage(load_config(config_path), "run-all")
         assert read_outputs(baseline.run_dir) == read_outputs(Path(config_dict["run_dir"]))
 
-    def test_checkpoint_ids_only_grow(self, tmp_path, monkeypatch):
-        from graphsynth.store import read_checkpoint
+    def test_torn_tail_then_second_abort_resumes(self, tmp_path, monkeypatch):
+        # The append after a torn tail must start on a fresh line: glued onto
+        # the fragment, that record would be lost and the next start would
+        # find a committed item missing from the cache.
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        baseline_dict = base_config(tmp_path, corpus, run_name="torn2-base")
+        baseline = load_config(write_config(tmp_path / "t2b.json", baseline_dict))
+        run_stage(baseline, "run-all")
 
+        config_dict = base_config(tmp_path, corpus, run_name="torn2", max_in_flight=1)
+        config_path = write_config(tmp_path / "torn2.json", config_dict)
+        cache = Path(config_dict["run_dir"]) / "cache" / "extract.concepts.jsonl"
+        monkeypatch.setenv(FAULT_ABORT_ENV, "2")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "chain-0-5", "result": {"phrases": ["tor')  # torn
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        run_stage(load_config(config_path), "run-all")
+        assert read_outputs(baseline.run_dir) == read_outputs(Path(config_dict["run_dir"]))
+        assert all(json.loads(line) for line in cache.read_text().splitlines())
+
+    def test_cache_read_keeps_first_record_and_drops_torn_tail(self, tmp_path):
+        cache = tmp_path / "stage.jsonl"
+        lines = ['{"id":"a","result":{"v":1}}', '{"id":"x","result":{"v":0}}',
+                 '{"id":"b","res', '{"id":"a","result":{"v":2}}', '{"id":"b","result":{"v":3}}']
+        intact = "".join(line + "\n" for line in lines)
+        cache.write_text(intact + '{"id":"c","result":{"v"', encoding="utf-8")
+        results, intact_bytes = _read_cache_tolerant(cache, {"a", "b", "c"})
+        assert results == {"a": {"v": 1}, "b": {"v": 3}}
+        assert intact_bytes == len(intact.encode())
+
+    def test_cached_ids_only_grow(self, tmp_path, monkeypatch):
         config_path, config_dict = make_run(tmp_path)
-        run_dir = Path(config_dict["run_dir"])
+        cache = Path(config_dict["run_dir"]) / "cache" / "extract.concepts.jsonl"
         monkeypatch.setenv(FAULT_ABORT_ENV, "2")
         with pytest.raises(KeyboardInterrupt):
             run_stage(load_config(config_path), "run-all")
         monkeypatch.delenv(FAULT_ABORT_ENV)
-        partial = read_checkpoint(run_dir / "checkpoints" / "extract.concepts.json")
-        assert partial is not None and partial.completed_item_ids
+        partial = cached_ids(cache)
+        assert partial
         run_stage(load_config(config_path), "run-all")
-        final = read_checkpoint(run_dir / "checkpoints" / "extract.concepts.json")
-        assert partial.completed_item_ids <= final.completed_item_ids
+        final = cached_ids(cache)
+        assert partial <= final == {seed["id"] for seed in G0_SEEDS}
+
+    def test_cached_id_never_runs_again(self, tmp_path, monkeypatch):
+        seeds = toy_corpus_seeds(8, 1, 3)
+        config_path, config_dict = make_run(tmp_path, seeds=seeds, max_in_flight=2)
+        cache = Path(config_dict["run_dir"]) / "cache" / "extract.concepts.jsonl"
+        monkeypatch.setenv(FAULT_ABORT_ENV, "4")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        done = cached_ids(cache)
+        assert 0 < len(done) < len(seeds)
+
+        config = load_config(config_path)
+        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        extract_prompts = [p for p in mock.prompts if p.startswith("TASK: extract-concepts")]
+        # Each seed not yet cached is asked once; a cached one never is.
+        asked = Counter(s["id"] for s in seeds for p in extract_prompts if s["question"] in p)
+        assert asked == Counter({s["id"] for s in seeds} - done)
+
+    def test_cache_without_header_is_discarded(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        baseline_dict = base_config(tmp_path, corpus, run_name="nohdr-base")
+        baseline = load_config(write_config(tmp_path / "nb.json", baseline_dict))
+        run_stage(baseline, "run-all")
+
+        config_dict = base_config(tmp_path, corpus, run_name="nohdr")
+        config_path = write_config(tmp_path / "nohdr.json", config_dict)
+        run_dir = Path(config_dict["run_dir"])
+        monkeypatch.setenv(FAULT_ABORT_ENV, "4")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        # A record no header vouches for: trusting it would change the outputs.
+        cache = run_dir / "cache" / "extract.concepts.jsonl"
+        bogus = {"id": sorted(cached_ids(cache))[0], "result": {"phrases": ["bogus"]}}
+        cache.write_text(json.dumps(bogus) + "\n", encoding="utf-8")
+        (run_dir / "checkpoints" / "extract.concepts.json").unlink()
+        run_stage(load_config(config_path), "run-all")
+        assert read_outputs(baseline.run_dir) == read_outputs(run_dir)
+        assert "bogus" not in cache.read_text(encoding="utf-8")
 
     def test_two_processes_byte_identical(self, tmp_path):
         # Fresh interpreters: determinism must not lean on per-process state.
