@@ -1,10 +1,12 @@
-"""Small shared helpers: canonical text forms, content hashes, atomic writes."""
+"""Small shared helpers: canonical text forms, content hashes, yes/no reply
+parsing, atomic writes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any
@@ -24,6 +26,16 @@ def canonicalize_question(text: str) -> str:
     Lowercase, collapse whitespace, strip trailing sentence punctuation.
     """
     return " ".join(text.lower().split()).rstrip(".!? ")
+
+
+def parse_yes_no(raw: str) -> bool | None:
+    """The last YES or NO word in a judge reply, any case; None when neither
+    appears."""
+    tokens = re.findall(r"[A-Za-z]+", raw.upper())
+    for token in reversed(tokens):
+        if token in ("YES", "NO"):
+            return token == "YES"
+    return None
 
 
 def content_hash(*parts: str) -> str:

@@ -10,6 +10,7 @@ offline and reproducibly.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import random
@@ -18,7 +19,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 import requests
@@ -118,12 +119,26 @@ class CompletionExchange:
             raise ProtocolError("token counts must be nonnegative")
 
 
-class UsageTracker:
-    """Thread-safe token/call totals per backend id."""
+def sum_usage(records: Iterable[dict]) -> dict[str, int]:
+    """Flat ``{input_tokens, output_tokens, calls}`` summed over usage records."""
+    total = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
+    for usage in records:
+        for key in total:
+            total[key] += int(usage.get(key, 0))
+    return total
 
-    def __init__(self) -> None:
+
+class UsageTracker:
+    """Thread-safe token/call totals per backend id.
+
+    A tracker with a ``parent`` forwards every call it records to it, so the
+    parent's totals always include the child's.
+    """
+
+    def __init__(self, parent: "UsageTracker | None" = None) -> None:
         self._lock = threading.Lock()
         self._totals: dict[str, dict[str, int]] = {}
+        self._parent = parent
 
     def add(self, backend_id: str, input_tokens: int, output_tokens: int) -> None:
         with self._lock:
@@ -133,10 +148,17 @@ class UsageTracker:
             entry["input_tokens"] += input_tokens
             entry["output_tokens"] += output_tokens
             entry["calls"] += 1
+        if self._parent is not None:
+            self._parent.add(backend_id, input_tokens, output_tokens)
 
     def totals(self) -> dict[str, dict[str, int]]:
         with self._lock:
             return {k: dict(v) for k, v in self._totals.items()}
+
+    def total(self) -> dict[str, int]:
+        """Usage summed over all backends."""
+        with self._lock:
+            return sum_usage(self._totals.values())
 
 
 def _approx_tokens(text: str) -> int:
@@ -151,27 +173,22 @@ class BackendClient:
     """
 
     def __init__(self, mock: "MockServer | None" = None, session: requests.Session | None = None):
-        self._mock = mock
+        self._mock = mock if mock is not None else MockServer()
         self._fixed_session = session
         self._thread_state = threading.local()
         self.usage = UsageTracker()
-        self._meter_slot = threading.local()
 
-    def metered(self) -> "_Meter":
-        """Context manager that additionally records this thread's usage.
+    def scoped(self) -> "BackendClient":
+        """A client on the same transport (same mock, same sessions) whose
+        usage tracker records only its own calls and forwards each to this
+        client's tracker.
 
-        Lets a pipeline task persist the token counts of exactly its own
-        backend calls (the task runs wholly on one thread).
+        Gives one unit of work (a pipeline item) its exact usage, including
+        calls it fans out to other threads.
         """
-        return _Meter(self)
-
-    def _record(self, backend_id: str, input_tokens: int, output_tokens: int) -> None:
-        self.usage.add(backend_id, input_tokens, output_tokens)
-        meter = getattr(self._meter_slot, "active", None)
-        if meter is not None:
-            meter.input_tokens += input_tokens
-            meter.output_tokens += output_tokens
-            meter.calls += 1
+        view = copy.copy(self)
+        view.usage = UsageTracker(parent=self.usage)
+        return view
 
     def _http(self) -> requests.Session:
         # requests.Session is not thread-safe; keep one per calling thread
@@ -183,11 +200,6 @@ class BackendClient:
             session = requests.Session()
             self._thread_state.session = session
         return session
-
-    def _mock_server(self) -> "MockServer":
-        if self._mock is None:
-            self._mock = MockServer()
-        return self._mock
 
     def _headers(self, descriptor: BackendDescriptor) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -264,7 +276,7 @@ class BackendClient:
             payload.update(decode_params)
         started = time.monotonic()
         if descriptor.is_mock:
-            data = self._mock_server().chat_completion(payload)
+            data = self._mock.chat_completion(payload)
         else:
             url = descriptor.endpoint.rstrip("/") + "/chat/completions"
             data = self._post_with_retries(descriptor, url, payload)
@@ -278,7 +290,7 @@ class BackendClient:
         usage = data.get("usage") or {}
         input_tokens = int(usage.get("prompt_tokens", _approx_tokens(prompt)))
         output_tokens = int(usage.get("completion_tokens", _approx_tokens(output)))
-        self._record(descriptor.backend_id, input_tokens, output_tokens)
+        self.usage.add(descriptor.backend_id, input_tokens, output_tokens)
         return CompletionExchange(
             prompt=prompt,
             output=output,
@@ -297,7 +309,7 @@ class BackendClient:
             raise ValueError("embed() requires a nonempty list of texts")
         payload = {"model": descriptor.model_name, "input": list(texts)}
         if descriptor.is_mock:
-            data = self._mock_server().embeddings(payload)
+            data = self._mock.embeddings(payload)
         else:
             url = descriptor.endpoint.rstrip("/") + "/embeddings"
             data = self._post_with_retries(descriptor, url, payload)
@@ -322,32 +334,8 @@ class BackendClient:
         input_tokens = int(
             usage.get("prompt_tokens", sum(_approx_tokens(t) for t in texts))
         )
-        self._record(descriptor.backend_id, input_tokens, 0)
+        self.usage.add(descriptor.backend_id, input_tokens, 0)
         return vectors / norms
-
-
-class _Meter:
-    """Thread-local usage meter; see :meth:`BackendClient.metered`."""
-
-    def __init__(self, client: BackendClient):
-        self._client = client
-        self.input_tokens = 0
-        self.output_tokens = 0
-        self.calls = 0
-
-    def __enter__(self) -> "_Meter":
-        self._client._meter_slot.active = self
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._client._meter_slot.active = None
-
-    def to_record(self) -> dict:
-        return {
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "calls": self.calls,
-        }
 
 
 def run_bounded(

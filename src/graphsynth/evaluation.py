@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._util import parse_yes_no
 from .backends import BackendClient, BackendDescriptor
 from .errors import ValidationError
 from .graph import ConceptCombination
@@ -97,11 +98,8 @@ def parse_score(raw: str) -> float | None:
 
 
 def parse_vote(raw: str) -> int | None:
-    tokens = re.findall(r"[A-Za-z]+", raw.upper())
-    for token in reversed(tokens):
-        if token in ("YES", "NO"):
-            return 1 if token == "YES" else 0
-    return None
+    verdict = parse_yes_no(raw)
+    return None if verdict is None else int(verdict)
 
 
 def score_problem(

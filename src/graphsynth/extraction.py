@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import canonicalize, content_hash
+from ._util import canonicalize, content_hash, parse_yes_no
 from .backends import BackendClient, BackendDescriptor
 from .errors import ExtractionError, ValidationError
 from .store import MAX_CONCEPTS_PER_SEED, SYNTHETIC_PROVENANCE, KeyConcept, SeedExample, concept_id_for
@@ -301,7 +301,7 @@ def confirm_synonyms(
         a = concepts_by_id[verdict.pair[0]].text
         b = concepts_by_id[verdict.pair[1]].text
         exchange = client.complete(judge, SYNONYM_PROMPT.format(a=a, b=b))
-        confirmed = _parse_yes_no(exchange.output)
+        confirmed = parse_yes_no(exchange.output)
         out.append(
             SimilarityVerdict(
                 pair=verdict.pair,
@@ -311,14 +311,6 @@ def confirm_synonyms(
             )
         )
     return out
-
-
-def _parse_yes_no(raw: str) -> bool | None:
-    tokens = re.findall(r"[A-Za-z]+", raw.upper())
-    for token in reversed(tokens):
-        if token in ("YES", "NO"):
-            return token == "YES"
-    return None
 
 
 def build_clusters(

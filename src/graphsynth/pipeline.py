@@ -3,12 +3,17 @@
 Expensive per-item work (model calls) runs through a checkpointed runner:
 one pool per stage keeps up to ``max_in_flight`` items in flight, and results
 are appended, in input order, to a per-stage cache file that is the only
-record of which items are done. The stage checkpoint is a header written once
-per stage; it holds the config fingerprint the cached results were computed
-under. The stage's final output file is rebuilt wholesale (atomically) from
-the cache. Interrupting a run at any point and resuming therefore lands on
-the same final bytes as an uninterrupted run, because every mock-backed
-computation is a pure function of its inputs.
+record of which items are done. Each per-item task receives a scoped client,
+so its record keeps the backend usage of exactly its own calls, failed items
+included; the runner is the one place a task exception becomes a failed
+record. A stage's ``usage`` stat is the sum over those records, so a resumed
+run reports the same totals as an uninterrupted one. The stage checkpoint is
+a header holding the config fingerprint the cached results were computed
+under, rewritten whenever the stage starts with work pending. The stage's
+final output file is rebuilt wholesale (atomically) from the cache.
+Interrupting a run at any point and resuming therefore lands on the same
+final bytes as an uninterrupted run, because every mock-backed computation is
+a pure function of its inputs.
 
 A run directory is owned exclusively via a pid lock file; stale locks from
 dead processes are replaced automatically.
@@ -25,7 +30,7 @@ from typing import Any, Callable, Sequence
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
 from ._util import canonical_json, canonicalize, read_jsonl, write_atomic, write_jsonl_atomic
-from .backends import BackendClient, MockServer, run_bounded
+from .backends import BackendClient, MockServer, run_bounded, sum_usage
 from .config import RunConfig
 from .errors import ConfigurationError, ValidationError
 from .evaluation import JudgePanel
@@ -178,19 +183,22 @@ class PipelineRun:
         self,
         stage: str,
         work: Sequence[tuple[str, Any]],
-        task_fn: Callable[[Any], dict],
+        task_fn: Callable[[Any, BackendClient], dict],
     ) -> dict[str, dict]:
-        """Run ``task_fn`` per work item with resumable progress.
+        """Run ``task_fn(payload, client)`` per work item with resumable progress.
 
-        Returns one JSON-able result record per work id. Task exceptions are
-        captured into {"failed": message} records so one bad item never
+        Returns one JSON-able result record per work id. Each task gets its
+        own scoped client, and its record carries the task's backend usage
+        under "usage". A task exception becomes a {"failed": message} record
+        (with the usage of the calls made before it), so one bad item never
         aborts the stage.
 
         The stage's results cache is its only progress record: an id with a
         complete line there is done and never runs again. The checkpoint is a
         header naming the config fingerprint those results were computed
-        under; it is written once, before the first append. A cache without a
-        header cannot be trusted and is discarded.
+        under; it is rewritten before the first append of each run with
+        pending work. A cache without a header cannot be trusted and is
+        discarded.
         """
         fingerprint = self.config.fingerprint()
         checkpoint_path = self.paths.checkpoint(stage)
@@ -200,8 +208,9 @@ class PipelineRun:
         intact_bytes = 0
         if checkpoint is not None:
             results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
-            checkpoint.completed_item_ids = set(results)
-        pending = select_resumable_work((wid for wid, _ in work), checkpoint, fingerprint)
+        pending = select_resumable_work(
+            (wid for wid, _ in work), checkpoint, fingerprint, results
+        )
         if not pending:
             return results
 
@@ -213,11 +222,10 @@ class PipelineRun:
             if os.fstat(handle.fileno()).st_size > intact_bytes:
                 handle.truncate(intact_bytes)
                 os.fsync(handle.fileno())
-            if checkpoint is None:
-                write_checkpoint(
-                    StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint),
-                    checkpoint_path,
-                )
+            write_checkpoint(
+                StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint),
+                checkpoint_path,
+            )
             committed = 0
 
             def commit(outcomes: list[Any]) -> None:
@@ -225,8 +233,6 @@ class PipelineRun:
                 batch = pending[committed:committed + len(outcomes)]
                 committed += len(outcomes)
                 for wid, outcome in zip(batch, outcomes):
-                    if isinstance(outcome, BaseException):
-                        outcome = {"failed": f"{type(outcome).__name__}: {outcome}"}
                     results[wid] = outcome
                     handle.write(canonical_json({"id": wid, "result": outcome}) + "\n")
                 handle.flush()
@@ -240,13 +246,16 @@ class PipelineRun:
             )
         return results
 
-    def _wrap_task(self, task_fn: Callable[[Any], dict], payload: Any) -> Callable[[], dict]:
-        client = self.client
-
+    def _wrap_task(
+        self, task_fn: Callable[[Any, BackendClient], dict], payload: Any
+    ) -> Callable[[], dict]:
         def run() -> dict:
-            with client.metered() as meter:
-                record = task_fn(payload)
-            record.setdefault("usage", meter.to_record())
+            client = self.client.scoped()
+            try:
+                record = task_fn(payload, client)
+            except Exception as exc:
+                record = {"failed": f"{type(exc).__name__}: {exc}"}
+            record["usage"] = client.usage.total()
             return record
 
         return run
@@ -266,12 +275,8 @@ class PipelineRun:
         kb_judge = config.backends["kb_judge"]
         embedder = config.backends["embedder"]
 
-        def extract_task(seed: SeedExample) -> dict:
-            try:
-                phrases = extraction.extract_concepts(seed, extractor, self.client)
-            except Exception as exc:
-                return {"failed": f"{type(exc).__name__}: {exc}"}
-            return {"phrases": phrases}
+        def extract_task(seed: SeedExample, client: BackendClient) -> dict:
+            return {"phrases": extraction.extract_concepts(seed, extractor, client)}
 
         extract_results = self._run_checkpointed(
             "extract.concepts", [(s.id, s) for s in seeds], extract_task
@@ -299,8 +304,8 @@ class PipelineRun:
         raw_concepts = [concepts[cid] for cid in sorted(concepts)]
         save_concepts(self.paths.file("concepts_raw"), raw_concepts)
 
-        def quality_task(concept: KeyConcept) -> dict:
-            verdict = extraction.filter_low_quality([concept], kb_judge, self.client)[0]
+        def quality_task(concept: KeyConcept, client: BackendClient) -> dict:
+            verdict = extraction.filter_low_quality([concept], kb_judge, client)[0]
             return {
                 "kept": verdict.kept,
                 "category": verdict.category,
@@ -338,28 +343,28 @@ class PipelineRun:
 
         # Deterministic single-pass tail: similarity banding, synonym checks,
         # clustering, representative selection.
-        with self.client.metered() as tail_meter:
-            thresholds = config.thresholds
-            if len(kept) >= 2:
-                verdicts = extraction.pairwise_similarity(
-                    kept, embedder, self.client,
-                    same_threshold=thresholds["same_band"],
-                    judge_threshold=thresholds["judge_band"],
-                )
-                # Only same and judge_checked pairs come back; every other
-                # pair is distinct and never reaches the judge.
-                same = [v for v in verdicts if v.band == "same"]
-                borderline = [v for v in verdicts if v.band == "judge_checked"]
-                confirmed = extraction.confirm_synonyms(
-                    borderline, {c.id: c for c in kept}, kb_judge, self.client
-                )
-                verdicts = same + confirmed
-            else:
-                verdicts = []
-            clusters = extraction.build_clusters(kept, verdicts)
-            clusters, final_concepts = extraction.select_representatives(
-                clusters, {c.id: c for c in kept}, kb_judge, self.client
+        tail = self.client.scoped()
+        thresholds = config.thresholds
+        if len(kept) >= 2:
+            verdicts = extraction.pairwise_similarity(
+                kept, embedder, tail,
+                same_threshold=thresholds["same_band"],
+                judge_threshold=thresholds["judge_band"],
             )
+            # Only same and judge_checked pairs come back; every other
+            # pair is distinct and never reaches the judge.
+            same = [v for v in verdicts if v.band == "same"]
+            borderline = [v for v in verdicts if v.band == "judge_checked"]
+            confirmed = extraction.confirm_synonyms(
+                borderline, {c.id: c for c in kept}, kb_judge, tail
+            )
+            verdicts = same + confirmed
+        else:
+            verdicts = []
+        clusters = extraction.build_clusters(kept, verdicts)
+        clusters, final_concepts = extraction.select_representatives(
+            clusters, {c.id: c for c in kept}, kb_judge, tail
+        )
 
         write_jsonl_atomic(
             self.paths.file("clusters"), [c.to_record() for c in clusters]
@@ -371,11 +376,11 @@ class PipelineRun:
         )
         save_seed_corpus(self.paths.file("seeds_enriched"), enriched)
 
-        item_usage = _merge_usage(
+        item_usage = sum_usage([
             *(rec.get("usage") or {}
               for rec in [*extract_results.values(), *quality_results.values()]),
-            tail_meter.to_record(),
-        )
+            tail.usage.total(),
+        ])
         self._write_stats("extract", {
             "seeds": len(seeds),
             "extraction_failures": extraction_failures,
@@ -449,7 +454,7 @@ class PipelineRun:
             "community_cap_truncated": capped,
             "sampled_total": len(sampled),
             "sampled_by_kind": kind_counts,
-            "usage": {"input_tokens": 0, "output_tokens": 0, "calls": 0},
+            "usage": sum_usage([]),
         })
 
     # -- stage: synthesize -------------------------------------------------------
@@ -475,13 +480,10 @@ class PipelineRun:
         }
         threshold = float(config.thresholds["problem_accept"])
 
-        def generate_task(combo: graphmod.ConceptCombination) -> dict:
-            try:
-                question = synthesis.generate_problem(
-                    combo, generator, self.client, templates, concept_texts
-                )
-            except Exception as exc:
-                return {"failed": f"{type(exc).__name__}: {exc}"}
+        def generate_task(combo: graphmod.ConceptCombination, client: BackendClient) -> dict:
+            question = synthesis.generate_problem(
+                combo, generator, client, templates, concept_texts
+            )
             return {"question": question}
 
         combo_work = [(c.combo_id, c) for c in combos]
@@ -503,7 +505,7 @@ class PipelineRun:
             survivors.append(combo)
             questions[combo.combo_id] = rec["question"]
 
-        def evaluate_task(combo: graphmod.ConceptCombination) -> dict:
+        def evaluate_task(combo: graphmod.ConceptCombination, client: BackendClient) -> dict:
             question = questions[combo.combo_id]
             item = SynthesizedItem(
                 id="item-" + synthesis.QuestionDeduper.canonical_hash(
@@ -518,7 +520,7 @@ class PipelineRun:
             )
             texts = [concept_texts[c] for c in combo.concept_ids]
             scores, review = evaluation.score_problem(
-                question, combo, texts, panel, self.client
+                question, combo, texts, panel, client
             )
             item.problem_scores = scores
             item.flags.extend(sorted(f"judge_unparseable:{j}" for j in review))
@@ -528,18 +530,18 @@ class PipelineRun:
             item.weighted_score = weighted
             item.advance_status("problem_accepted" if accepted else "problem_rejected")
             if accepted:
-                rating = synthesis.rate_difficulty(question, rater, self.client)
+                rating = synthesis.rate_difficulty(question, rater, client)
                 item.difficulty = rating.level
                 solver = synthesis.route_solver(rating.level, solvers)
                 try:
                     item.solution = synthesis.generate_solution(
-                        question, solver, self.client
+                        question, solver, client
                     )
                 except Exception as exc:
                     item.flags.append(f"solution_failed: {type(exc).__name__}")
                 if item.solution:
                     votes, vote_review = evaluation.vote_solution(
-                        question, item.solution, panel, self.client
+                        question, item.solution, panel, client
                     )
                     item.solution_votes = votes
                     item.flags.extend(
@@ -568,8 +570,8 @@ class PipelineRun:
         status_counts: dict[str, int] = {}
         for item in items:
             status_counts[item["status"]] = status_counts.get(item["status"], 0) + 1
-        usage = _merge_usage(
-            *(rec.get("usage") or {} for rec in [*generated.values(), *evaluated.values()])
+        usage = sum_usage(
+            rec.get("usage") or {} for rec in [*generated.values(), *evaluated.values()]
         )
         self._write_stats("synthesize", {
             "combinations": len(combos),
@@ -718,12 +720,10 @@ class PipelineRun:
             stage: _load_stats(self.paths.stats(stage))
             for stage in ("extract", "graph", "synthesize")
         }
-        sections["backend_usage"] = _merge_usage(*[
-            (_load_stats(self.paths.stats(stage)) or {}).get(
-                "usage", {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-            )
+        sections["backend_usage"] = sum_usage(
+            (_load_stats(self.paths.stats(stage)) or {}).get("usage") or {}
             for stage in ("extract", "graph", "synthesize")
-        ])
+        )
 
         report = analytics.run_report(sections)
         write_atomic(
@@ -772,14 +772,6 @@ def _read_cache_tolerant(path: Path, wanted: set[str]) -> tuple[dict[str, dict],
             if wid in wanted and wid not in results:
                 results[wid] = rec["result"]
     return results, intact_bytes
-
-
-def _merge_usage(*usages: dict) -> dict:
-    total = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-    for usage in usages:
-        for key in total:
-            total[key] += int(usage.get(key, 0))
-    return total
 
 
 def _load_stats(path: Path) -> dict | None:

@@ -7,15 +7,15 @@ a content-addressed one, which keeps deduplication stable across runs.
 
 A stage checkpoint on disk is a header: the stage name and the fingerprint of
 the configuration its cached results were computed under. It is written
-atomically once per stage; which items are done is read from the stage's
-append-only results cache, not from the checkpoint.
+atomically whenever a stage starts with work pending; which items are done is
+read from the stage's append-only results cache, not from the checkpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from ._util import (
     canonical_json,
@@ -247,34 +247,25 @@ class SynthesizedItem:
 
 @dataclass
 class StageCheckpoint:
-    """Progress marker for one pipeline stage.
+    """Header of one pipeline stage's results cache: the stage name and the
+    fingerprint of the configuration the cached results were computed under.
 
-    ``completed_item_ids`` is the in-memory done set; the pipeline fills it
-    from the ids in the stage's results cache. ``to_record`` leaves it out
-    when empty, so the header the pipeline writes holds only the stage name
-    and the config fingerprint.
+    Which items are done is read from the cache, never from here; a
+    list of done ids left by older versions is ignored.
     """
 
     stage_name: str
-    completed_item_ids: set[str] = field(default_factory=set)
     config_fingerprint: str = ""
 
     def to_record(self) -> dict:
-        rec = {"stage_name": self.stage_name, "config_fingerprint": self.config_fingerprint}
-        if self.completed_item_ids:
-            rec["completed_item_ids"] = sorted(self.completed_item_ids)
-        return rec
+        return {"stage_name": self.stage_name, "config_fingerprint": self.config_fingerprint}
 
     @classmethod
     def from_record(cls, rec: dict) -> "StageCheckpoint":
         if not isinstance(rec.get("stage_name"), str):
             raise CheckpointError("checkpoint missing 'stage_name'")
-        ids = rec.get("completed_item_ids", [])
-        if not isinstance(ids, list):
-            raise CheckpointError("checkpoint 'completed_item_ids' must be a list")
         return cls(
             stage_name=rec["stage_name"],
-            completed_item_ids=set(ids),
             config_fingerprint=rec.get("config_fingerprint", ""),
         )
 
@@ -362,22 +353,20 @@ def select_resumable_work(
     all_ids: Iterable[str],
     checkpoint: StageCheckpoint | None,
     current_fingerprint: str,
+    done: Container[str],
 ) -> list[str]:
-    """Work ids still pending under ``checkpoint``, in input order.
+    """Work ids not in ``done`` (the ids in the stage's results cache), in
+    input order.
 
     A checkpoint written under a different configuration is refused: stale
     partial results cannot be mixed with new parameters, so the caller must
     restart the stage from scratch (delete the run's checkpoints directory
     or use a fresh run directory).
     """
-    ordered = list(all_ids)
-    if checkpoint is None:
-        return ordered
-    if checkpoint.config_fingerprint != current_fingerprint:
+    if checkpoint is not None and checkpoint.config_fingerprint != current_fingerprint:
         raise CheckpointError(
             f"checkpoint for stage {checkpoint.stage_name!r} was written under a "
             "different configuration; resumption refused. Start a full restart "
             "(remove the stage checkpoint or use a new run directory)."
         )
-    done = checkpoint.completed_item_ids
-    return [i for i in ordered if i not in done]
+    return [i for i in all_ids if i not in done]

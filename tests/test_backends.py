@@ -334,18 +334,38 @@ class TestRunBounded:
 
 
 class TestMeter:
-    def test_meter_counts_only_own_thread(self):
+    def test_scoped_counts_only_own_task(self):
         client = BackendClient(mock=MockServer(seed=7))
         d = BackendDescriptor("g", "generator", "mock", "mock-gen")
 
         def task(i):
             def run():
-                with client.metered() as meter:
-                    client.complete(d, f"task prompt {i} extra words here")
-                return meter.to_record()
+                scoped = client.scoped()
+                scoped.complete(d, f"task prompt {i} extra words here")
+                return scoped.usage.total()
             return run
 
         records = run_bounded([task(i) for i in range(8)], max_in_flight=4)
         assert all(r["calls"] == 1 for r in records)
         total = sum(r["input_tokens"] for r in records)
         assert total == client.usage.totals()["g"]["input_tokens"]
+
+    def test_fan_out_inside_a_task_is_metered(self):
+        client = BackendClient(mock=MockServer(seed=7))
+        d = BackendDescriptor("g", "generator", "mock", "mock-gen")
+
+        def task():
+            scoped = client.scoped()
+            threads = [
+                threading.Thread(target=scoped.complete, args=(d, f"fan-out prompt {i}"))
+                for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            return scoped.usage.total()
+
+        (record,) = run_bounded([task], max_in_flight=1)
+        assert record["calls"] == 2
+        assert client.usage.total() == record

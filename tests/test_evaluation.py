@@ -95,6 +95,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("raw,expected", [
         ("YES", 1), ("no", 0), ("Final answer: YES", 1), ("hmm", None),
+        ("Yes at first, but No", 0),
     ])
     def test_parse_vote(self, raw, expected):
         assert parse_vote(raw) == expected

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import base_config, toy_corpus_seeds, write_config, write_corpus
+from conftest import base_config, make_descriptor, toy_corpus_seeds, write_config, write_corpus
+from graphsynth import evaluation, extraction
 from graphsynth.backends import BackendClient, MockServer
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
@@ -349,6 +350,39 @@ class TestAnalyzeStage:
         assert report["adherence"] == "not computed"
 
 
+class TestTaskFailures:
+    @pytest.mark.parametrize("stages,module,name,cache_stage,failures_key", [
+        (("extract",), extraction, "extract_concepts", "extract.concepts",
+         "extraction_failures"),
+        (("extract", "graph", "synthesize"), evaluation, "score_problem",
+         "synthesize.evaluate", "evaluation_failures"),
+    ], ids=["extract.concepts", "synthesize.evaluate"])
+    def test_failed_record_carries_usage(
+        self, tmp_path, monkeypatch, stages, module, name, cache_stage, failures_key
+    ):
+        def call_then_raise(*args):
+            client = args[-1]
+            client.complete(make_descriptor("generator", "probe"), "ping")
+            raise RuntimeError("judge went away")
+
+        config_path, config_dict = make_run(tmp_path)
+        config = load_config(config_path)
+        for stage in stages[:-1]:
+            run_stage(config, stage)
+        monkeypatch.setattr(module, name, call_then_raise)
+        run_stage(config, stages[-1])
+
+        cache = Path(config_dict["run_dir"]) / "cache" / f"{cache_stage}.jsonl"
+        records = [json.loads(line)["result"] for line in cache.read_text().splitlines()]
+        assert records
+        assert all(rec == {
+            "failed": "RuntimeError: judge went away",
+            "usage": {"input_tokens": 1, "output_tokens": 1, "calls": 1},
+        } for rec in records)
+        stats = json.loads((config.run_dir / "stats" / f"{stages[-1]}.json").read_text())
+        assert stats[failures_key] == len(records)
+
+
 def cached_ids(cache: Path) -> set[str]:
     return {json.loads(line)["id"] for line in cache.read_text(encoding="utf-8").splitlines()}
 
@@ -556,6 +590,22 @@ class TestDeterminismAndResume:
         run_stage(load_config(config_path), "run-all")
         assert read_outputs(baseline.run_dir) == read_outputs(run_dir)
         assert "bogus" not in cache.read_text(encoding="utf-8")
+
+    def test_legacy_checkpoint_rewritten_as_header(self, tmp_path, monkeypatch):
+        # Older versions kept a done list in the checkpoint. The list is
+        # ignored, and a resumed stage rewrites the file as a bare header.
+        seeds = toy_corpus_seeds(8, 1, 3)
+        config_path, config_dict = make_run(tmp_path, seeds=seeds, max_in_flight=1)
+        monkeypatch.setenv(FAULT_ABORT_ENV, "2")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        checkpoint = Path(config_dict["run_dir"]) / "checkpoints" / "extract.concepts.json"
+        header = json.loads(checkpoint.read_text())
+        stale = sorted(s["id"] for s in seeds)[:1]
+        checkpoint.write_text(json.dumps({**header, "completed_item_ids": stale}))
+        run_stage(load_config(config_path), "run-all")
+        assert json.loads(checkpoint.read_text()) == header
 
     def test_two_processes_byte_identical(self, tmp_path):
         # Fresh interpreters: determinism must not lean on per-process state.

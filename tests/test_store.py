@@ -89,17 +89,16 @@ class TestLoadSeedCorpus:
 
 class TestCheckpoints:
     def test_write_then_read_round_trip(self, tmp_path):
-        cp = StageCheckpoint("stage-x", {"a", "b"}, "fp1")
+        cp = StageCheckpoint("stage-x", "fp1")
         path = tmp_path / "ck" / "stage-x.json"
         write_checkpoint(cp, path)
         loaded = read_checkpoint(path)
         assert loaded.stage_name == "stage-x"
-        assert loaded.completed_item_ids == {"a", "b"}
         assert loaded.config_fingerprint == "fp1"
 
     def test_atomic_write_preserves_old_on_failure(self, tmp_path, monkeypatch):
         path = tmp_path / "cp.json"
-        write_checkpoint(StageCheckpoint("s", {"a"}, "fp"), path)
+        write_checkpoint(StageCheckpoint("s", "fp"), path)
 
         import graphsynth._util as util
 
@@ -108,15 +107,15 @@ class TestCheckpoints:
 
         monkeypatch.setattr(util.os, "replace", boom)
         with pytest.raises(OSError):
-            write_checkpoint(StageCheckpoint("s", {"a", "b"}, "fp"), path)
+            write_checkpoint(StageCheckpoint("s", "fp-new"), path)
         monkeypatch.undo()
         # Old checkpoint intact, no temp leftovers visible through the API.
-        assert read_checkpoint(path).completed_item_ids == {"a"}
+        assert read_checkpoint(path).config_fingerprint == "fp"
 
     def test_no_partial_file_visible(self, tmp_path):
         # Concurrent readers only ever see complete JSON documents.
         path = tmp_path / "cp.json"
-        write_checkpoint(StageCheckpoint("s", set(), "fp"), path)
+        write_checkpoint(StageCheckpoint("s", "fp"), path)
         stop = threading.Event()
         errors = []
 
@@ -129,35 +128,35 @@ class TestCheckpoints:
         thread = threading.Thread(target=reader)
         thread.start()
         for i in range(50):
-            write_checkpoint(StageCheckpoint("s", {str(j) for j in range(i)}, "fp"), path)
+            write_checkpoint(StageCheckpoint("s", "fp" + "x" * i), path)
         stop.set()
         thread.join()
         assert not errors
 
     def test_resume_with_changed_fingerprint_refused(self, tmp_path):
-        cp = StageCheckpoint("s", {"a"}, "old-fp")
+        cp = StageCheckpoint("s", "old-fp")
         with pytest.raises(CheckpointError, match="restart"):
-            select_resumable_work(["a", "b"], cp, "new-fp")
+            select_resumable_work(["a", "b"], cp, "new-fp", {"a"})
 
 
 class TestSelectResumableWork:
     def test_set_difference(self):
-        cp = StageCheckpoint("s", {"b"}, "fp")
-        assert select_resumable_work(["a", "b", "c"], cp, "fp") == ["a", "c"]
+        cp = StageCheckpoint("s", "fp")
+        assert select_resumable_work(["a", "b", "c"], cp, "fp", {"b"}) == ["a", "c"]
 
     def test_empty_done_returns_all(self):
-        cp = StageCheckpoint("s", set(), "fp")
-        assert select_resumable_work(["a", "b"], cp, "fp") == ["a", "b"]
-        assert select_resumable_work(["a", "b"], None, "anything") == ["a", "b"]
+        cp = StageCheckpoint("s", "fp")
+        assert select_resumable_work(["a", "b"], cp, "fp", set()) == ["a", "b"]
+        assert select_resumable_work(["a", "b"], None, "anything", set()) == ["a", "b"]
 
     def test_all_done_returns_empty(self):
-        cp = StageCheckpoint("s", {"a", "b"}, "fp")
-        assert select_resumable_work(["a", "b"], cp, "fp") == []
+        cp = StageCheckpoint("s", "fp")
+        assert select_resumable_work(["a", "b"], cp, "fp", {"a", "b"}) == []
 
     def test_order_is_deterministic(self):
-        cp = StageCheckpoint("s", {"m"}, "fp")
+        cp = StageCheckpoint("s", "fp")
         ids = ["z", "m", "a", "q"]
-        assert select_resumable_work(ids, cp, "fp") == ["z", "a", "q"]
+        assert select_resumable_work(ids, cp, "fp", {"m"}) == ["z", "a", "q"]
 
 
 class TestStatusTransitions:
@@ -245,7 +244,7 @@ def test_item_round_trip(item_id, question, scores):
 
 
 @settings(max_examples=60, deadline=None)
-@given(stage=ids, done=st.sets(ids, max_size=8), fp=ids)
-def test_checkpoint_round_trip(stage, done, fp):
-    cp = StageCheckpoint(stage_name=stage, completed_item_ids=done, config_fingerprint=fp)
+@given(stage=ids, fp=ids)
+def test_checkpoint_round_trip(stage, fp):
+    cp = StageCheckpoint(stage_name=stage, config_fingerprint=fp)
     assert StageCheckpoint.from_record(cp.to_record()) == cp
