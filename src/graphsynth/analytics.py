@@ -220,16 +220,29 @@ def cost_report(
     return model.gpu_rate * model.gpu_count * model.hours / model.sample_count
 
 
+class _KeepAlnumSpace(dict):
+    """``str.translate`` table that keeps a code point iff it is a letter,
+    digit or whitespace and deletes it otherwise. Entries are filled on
+    first sight, so the table holds only code points seen in the data."""
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        kept = code if ch.isalnum() or ch.isspace() else None
+        self[code] = kept
+        return kept
+
+
+_KEEP_ALNUM_SPACE = _KeepAlnumSpace()
+
+
 def normalize_for_ngrams(text: str) -> str:
     """Lowercase, drop every character that is not a letter, digit, or
     whitespace, and collapse whitespace runs. Idempotent."""
-    lowered = text.lower()
-    kept = "".join(ch for ch in lowered if ch.isalnum() or ch.isspace())
-    return " ".join(kept.split())
+    return " ".join(text.lower().translate(_KEEP_ALNUM_SPACE).split())
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
-    return (tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return zip(*(tokens[i:] for i in range(n)))
 
 
 def ngram_overlap(
@@ -250,17 +263,21 @@ def ngram_overlap(
         raise ValidationError("ngram_overlap needs at least one n")
     if any(n < 1 for n in ns):
         raise ValidationError("every n must be >= 1")
-    synth_tokens = [normalize_for_ngrams(t).split() for t in synth_texts]
-    ref_tokens = [normalize_for_ngrams(t).split() for t in reference_texts]
+    # One str object per distinct token: the n-gram tuples share them.
+    vocab: dict[str, str] = {}
+
+    def tokenize(text: str) -> list[str]:
+        words = normalize_for_ngrams(text).split()
+        return list(map(vocab.setdefault, words, words))
+
+    synth_tokens = [tokenize(t) for t in synth_texts]
+    ref_tokens = [tokenize(t) for t in reference_texts]
     per_n: dict[int, float | None] = {}
     top: list[tuple[str, int]] = []
     for n in sorted(set(ns)):
         synth_set: set[tuple[str, ...]] = set()
-        synth_counts: Counter = Counter()
         for tokens in synth_tokens:
-            for gram in _ngrams(tokens, n):
-                synth_set.add(gram)
-                synth_counts[gram] += 1
+            synth_set.update(_ngrams(tokens, n))
         ref_set: set[tuple[str, ...]] = set()
         for tokens in ref_tokens:
             ref_set.update(_ngrams(tokens, n))
@@ -270,6 +287,10 @@ def ngram_overlap(
         shared = synth_set & ref_set
         per_n[n] = len(shared) / len(synth_set)
         if n == min(ns) and shared:
+            synth_counts = Counter(
+                gram for tokens in synth_tokens
+                for gram in _ngrams(tokens, n) if gram in shared
+            )
             ranked = sorted(shared, key=lambda g: (-synth_counts[g], g))
             top = [(" ".join(g), synth_counts[g]) for g in ranked[:top_k]]
     return DecontaminationReport(per_n=per_n, top_overlapping=top)

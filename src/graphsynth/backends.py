@@ -2,10 +2,14 @@
 
 The wire protocol is the de-facto OpenAI-compatible one: POST
 ``{endpoint}/chat/completions`` for generation/judging and
-``{endpoint}/embeddings`` for vectors. A descriptor whose endpoint is the
-marker string ``"mock"`` is routed to an in-process :class:`MockServer`
-that speaks the same request/response shapes, so the whole pipeline runs
-offline and reproducibly.
+``{endpoint}/embeddings`` for vectors. ``complete`` and ``embed`` build the
+payload and hand it to one request path, ``BackendClient._post``, the only
+place that tells the transports apart. A descriptor whose endpoint is the
+marker string ``"mock"`` goes to an in-process :class:`MockServer` that
+speaks the same request/response shapes, so the whole pipeline runs
+offline and reproducibly; any other endpoint goes over HTTP with retries.
+``requests`` is imported on the first HTTP call, so a mock run never
+loads an HTTP stack.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from ._util import canonicalize, stable_int
 from .errors import ConfigurationError, ProtocolError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 ROLES = (
     "extractor",
@@ -193,6 +199,8 @@ class BackendClient:
     def _http(self) -> requests.Session:
         # requests.Session is not thread-safe; keep one per calling thread
         # unless the caller injected a session (tests).
+        import requests
+
         if self._fixed_session is not None:
             return self._fixed_session
         session = getattr(self._thread_state, "session", None)
@@ -209,9 +217,20 @@ class BackendClient:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _post(self, descriptor: BackendDescriptor, path: str, payload: dict) -> dict:
+        """Send one request to ``{endpoint}/{path}`` and return the reply body."""
+        if descriptor.is_mock:
+            if path == "chat/completions":
+                return self._mock.chat_completion(payload)
+            return self._mock.embeddings(payload)
+        url = descriptor.endpoint.rstrip("/") + "/" + path
+        return self._post_with_retries(descriptor, url, payload)
+
     def _post_with_retries(
         self, descriptor: BackendDescriptor, url: str, payload: dict
     ) -> dict:
+        import requests
+
         params = descriptor.request_params
         attempts = 0
         delay = params.backoff_base
@@ -275,11 +294,7 @@ class BackendClient:
         if decode_params:
             payload.update(decode_params)
         started = time.monotonic()
-        if descriptor.is_mock:
-            data = self._mock.chat_completion(payload)
-        else:
-            url = descriptor.endpoint.rstrip("/") + "/chat/completions"
-            data = self._post_with_retries(descriptor, url, payload)
+        data = self._post(descriptor, "chat/completions", payload)
         latency = time.monotonic() - started
         try:
             output = data["choices"][0]["message"]["content"]
@@ -308,11 +323,7 @@ class BackendClient:
         if len(texts) == 0:
             raise ValueError("embed() requires a nonempty list of texts")
         payload = {"model": descriptor.model_name, "input": list(texts)}
-        if descriptor.is_mock:
-            data = self._mock.embeddings(payload)
-        else:
-            url = descriptor.endpoint.rstrip("/") + "/embeddings"
-            data = self._post_with_retries(descriptor, url, payload)
+        data = self._post(descriptor, "embeddings", payload)
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             vectors = np.asarray([row["embedding"] for row in rows], dtype=np.float64)

@@ -52,7 +52,7 @@ from .errors import ValidationError
 COMBINATION_KINDS = ("one_hop", "two_hop", "three_hop", "community")
 
 
-@dataclass
+@dataclass(slots=True)
 class ConceptCombination:
     """A typed tuple of concept ids with its weight and, for hop kinds, one
     shortest path witnessing the distance."""

@@ -595,6 +595,9 @@ class PipelineRun:
         params = config.analytics_params
         embedder = config.backends["embedder"]
         extractor = config.backends["extractor"]
+        # Analyze's own calls (similarity embeds, adherence probes) are
+        # counted here; the other stages' calls come from their stats.
+        analyze = self.client.scoped()
 
         accepted = [i for i in items if i["status"] == "solution_accepted"]
         scored = [i for i in items if i.get("weighted_score") is not None]
@@ -650,7 +653,7 @@ class PipelineRun:
                 accepted_questions,
                 [s.question for s in seeds],
                 embedder,
-                self.client,
+                analyze,
                 bin_width=float(params.get("similarity_bin_width", 0.05)),
             )
             sim_section = {
@@ -703,12 +706,12 @@ class PipelineRun:
 
             def extract_fn(question: str) -> list[str]:
                 probe = SeedExample(id="adherence-probe", question=question, solution="")
-                return extraction.extract_concepts(probe, extractor, self.client)
+                return extraction.extract_concepts(probe, extractor, analyze)
 
             tolerance = params.get("adherence_tolerance")
             embed_fn = None
             if tolerance is not None:
-                embed_fn = lambda texts: self.client.embed(embedder, texts)
+                embed_fn = lambda texts: analyze.embed(embedder, texts)
             adherence = analytics.adherence_report(
                 pairs, extract_fn,
                 matcher_tolerance=float(tolerance) if tolerance is not None else None,
@@ -720,10 +723,10 @@ class PipelineRun:
             stage: _load_stats(self.paths.stats(stage))
             for stage in ("extract", "graph", "synthesize")
         }
-        sections["backend_usage"] = sum_usage(
-            (_load_stats(self.paths.stats(stage)) or {}).get("usage") or {}
-            for stage in ("extract", "graph", "synthesize")
-        )
+        sections["backend_usage"] = sum_usage([
+            *((stats or {}).get("usage") or {} for stats in sections["stage_counters"].values()),
+            analyze.usage.total(),
+        ])
 
         report = analytics.run_report(sections)
         write_atomic(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -128,6 +129,15 @@ def base_config(
 def write_config(path: Path, config: dict) -> Path:
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The current environment with the package source on ``PYTHONPATH``,
+    for tests that run the package in a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def pytest_runtest_logreport(report):

@@ -8,7 +8,7 @@ own oracle.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 
 def cooccurrence_counts(seed_sets: list[set[str]]) -> dict[tuple[str, str], int]:
@@ -135,3 +135,38 @@ def ngram_set(text_tokens: list[list[str]], n: int) -> set[tuple[str, ...]]:
         for i in range(len(tokens) - n + 1):
             grams.add(tuple(tokens[i:i + n]))
     return grams
+
+
+def normalize_for_ngrams(text: str) -> str:
+    """Lowercase, keep letters, digits and whitespace one character at a
+    time, then collapse whitespace runs."""
+    lowered = text.lower()
+    kept = "".join(ch for ch in lowered if ch.isalnum() or ch.isspace())
+    return " ".join(kept.split())
+
+
+def ngram_overlap_record(
+    synth_texts: list[str], reference_texts: list[str], ns: list[int], top_k: int = 5
+) -> dict:
+    """The decontamination record, counting every synthesized n-gram by
+    explicit slicing: per n the shared fraction of distinct synthesized
+    n-grams (None when there are none), and at the smallest n the top_k
+    shared n-grams by synthesized frequency, ties broken by the gram."""
+    synth_tokens = [normalize_for_ngrams(t).split() for t in synth_texts]
+    ref_tokens = [normalize_for_ngrams(t).split() for t in reference_texts]
+    per_n: dict[str, float | None] = {}
+    top: list[list] = []
+    for n in sorted(set(ns)):
+        counts: Counter = Counter()
+        for tokens in synth_tokens:
+            for i in range(len(tokens) - n + 1):
+                counts[tuple(tokens[i:i + n])] += 1
+        if not counts:
+            per_n[str(n)] = None
+            continue
+        shared = set(counts) & ngram_set(ref_tokens, n)
+        per_n[str(n)] = len(shared) / len(counts)
+        if n == min(ns) and shared:
+            ranked = sorted(shared, key=lambda g: (-counts[g], g))
+            top = [[" ".join(g), counts[g]] for g in ranked[:top_k]]
+    return {"per_n": per_n, "top_overlapping": top}

@@ -198,6 +198,20 @@ class TestNormalization:
     def test_whitespace_collapsed(self):
         assert normalize_for_ngrams("a   b\n\nc") == "a b c"
 
+    def test_matches_character_loop_on_random_unicode(self):
+        # Case mappings that change length (ß, İ), numerals outside ASCII
+        # (Ⅰ, ½, Arabic-Indic digits), a wide space, a zero-width
+        # non-space and an emoji.
+        alphabet = (
+            string.ascii_letters + string.digits + string.punctuation
+            + " _\t\n" + "ßİⅠ½" + "".join(map(chr, range(0x660, 0x66A)))
+            + "\u3000\u200b\U0001F600"
+        )
+        rng = random.Random(23)
+        for _ in range(20_000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+            assert normalize_for_ngrams(text) == oracles.normalize_for_ngrams(text)
+
 
 class TestNgramOverlap:
     def test_canonical_half_overlap(self):
@@ -251,6 +265,19 @@ class TestNgramOverlap:
                 else:
                     expected = len(synth_sets & ref_sets) / len(synth_sets)
                     assert report.per_n[n] == pytest.approx(expected)
+
+    def test_record_matches_reference_on_random_corpora(self):
+        rng = random.Random(29)
+        vocab = ["a", "b", "C", "d.", "E!", "f-g", "ß", "½"]
+        for _ in range(60):
+            synth = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+                     for _ in range(rng.randint(1, 10))]
+            ref = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+                   for _ in range(rng.randint(1, 10))]
+            ns = rng.sample([1, 2, 3, 4], rng.randint(1, 3))
+            top_k = rng.randint(1, 6)
+            report = ngram_overlap(synth, ref, ns=ns, top_k=top_k)
+            assert report.to_record() == oracles.ngram_overlap_record(synth, ref, ns, top_k)
 
     def test_empty_ns_rejected(self):
         with pytest.raises(ValidationError):

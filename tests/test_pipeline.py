@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import base_config, make_descriptor, toy_corpus_seeds, write_config, write_corpus
+from conftest import (
+    base_config, make_descriptor, src_env, toy_corpus_seeds, write_config, write_corpus,
+)
 from graphsynth import evaluation, extraction
 from graphsynth.backends import BackendClient, MockServer
 from graphsynth.cli import main as cli_main
@@ -299,6 +301,25 @@ class TestSynthesizeStage:
         assert len(set(hashes)) == len(hashes)
 
 
+class RequestCountingMock(MockServer):
+    """Counts every chat and embeddings request it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def chat_completion(self, request):
+        with self._lock:
+            self.requests += 1
+        return super().chat_completion(request)
+
+    def embeddings(self, request):
+        with self._lock:
+            self.requests += 1
+        return super().embeddings(request)
+
+
 class TestAnalyzeStage:
     def test_report_sections(self, tmp_path):
         corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
@@ -337,6 +358,16 @@ class TestAnalyzeStage:
         # Mock generator embeds every concept phrase: adherence must be perfect.
         assert report["adherence"]["full_match_ratio"] == 1.0
         assert (config.run_dir / "similarity_histogram.csv").exists()
+
+    def test_backend_usage_counts_every_request_served(self, tmp_path):
+        # Analyze's own calls (similarity embeds, adherence probes) count too.
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        config = load_config(write_config(tmp_path / "run.json", base_config(tmp_path, corpus)))
+        mock = RequestCountingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        report = json.loads((config.run_dir / "report.json").read_text())
+        assert report["adherence"]["item_count"] > 0
+        assert report["backend_usage"]["calls"] == mock.requests
 
     def test_zero_accepted_items_gives_sparse_report(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
@@ -620,7 +651,7 @@ class TestDeterminismAndResume:
             proc = subprocess.run(
                 [sys.executable, "-m", "graphsynth.cli", "run-all",
                  "--config", str(config_path)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=src_env(),
             )
             assert proc.returncode == 0, proc.stderr
             dirs.append(Path(config_dict["run_dir"]))
@@ -681,6 +712,31 @@ class TestWireProtocolEquivalence:
             assert read_outputs(local.run_dir) == read_outputs(over_http.run_dir)
         finally:
             server.shutdown()
+
+
+class TestColdStart:
+    def test_mock_run_loads_no_http_stack(self, tmp_path):
+        # A fresh interpreter that imports the package and runs every stage
+        # on the mock must never import an HTTP client or TLS.
+        import subprocess
+        import sys
+
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(6, 1, 2))
+        config_path = write_config(tmp_path / "run.json", base_config(tmp_path, corpus))
+        script = (
+            "import sys\n"
+            "import graphsynth, graphsynth.cli, graphsynth.pipeline\n"
+            "from graphsynth.config import load_config\n"
+            "graphsynth.pipeline.run_stage(load_config(sys.argv[1]), 'run-all')\n"
+            "print(sorted({'requests', 'urllib3', 'ssl', 'http.client'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config_path)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "run" / "report.json").exists()
 
 
 class TestRunLock:
