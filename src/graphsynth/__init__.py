@@ -67,6 +67,7 @@ from .graph import (
     is_novel,
     pairs_at_distance,
     sample_combinations,
+    select_combinations,
 )
 from .pipeline import PipelineRun, run_stage
 from .store import (

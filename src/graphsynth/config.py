@@ -185,9 +185,22 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError(
             "thresholds.judge_band must not exceed thresholds.same_band"
         )
-    fraction = merged["graph"]["hub_fraction"]
-    if not 0 < float(fraction) <= 1:
+    graph = merged["graph"]
+    if not 0 < float(graph["hub_fraction"]) <= 1:
         raise ConfigurationError("graph.hub_fraction must be in (0, 1]")
+    # Checked here, not in the graph stage, so a bad value fails before
+    # extract spends its backend calls.
+    for key in ("combination_budget", "community_cap"):
+        value = graph.get(key)
+        try:
+            valid = value is None or int(value) >= 0
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigurationError(f"graph.{key} must be null or an integer >= 0")
+    sizes = graph.get("community_sizes")
+    if not isinstance(sizes, (list, tuple)) or any(s not in (3, 4) for s in sizes):
+        raise ConfigurationError("graph.community_sizes must be a list within {3, 4}")
 
     backends: dict[str, BackendDescriptor] = {}
     for key, rec in (merged.get("backends") or {}).items():

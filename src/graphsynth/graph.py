@@ -30,7 +30,19 @@ node keeps its forward (higher-index) neighbours with their weights.
   of the breadth-first search, so the witness is ``[a, m, b]``.
 * Cliques are listed in the manner of Chiba and Nishizeki (1985): each
   triangle or quad is found once, in ascending index order, by intersecting
-  forward neighbour sets, so every size comes out already sorted.
+  forward neighbour sets; one pass yields both sizes in tuple order.
+
+``select_combinations`` samples over all four kinds without building what it
+does not keep. ``sample_combinations`` sorts by ``combo_id``
+(``kind:id1+id2...``); when no id holds a character at or below ``+``, that
+order is kind order (community, one_hop, three_hop, two_hop) and then the
+tuple order of the concept ids, which is the order the enumerators produce.
+So it counts each kind (two-hop pairs per source row, cliques per size under
+the cap), draws the ranks ``sample_combinations`` would draw from the total,
+and builds only those: two-hop pairs by re-expanding the rows that hold a
+drawn rank, cliques by walking the capped lister up to the last drawn one.
+One-hop and three-hop pairs are few and always built. A budget of None, or
+a graph with such an id, builds every combination and sorts it.
 
 ``pairs_at_distance`` keeps the breadth-first search: it serves three-hop
 pairs and any distance, and it is the reference the two-hop expansion is
@@ -39,6 +51,7 @@ tested against.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -344,36 +357,66 @@ def enumerate_two_hop(g: ConceptGraph) -> list[ConceptCombination]:
     computed by middle-node expansion one source row at a time.
     """
     view = g._indexed()
-    ids, indptr, indices, weights = view.ids, view.indptr, view.indices, view.weights
-    adjacent = np.zeros(len(ids), dtype=bool)
+    adjacent = np.zeros(len(view.ids), dtype=bool)
     out: list[ConceptCombination] = []
-    for a in range(len(ids)):
-        lo, hi = indptr[a], indptr[a + 1]
-        mids = indices[lo:hi]
-        starts = indptr[mids]
-        counts = indptr[mids + 1] - starts
-        # CSR position of every path a -> m -> b, grouped by m.
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        positions = shift + np.arange(shift.size)
-        ends = indices[positions]
-        adjacent[mids] = True
-        keep = (ends > a) & ~adjacent[ends]
-        adjacent[mids] = False
-        ends = ends[keep]
-        via = np.repeat(mids, counts)[keep]
-        width = np.minimum(np.repeat(weights[lo:hi], counts)[keep], weights[positions[keep]])
-        # Per end node: widest path first, then the smallest middle node.
-        order = np.lexsort((via, -width, ends))
-        ends, via, width = ends[order], via[order], width[order]
-        first = np.ones(ends.size, dtype=bool)
-        first[1:] = ends[1:] != ends[:-1]
-        src = ids[a]
-        for b, m, w in zip(ends[first].tolist(), via[first].tolist(), width[first].tolist()):
-            out.append(ConceptCombination(
-                kind="two_hop", concept_ids=[src, ids[b]], weight=w,
-                witness=[src, ids[m], ids[b]],
-            ))
+    for a in range(len(view.ids)):
+        ends, via, width = _two_hop_row(view, a, adjacent)
+        out.extend(_two_hop_combo(view.ids, a, b, m, w) for b, m, w in zip(ends, via, width))
     return out
+
+
+def _two_hop_paths(
+    view: _IndexedView, a: int, adjacent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every path ``a -> m -> b`` with ``b > a`` not adjacent to ``a``, as
+    parallel arrays (end ``b``, middle ``m``, width). ``adjacent`` is an
+    all-False scratch array over the nodes, left all-False on return."""
+    indptr, indices, weights = view.indptr, view.indices, view.weights
+    lo, hi = indptr[a], indptr[a + 1]
+    mids = indices[lo:hi]
+    starts = indptr[mids]
+    counts = indptr[mids + 1] - starts
+    # CSR position of every path a -> m -> b, grouped by m.
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    positions = shift + np.arange(shift.size)
+    ends = indices[positions]
+    adjacent[mids] = True
+    keep = (ends > a) & ~adjacent[ends]
+    adjacent[mids] = False
+    via = np.repeat(mids, counts)[keep]
+    width = np.minimum(np.repeat(weights[lo:hi], counts)[keep], weights[positions[keep]])
+    return ends[keep], via, width
+
+
+def _two_hop_row(
+    view: _IndexedView, a: int, adjacent: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Row ``a``'s two-hop pairs as lists (end, middle, width), ends
+    ascending: per end the widest path and, on a tie, the smallest middle."""
+    ends, via, width = _two_hop_paths(view, a, adjacent)
+    order = np.lexsort((via, -width, ends))
+    ends, via, width = ends[order], via[order], width[order]
+    first = np.ones(ends.size, dtype=bool)
+    first[1:] = ends[1:] != ends[:-1]
+    return ends[first].tolist(), via[first].tolist(), width[first].tolist()
+
+
+def _two_hop_row_counts(view: _IndexedView) -> np.ndarray:
+    """Number of two-hop pairs out of each source row, without building
+    them: the distinct ends of the row's paths, counted after a sort."""
+    adjacent = np.zeros(len(view.ids), dtype=bool)
+    counts = np.zeros(len(view.ids), dtype=np.int64)
+    for a in range(len(view.ids)):
+        ends = np.sort(_two_hop_paths(view, a, adjacent)[0])
+        if ends.size:
+            counts[a] = 1 + np.count_nonzero(ends[1:] != ends[:-1])
+    return counts
+
+
+def _two_hop_combo(ids: list[str], a: int, b: int, m: int, w: int) -> ConceptCombination:
+    return ConceptCombination(
+        kind="two_hop", concept_ids=[ids[a], ids[b]], weight=w, witness=[ids[a], ids[m], ids[b]],
+    )
 
 
 def identify_hubs(g: ConceptGraph, fraction: float) -> HubSet:
@@ -419,20 +462,15 @@ def enumerate_communities(
     view = g._indexed()
     out: list[ConceptCombination] = []
     for size in sizes:
-        for members in itertools.islice(_cliques(view, size), cap):
-            out.append(ConceptCombination(
-                kind="community",
-                concept_ids=[view.ids[i] for i in members],
-                weight=_clique_weight(view, members),
-            ))
+        out.extend(_community_combo(view, members)
+                   for members in itertools.islice(_cliques(view, (size,)), cap))
     return out
 
 
 def count_communities(g: ConceptGraph, sizes: Iterable[int] = (3, 4)) -> int:
     """Number of cliques ``enumerate_communities(g, sizes)`` lists without a
     cap, counted without building them."""
-    view = g._indexed()
-    return sum(sum(1 for _ in _cliques(view, size)) for size in _community_sizes(sizes))
+    return sum(1 for _ in _cliques(g._indexed(), _community_sizes(sizes)))
 
 
 def _community_sizes(sizes: Iterable[int]) -> list[int]:
@@ -442,20 +480,44 @@ def _community_sizes(sizes: Iterable[int]) -> list[int]:
     return sizes
 
 
-def _cliques(view: _IndexedView, size: int) -> Iterator[tuple[int, ...]]:
-    """Every ``size``-clique (3 or 4) as an ascending index tuple, in sorted
-    order: each clique is reached once, from its lowest member, through
-    forward neighbour sets."""
+def _cliques(view: _IndexedView, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every clique whose size (3 or 4) is in ``sizes``, as an ascending
+    index tuple, in tuple order, so a triangle comes just before the quads
+    that extend it. Each clique is reached once, from its lowest member,
+    through forward neighbour sets."""
+    if not sizes:
+        return
+    triangles, quads = 3 in sizes, 4 in sizes
     forward = view.forward
     for a, fa in enumerate(forward):
         for b in fa:
             common = fa.keys() & forward[b].keys()
             for c in sorted(common):
-                if size == 3:
+                if triangles:
                     yield (a, b, c)
-                else:
+                if quads:
                     for d in sorted(common & forward[c].keys()):
                         yield (a, b, c, d)
+
+
+def _capped_cliques(
+    view: _IndexedView, sizes: Sequence[int], cap: int | None
+) -> Iterator[tuple[int, ...]]:
+    """``_cliques`` keeping only the first ``cap`` cliques of each size: the
+    lists ``enumerate_communities`` builds, merged in tuple order."""
+    kept = dict.fromkeys(sizes, 0)
+    for members in _cliques(view, sizes):
+        if cap is None or kept[len(members)] < cap:
+            kept[len(members)] += 1
+            yield members
+
+
+def _community_combo(view: _IndexedView, members: tuple[int, ...]) -> ConceptCombination:
+    return ConceptCombination(
+        kind="community",
+        concept_ids=[view.ids[i] for i in members],
+        weight=_clique_weight(view, members),
+    )
 
 
 def _clique_weight(view: _IndexedView, members: tuple[int, ...]) -> int:
@@ -503,3 +565,105 @@ def sample_combinations(
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(len(ordered)), budget))
     return [ordered[i] for i in chosen]
+
+
+def select_combinations(
+    g: ConceptGraph,
+    hubs: HubSet,
+    *,
+    min_weight: float = 2,
+    sizes: Iterable[int] = (3, 4),
+    cap: int | None = None,
+    budget: int | None = None,
+    seed: int = 0,
+) -> tuple[list[ConceptCombination], dict[str, int], int]:
+    """``sample_combinations`` over every kind, building only what it keeps.
+
+    Returns ``(sampled, enumerated_by_kind, cap_truncated)``: the records
+    ``sample_combinations(one_hop + two_hop + three_hop + communities,
+    budget, seed)`` returns for the enumerators above (``min_weight`` for
+    three-hop pairs, ``sizes`` and ``cap`` for communities), the number of
+    combinations of each kind, and the number of cliques the cap dropped.
+
+    When no concept id holds a character at or below ``+`` (pipeline ids
+    never do), ``combo_id`` order is kind order (community, one_hop,
+    three_hop, two_hop) and then concept-id tuple order, which is the order
+    the enumerators produce. So the sampled ranks are drawn from the counts
+    alone, with the same ``random.Random(seed)`` draw, and only the drawn
+    two-hop rows and the cliques up to the last drawn one are walked again.
+    One-hop and three-hop pairs are always built. A budget of None, or a
+    graph with such an id, builds everything and sorts it with
+    ``sample_combinations``.
+    """
+    sizes = _community_sizes(sizes)
+    if cap is not None and cap < 0:
+        raise ValidationError("cap must be >= 0")
+    view = g._indexed()
+    one_hop = enumerate_one_hop(g)
+    three_hop = enumerate_three_hop(g, hubs, min_weight=min_weight)
+    if budget is None or min("".join(view.ids), default=",") <= "+":
+        two_hop = enumerate_two_hop(g)
+        communities = enumerate_communities(g, sizes, cap)
+        enumerated = {
+            "one_hop": len(one_hop), "two_hop": len(two_hop),
+            "three_hop": len(three_hop), "community": len(communities),
+        }
+        truncated = 0 if cap is None else count_communities(g, sizes) - len(communities)
+        sampled = sample_combinations(one_hop + two_hop + three_hop + communities, budget, seed)
+        return sampled, enumerated, truncated
+    if budget < 0:
+        raise ValidationError("budget must be >= 0")
+    row_counts = _two_hop_row_counts(view)
+    cliques = dict.fromkeys(sizes, 0)
+    for members in _cliques(view, sizes):
+        cliques[len(members)] += 1
+    kept = sum(n if cap is None else min(n, cap) for n in cliques.values())
+    enumerated = {
+        "one_hop": len(one_hop), "two_hop": int(row_counts.sum()),
+        "three_hop": len(three_hop), "community": kept,
+    }
+    total = sum(enumerated.values())
+    if budget >= total:
+        ranks: Sequence[int] = range(total)
+    else:
+        ranks = sorted(random.Random(seed).sample(range(total), budget))
+    sampled = _build_ranks(view, ranks, kept, one_hop, three_hop, row_counts, sizes, cap)
+    return sampled, enumerated, sum(cliques.values()) - kept
+
+
+def _build_ranks(
+    view: _IndexedView,
+    ranks: Sequence[int],
+    communities: int,
+    one_hop: list[ConceptCombination],
+    three_hop: list[ConceptCombination],
+    row_counts: np.ndarray,
+    sizes: Sequence[int],
+    cap: int | None,
+) -> list[ConceptCombination]:
+    """The combinations at ascending ``ranks`` of the ``combo_id`` order:
+    ``communities`` capped cliques, then ``one_hop``, ``three_hop`` and the
+    two-hop pairs, whose per-row counts are ``row_counts``."""
+    one_start = communities
+    three_start = one_start + len(one_hop)
+    two_start = three_start + len(three_hop)
+    cut = [bisect.bisect_left(ranks, bound) for bound in (one_start, three_start, two_start)]
+    out: list[ConceptCombination] = []
+
+    cliques, position = _capped_cliques(view, sizes, cap), 0
+    for rank in ranks[:cut[0]]:
+        out.append(_community_combo(view, next(itertools.islice(cliques, rank - position, None))))
+        position = rank + 1
+
+    out.extend(one_hop[r - one_start] for r in ranks[cut[0]:cut[1]])
+    out.extend(three_hop[r - three_start] for r in ranks[cut[1]:cut[2]])
+
+    two_hop = np.array(ranks[cut[2]:], dtype=np.int64) - two_start
+    row_ends = np.cumsum(row_counts)
+    rows = np.searchsorted(row_ends, two_hop, side="right")
+    within = two_hop - (row_ends[rows] - row_counts[rows])
+    adjacent = np.zeros(len(view.ids), dtype=bool)
+    for a, group in itertools.groupby(zip(rows.tolist(), within.tolist()), key=lambda x: x[0]):
+        ends, via, width = _two_hop_row(view, a, adjacent)
+        out.extend(_two_hop_combo(view.ids, a, ends[k], via[k], width[k]) for _, k in group)
+    return out

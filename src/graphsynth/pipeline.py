@@ -396,7 +396,8 @@ class PipelineRun:
     # -- stage: graph ----------------------------------------------------------
 
     def cmd_graph(self) -> None:
-        """Build the co-occurrence graph and enumerate all combination kinds."""
+        """Build the co-occurrence graph, count every combination kind, draw
+        the sampled ranks and build only those combinations."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         concepts = load_concepts(self.paths.file("knowledge_base"))
@@ -414,20 +415,15 @@ class PipelineRun:
 
         params = config.graph_params
         hubs = graphmod.identify_hubs(g, float(params["hub_fraction"]))
-        one_hop = graphmod.enumerate_one_hop(g)
-        two_hop = graphmod.enumerate_two_hop(g)
-        three_hop = graphmod.enumerate_three_hop(
-            g, hubs, min_weight=float(params["three_hop_min_weight"])
-        )
         cap = params.get("community_cap")
-        community_sizes = params.get("community_sizes", (3, 4))
-        communities = graphmod.enumerate_communities(
-            g, sizes=community_sizes, cap=int(cap) if cap is not None else None,
-        )
-        all_combos = one_hop + two_hop + three_hop + communities
         budget = params.get("combination_budget")
-        sampled = graphmod.sample_combinations(
-            all_combos, None if budget is None else int(budget), config.random_seed
+        sampled, enumerated, capped = graphmod.select_combinations(
+            g, hubs,
+            min_weight=float(params["three_hop_min_weight"]),
+            sizes=params.get("community_sizes", (3, 4)),
+            cap=None if cap is None else int(cap),
+            budget=None if budget is None else int(budget),
+            seed=config.random_seed,
         )
         write_jsonl_atomic(
             self.paths.file("combinations"), [c.to_record() for c in sampled]
@@ -436,21 +432,12 @@ class PipelineRun:
         kind_counts: dict[str, int] = {}
         for combo in sampled:
             kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
-        capped = 0
-        if cap is not None:
-            # Record how many cliques the cap removed.
-            capped = graphmod.count_communities(g, community_sizes) - len(communities)
         self._write_stats("graph", {
             "nodes": g.node_count(),
             "edges": g.edge_count(),
             "hubs": sorted(hubs.hub_ids),
             "hub_min_degree": hubs.min_degree_achieved,
-            "enumerated": {
-                "one_hop": len(one_hop),
-                "two_hop": len(two_hop),
-                "three_hop": len(three_hop),
-                "community": len(communities),
-            },
+            "enumerated": enumerated,
             "community_cap_truncated": capped,
             "sampled_total": len(sampled),
             "sampled_by_kind": kind_counts,

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import graphsynth.graph as graph_module
+
 import pytest
 
 import oracles
@@ -21,6 +23,7 @@ from graphsynth.graph import (
     is_novel,
     pairs_at_distance,
     sample_combinations,
+    select_combinations,
 )
 
 G0_SEEDS = [("P1", {"A", "B", "C"}), ("P2", {"B", "C", "D"}), ("P3", {"D", "E"})]
@@ -426,6 +429,102 @@ class TestSampling:
         a = sample_combinations(combos, 10, seed=1)
         b = sample_combinations(combos, 10, seed=2)
         assert a != b
+
+
+def build_everything(g, hubs, sizes, cap):
+    return (enumerate_one_hop(g) + enumerate_two_hop(g) + enumerate_three_hop(g, hubs, 2)
+            + enumerate_communities(g, sizes, cap))
+
+
+class TestSelectCombinations:
+    """``select_combinations`` against building every kind and sampling."""
+
+    # Ids above "+" that are prefixes of one another, so joined combo ids and
+    # concept-id tuples compare at the separator.
+    PREFIXED = ["", ",", "a", "a-", "a-b", "ab", "b", "b,", "ba"]
+
+    def check(self, g, hubs, sizes, cap, budgets, seed):
+        one_hop, two_hop = enumerate_one_hop(g), enumerate_two_hop(g)
+        three_hop, communities = enumerate_three_hop(g, hubs, 2), enumerate_communities(g, sizes, cap)
+        everything = one_hop + two_hop + three_hop + communities
+        n = len(everything)
+        expected_stats = (
+            {"one_hop": len(one_hop), "two_hop": len(two_hop),
+             "three_hop": len(three_hop), "community": len(communities)},
+            0 if cap is None else count_communities(g, sizes) - len(communities),
+        )
+        for budget in budgets(n):
+            sampled, *stats = select_combinations(
+                g, hubs, min_weight=2, sizes=sizes, cap=cap, budget=budget, seed=seed)
+            assert sampled == sample_combinations(everything, budget, seed)
+            assert tuple(stats) == expected_stats
+
+    def test_matches_sample_combinations_on_random_graphs(self):
+        rng = random.Random(17)
+        for trial in range(45):
+            if trial % 3 == 2:
+                labels = sorted(rng.sample(self.PREFIXED, rng.randint(3, len(self.PREFIXED))))
+                label = lambda i, labels=labels: labels[i % len(labels)] + "x" * (i // len(labels))
+            else:
+                label = "n{:02d}".format
+            g, _, _ = random_graph(rng, max_nodes=14, density=rng.uniform(0.2, 0.8), label=label)
+            hubs = identify_hubs(g, rng.choice([0.2, 1.0]))
+            sizes = rng.choice([(3, 4), (3,), (4,)])
+            cliques = count_communities(g, sizes)
+            for cap in sorted({0, 1, max(cliques - 1, 0)}) + [None]:
+                self.check(g, hubs, sizes, cap, seed=rng.randrange(1000),
+                           budgets=lambda n: sorted({0, 1, n // 2, max(n - 1, 0), n}) + [None])
+
+    def test_builds_only_the_drawn_records(self, monkeypatch):
+        g, _, _ = random_graph(random.Random(3), max_nodes=20, density=0.5)
+        hubs = identify_hubs(g, 1.0)
+        everything = build_everything(g, hubs, (3, 4), None)
+        kinds = {kind: sum(c.kind == kind for c in everything) for kind in ("two_hop", "community")}
+        assert min(kinds.values()) > 0
+        built = []
+        original = ConceptCombination.__post_init__
+        monkeypatch.setattr(ConceptCombination, "__post_init__",
+                            lambda self: (built.append(self.kind), original(self)))
+        monkeypatch.setattr(graph_module, "enumerate_two_hop", None)
+        monkeypatch.setattr(graph_module, "enumerate_communities", None)
+        budget = len(everything) // 3
+        sampled, enumerated, _ = select_combinations(g, hubs, budget=budget, seed=5)
+        drawn = sum(c.kind in ("two_hop", "community") for c in sampled)
+        assert len(sampled) == budget and drawn > 0
+        assert sampled == sample_combinations(everything, budget, 5)
+        assert len(built) == enumerated["one_hop"] + enumerated["three_hop"] + drawn
+
+    @pytest.mark.parametrize("odd", ["a!", "a+b"])
+    def test_ids_at_or_below_plus_take_the_fallback(self, monkeypatch, odd):
+        # "a!" and "a+b" sort after "a" as ids, but "a!+c" and "a+b+c" sort
+        # before "a+c" as combination ids: tuple order does not hold here.
+        seeds = [("s1", {"a", odd, "c"}), ("s2", {"c", "b"}), ("s3", {"b", "d"}),
+                 ("s4", {"d", "a"}), ("s5", {odd, "d", "e"})]
+        g = build_graph(seeds)
+        hubs = identify_hubs(g, 1.0)
+        calls = []
+        original = graph_module.sample_combinations
+        monkeypatch.setattr(graph_module, "sample_combinations",
+                            lambda *args: calls.append(args[1]) or original(*args))
+        total = len(build_everything(g, hubs, (3, 4), None))
+        for seed in range(5):
+            self.check(g, hubs, (3, 4), None, budgets=lambda n: range(n + 1), seed=seed)
+        assert calls == list(range(total + 1)) * 5
+
+    def test_graph_without_combinations(self):
+        g = build_graph([("s", {"a"})], all_concept_ids={"a", "b"})
+        hubs = identify_hubs(g, 1.0)
+        for budget in (0, 1, None):
+            assert select_combinations(g, hubs, budget=budget) == (
+                [], {"one_hop": 0, "two_hop": 0, "three_hop": 0, "community": 0}, 0)
+
+    def test_negative_budget_and_cap_rejected(self):
+        g, _, _ = random_graph(random.Random(1), max_nodes=8, density=0.7)
+        hubs = identify_hubs(g, 1.0)
+        with pytest.raises(ValidationError, match="budget"):
+            select_combinations(g, hubs, budget=-1)
+        with pytest.raises(ValidationError, match="cap"):
+            select_combinations(g, hubs, cap=-1, budget=1)
 
 
 class TestCombinationRoundTrip:

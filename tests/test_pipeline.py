@@ -831,6 +831,25 @@ class TestConfigParsing:
             parse_config({"run_dir": "r", "seed_corpus": "c",
                           "thresholds": {"judge_band": 0.95}})
 
+    @pytest.mark.parametrize("graph", [
+        {"combination_budget": -1},
+        {"community_cap": -1},
+        {"combination_budget": "many"},
+        {"community_sizes": [2, 3]},
+        {"community_sizes": [5]},
+        {"community_sizes": 3},
+    ])
+    def test_bad_graph_settings_rejected(self, graph):
+        with pytest.raises(ConfigurationError, match="graph"):
+            parse_config({"run_dir": "r", "seed_corpus": "c", "graph": graph})
+
+    def test_graph_settings_checked_before_extract(self, tmp_path):
+        config_path, config_dict = make_run(tmp_path)
+        code = cli_main(["run-all", "--config", str(config_path),
+                         "--set", "graph.combination_budget=-1"])
+        assert code == 1
+        assert not Path(config_dict["run_dir"]).exists()
+
     def test_unknown_backend_key_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config({"run_dir": "r", "seed_corpus": "c",
