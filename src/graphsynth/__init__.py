@@ -57,7 +57,6 @@ from .graph import (
     HubSet,
     bottleneck_weight,
     build_graph,
-    count_communities,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_three_hop,

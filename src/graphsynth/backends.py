@@ -435,7 +435,6 @@ class MockBehaviors:
     difficulty: str | None = None
     embedding_overrides: dict[str, list[float]] = field(default_factory=dict)
     garbage_prompt_substrings: list[str] = field(default_factory=list)
-    latency: float = 0.0
 
     @classmethod
     def from_record(cls, rec: dict) -> "MockBehaviors":
@@ -457,7 +456,6 @@ class MockBehaviors:
             difficulty=rec.get("difficulty"),
             embedding_overrides=dict(rec.get("embedding_overrides", {})),
             garbage_prompt_substrings=list(rec.get("garbage_prompt_substrings", [])),
-            latency=float(rec.get("latency", 0.0)),
         )
 
 
@@ -486,8 +484,6 @@ class MockServer:
         prompt = "\n".join(
             str(m.get("content", "")) for m in request.get("messages", [])
         )
-        if self.behaviors.latency > 0:
-            time.sleep(self.behaviors.latency)
         output = self._reply(model, prompt)
         return {
             "choices": [{"index": 0, "message": {"role": "assistant", "content": output}}],

@@ -9,7 +9,9 @@ Subcommands mirror the pipeline stages::
     graphsynth run-all    --config run.json
 
 Any config key can be overridden per invocation with ``--set key.path=value``
-(values parse as JSON, falling back to plain strings). Exit codes: 0 on
+(values parse as JSON, falling back to plain strings); the other flags are
+shorthand for ``--set`` on one key each, their values JSON-encoded so paths
+keep backslashes and quotes as typed. Exit codes: 0 on
 success, 1 for validation/config problems, 2 for backend failures, 3 when
 interrupted with a preserved checkpoint.
 """
@@ -17,6 +19,7 @@ interrupted with a preserved checkpoint.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 
@@ -76,10 +79,7 @@ def _collect_overrides(args: argparse.Namespace) -> list[str]:
     for attr, key in _FLAG_KEYS.items():
         value = getattr(args, attr, None)
         if value is not None:
-            if isinstance(value, str):
-                overrides.append(f'{key}="{value}"')
-            else:
-                overrides.append(f"{key}={value}")
+            overrides.append(f"{key}={json.dumps(value)}")
     return overrides
 
 

@@ -140,6 +140,14 @@ class RunConfig:
             raise ConfigurationError("stage 'synthesize' needs at least one judge")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_descriptor(key: str, role: str, rec: dict) -> BackendDescriptor:
     if not isinstance(rec, dict):
         raise ConfigurationError(f"backend {key!r} must be an object")
@@ -177,26 +185,26 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         if not merged.get(key):
             raise ConfigurationError(f"config key {key!r} is required")
 
+    # Checked here, not where they are used, so a bad value fails before
+    # extract spends its backend calls or writes a checkpoint.
+    if not _is_int(merged["random_seed"]):
+        raise ConfigurationError("random_seed must be an integer")
+    if not (_is_int(merged["max_in_flight"]) and merged["max_in_flight"] >= 1):
+        raise ConfigurationError("max_in_flight must be an integer >= 1")
     thresholds = merged["thresholds"]
     for name, value in thresholds.items():
-        if not 0.0 <= float(value) <= 1.0:
-            raise ConfigurationError(f"threshold {name!r} must be within [0, 1]")
+        if not (_is_number(value) and 0.0 <= value <= 1.0):
+            raise ConfigurationError(f"threshold {name!r} must be a number within [0, 1]")
     if thresholds["judge_band"] > thresholds["same_band"]:
         raise ConfigurationError(
             "thresholds.judge_band must not exceed thresholds.same_band"
         )
     graph = merged["graph"]
-    if not 0 < float(graph["hub_fraction"]) <= 1:
-        raise ConfigurationError("graph.hub_fraction must be in (0, 1]")
-    # Checked here, not in the graph stage, so a bad value fails before
-    # extract spends its backend calls.
+    if not (_is_number(graph["hub_fraction"]) and 0 < graph["hub_fraction"] <= 1):
+        raise ConfigurationError("graph.hub_fraction must be a number in (0, 1]")
     for key in ("combination_budget", "community_cap"):
         value = graph.get(key)
-        try:
-            valid = value is None or int(value) >= 0
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
+        if not (value is None or (_is_int(value) and value >= 0)):
             raise ConfigurationError(f"graph.{key} must be null or an integer >= 0")
     sizes = graph.get("community_sizes")
     if not isinstance(sizes, (list, tuple)) or any(s not in (3, 4) for s in sizes):

@@ -18,10 +18,12 @@ minimum-hop paths of the smallest edge weight on the path. It degenerates to
 the plain edge weight at distance one and favors pairs linked through
 well-attested co-occurrences.
 
-Two-hop pairs and communities are listed over an indexed view of the graph,
-built once per graph on first use: nodes are numbered in sorted-id order (so
-index order is id order), neighbours and weights sit in CSR arrays, and each
-node keeps its forward (higher-index) neighbours with their weights.
+The graph is immutable: ``build_graph`` accumulates the adjacency map and
+constructs the graph once, together with an indexed view of it. Nodes are
+numbered in sorted-id order (so index order is id order), neighbours and
+weights sit in CSR arrays, and each node keeps its forward (higher-index)
+neighbours with their weights. Two-hop pairs and communities are listed over
+that view:
 
 * Two-hop pairs come from expanding every path ``a -> m -> b`` out of one
   source row at a time with numpy, keeping ``b > a`` not adjacent to ``a``.
@@ -32,17 +34,16 @@ node keeps its forward (higher-index) neighbours with their weights.
   triangle or quad is found once, in ascending index order, by intersecting
   forward neighbour sets; one pass yields both sizes in tuple order.
 
-``select_combinations`` samples over all four kinds without building what it
-does not keep. ``sample_combinations`` sorts by ``combo_id``
-(``kind:id1+id2...``); when no id holds a character at or below ``+``, that
-order is kind order (community, one_hop, three_hop, two_hop) and then the
-tuple order of the concept ids, which is the order the enumerators produce.
-So it counts each kind (two-hop pairs per source row, cliques per size under
-the cap), draws the ranks ``sample_combinations`` would draw from the total,
-and builds only those: two-hop pairs by re-expanding the rows that hold a
-drawn rank, cliques by walking the capped lister up to the last drawn one.
-One-hop and three-hop pairs are few and always built. A budget of None, or
-a graph with such an id, builds every combination and sorts it.
+Combinations have one order: kind (community, one_hop, three_hop, two_hop),
+then the tuple of concept ids. The enumerators produce each kind in it, and
+it equals ``combo_id`` order (``kind:id1+id2...``) whenever no id holds a
+character at or below ``+``. ``select_combinations`` samples over all four
+kinds without building what it does not keep: it counts each kind (two-hop
+pairs per source row, cliques per size under the cap), draws ranks from the
+total as ``sample_combinations`` would, and builds only those: two-hop pairs
+by re-expanding the rows that hold a drawn rank, cliques by walking the
+capped lister up to the last drawn one. One-hop and three-hop pairs are few
+and always built. A budget of None draws every rank.
 
 ``pairs_at_distance`` keeps the breadth-first search: it serves three-hop
 pairs and any distance, and it is the reference the two-hop expansion is
@@ -137,28 +138,12 @@ class _IndexedView:
 
 
 class ConceptGraph:
-    """Immutable after build; all queries are pure and thread-safe.
+    """Immutable; all queries are pure and thread-safe. Made by
+    ``build_graph``, which hands over a finished adjacency map."""
 
-    The indexed view is built on first use; two threads racing on it build
-    equal views, and either may be kept.
-    """
-
-    def __init__(self) -> None:
-        self._adj: dict[str, dict[str, int]] = {}
-        self._view: _IndexedView | None = None
-
-    # -- construction (module-private; use build_graph) ----------------------
-
-    def _add_node(self, node: str) -> None:
-        self._view = None
-        self._adj.setdefault(node, {})
-
-    def _add_cooccurrence(self, a: str, b: str) -> None:
-        if a == b:
-            return
-        self._view = None
-        self._adj.setdefault(a, {})[b] = self._adj.setdefault(a, {}).get(b, 0) + 1
-        self._adj.setdefault(b, {})[a] = self._adj.setdefault(b, {}).get(a, 0) + 1
+    def __init__(self, adj: dict[str, dict[str, int]]) -> None:
+        self._adj = adj
+        self._view = _IndexedView(adj)
 
     # -- views ----------------------------------------------------------------
 
@@ -201,12 +186,6 @@ class ConceptGraph:
     def _require(self, node: str) -> None:
         if node not in self._adj:
             raise ValidationError(f"unknown concept id {node!r}")
-
-    def _indexed(self) -> _IndexedView:
-        view = self._view
-        if view is None:
-            view = self._view = _IndexedView(self._adj)
-        return view
 
     # -- distance machinery ----------------------------------------------------
 
@@ -268,11 +247,8 @@ def build_graph(
     ``all_concept_ids`` is given it defines the node universe: ids outside it
     raise (naming the seed), and ids never co-occurring remain isolated nodes.
     """
-    g = ConceptGraph()
     known = set(all_concept_ids) if all_concept_ids is not None else None
-    if known is not None:
-        for node in sorted(known):
-            g._add_node(node)
+    adj: dict[str, dict[str, int]] = {node: {} for node in sorted(known or ())}
     for seed_id, concept_ids in seed_concept_sets:
         ids = sorted(set(concept_ids))
         if known is not None:
@@ -282,11 +258,11 @@ def build_graph(
                     f"seed {seed_id!r} references unknown concept ids {unknown}"
                 )
         for node in ids:
-            g._add_node(node)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                g._add_cooccurrence(ids[i], ids[j])
-    return g
+            adj.setdefault(node, {})
+        for a, b in itertools.combinations(ids, 2):
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    return ConceptGraph(adj)
 
 
 def hop_distance(g: ConceptGraph, a: str, b: str) -> int | None:
@@ -356,7 +332,7 @@ def enumerate_two_hop(g: ConceptGraph) -> list[ConceptCombination]:
     Equal to ``pairs_at_distance(g, 2)`` in pairs, weights and witnesses,
     computed by middle-node expansion one source row at a time.
     """
-    view = g._indexed()
+    view = g._view
     adjacent = np.zeros(len(view.ids), dtype=bool)
     out: list[ConceptCombination] = []
     for a in range(len(view.ids)):
@@ -459,18 +435,12 @@ def enumerate_communities(
     sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
         raise ValidationError("cap must be >= 0")
-    view = g._indexed()
+    view = g._view
     out: list[ConceptCombination] = []
     for size in sizes:
         out.extend(_community_combo(view, members)
                    for members in itertools.islice(_cliques(view, (size,)), cap))
     return out
-
-
-def count_communities(g: ConceptGraph, sizes: Iterable[int] = (3, 4)) -> int:
-    """Number of cliques ``enumerate_communities(g, sizes)`` lists without a
-    cap, counted without building them."""
-    return sum(1 for _ in _cliques(g._indexed(), _community_sizes(sizes)))
 
 
 def _community_sizes(sizes: Iterable[int]) -> list[int]:
@@ -547,6 +517,14 @@ def is_novel(
     return not any(concepts <= set(s) for s in seed_concept_sets)
 
 
+# The one combination order: kind in this order, then the concept-id tuple.
+_KIND_ORDER = ("community", "one_hop", "three_hop", "two_hop")
+
+
+def _order_key(combo: ConceptCombination) -> tuple[int, list[str]]:
+    return _KIND_ORDER.index(combo.kind), combo.concept_ids
+
+
 def sample_combinations(
     combos: Sequence[ConceptCombination],
     budget: int | None,
@@ -554,10 +532,11 @@ def sample_combinations(
 ) -> list[ConceptCombination]:
     """Uniform sample without replacement, deterministic under ``seed``.
 
-    The result is order-normalized (sorted by combination id); a budget of
-    None or >= len(combos) returns everything.
+    The result is in combination order (kind, then concept-id tuple), which
+    is ``combo_id`` order when no id holds a character at or below ``+``; a
+    budget of None or >= len(combos) returns everything.
     """
-    ordered = sorted(combos, key=lambda c: c.combo_id)
+    ordered = sorted(combos, key=_order_key)
     if budget is None or budget >= len(ordered):
         return ordered
     if budget < 0:
@@ -585,34 +564,21 @@ def select_combinations(
     three-hop pairs, ``sizes`` and ``cap`` for communities), the number of
     combinations of each kind, and the number of cliques the cap dropped.
 
-    When no concept id holds a character at or below ``+`` (pipeline ids
-    never do), ``combo_id`` order is kind order (community, one_hop,
-    three_hop, two_hop) and then concept-id tuple order, which is the order
-    the enumerators produce. So the sampled ranks are drawn from the counts
-    alone, with the same ``random.Random(seed)`` draw, and only the drawn
-    two-hop rows and the cliques up to the last drawn one are walked again.
-    One-hop and three-hop pairs are always built. A budget of None, or a
-    graph with such an id, builds everything and sorts it with
-    ``sample_combinations``.
+    The enumerators produce each kind in combination order, so the sampled
+    ranks are drawn from the counts alone, with the same
+    ``random.Random(seed)`` draw, and only the drawn two-hop rows and the
+    cliques up to the last drawn one are walked again. One-hop and three-hop
+    pairs are always built. A budget of None, or one at least the total,
+    draws every rank.
     """
     sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
         raise ValidationError("cap must be >= 0")
-    view = g._indexed()
+    if budget is not None and budget < 0:
+        raise ValidationError("budget must be >= 0")
+    view = g._view
     one_hop = enumerate_one_hop(g)
     three_hop = enumerate_three_hop(g, hubs, min_weight=min_weight)
-    if budget is None or min("".join(view.ids), default=",") <= "+":
-        two_hop = enumerate_two_hop(g)
-        communities = enumerate_communities(g, sizes, cap)
-        enumerated = {
-            "one_hop": len(one_hop), "two_hop": len(two_hop),
-            "three_hop": len(three_hop), "community": len(communities),
-        }
-        truncated = 0 if cap is None else count_communities(g, sizes) - len(communities)
-        sampled = sample_combinations(one_hop + two_hop + three_hop + communities, budget, seed)
-        return sampled, enumerated, truncated
-    if budget < 0:
-        raise ValidationError("budget must be >= 0")
     row_counts = _two_hop_row_counts(view)
     cliques = dict.fromkeys(sizes, 0)
     for members in _cliques(view, sizes):
@@ -623,47 +589,51 @@ def select_combinations(
         "three_hop": len(three_hop), "community": kept,
     }
     total = sum(enumerated.values())
-    if budget >= total:
+    if budget is None or budget >= total:
         ranks: Sequence[int] = range(total)
     else:
         ranks = sorted(random.Random(seed).sample(range(total), budget))
-    sampled = _build_ranks(view, ranks, kept, one_hop, three_hop, row_counts, sizes, cap)
+    builders = {
+        "community": lambda within: _cliques_at(view, within, sizes, cap),
+        "one_hop": lambda within: [one_hop[r] for r in within],
+        "three_hop": lambda within: [three_hop[r] for r in within],
+        "two_hop": lambda within: _two_hop_at(view, within, row_counts),
+    }
+    sampled: list[ConceptCombination] = []
+    start = lo = 0
+    for kind in _KIND_ORDER:
+        end = start + enumerated[kind]
+        hi = bisect.bisect_left(ranks, end, lo)
+        sampled.extend(builders[kind]([r - start for r in ranks[lo:hi]]))
+        start, lo = end, hi
     return sampled, enumerated, sum(cliques.values()) - kept
 
 
-def _build_ranks(
-    view: _IndexedView,
-    ranks: Sequence[int],
-    communities: int,
-    one_hop: list[ConceptCombination],
-    three_hop: list[ConceptCombination],
-    row_counts: np.ndarray,
-    sizes: Sequence[int],
-    cap: int | None,
+def _cliques_at(
+    view: _IndexedView, within: list[int], sizes: Sequence[int], cap: int | None
 ) -> list[ConceptCombination]:
-    """The combinations at ascending ``ranks`` of the ``combo_id`` order:
-    ``communities`` capped cliques, then ``one_hop``, ``three_hop`` and the
-    two-hop pairs, whose per-row counts are ``row_counts``."""
-    one_start = communities
-    three_start = one_start + len(one_hop)
-    two_start = three_start + len(three_hop)
-    cut = [bisect.bisect_left(ranks, bound) for bound in (one_start, three_start, two_start)]
-    out: list[ConceptCombination] = []
-
+    """The capped cliques at ascending ranks ``within``, walking the lister
+    only up to the last of them."""
     cliques, position = _capped_cliques(view, sizes, cap), 0
-    for rank in ranks[:cut[0]]:
+    out = []
+    for rank in within:
         out.append(_community_combo(view, next(itertools.islice(cliques, rank - position, None))))
         position = rank + 1
+    return out
 
-    out.extend(one_hop[r - one_start] for r in ranks[cut[0]:cut[1]])
-    out.extend(three_hop[r - three_start] for r in ranks[cut[1]:cut[2]])
 
-    two_hop = np.array(ranks[cut[2]:], dtype=np.int64) - two_start
+def _two_hop_at(
+    view: _IndexedView, within: list[int], row_counts: np.ndarray
+) -> list[ConceptCombination]:
+    """The two-hop pairs at ascending ranks ``within``, given the pairs per
+    source row: only the rows holding a rank are expanded again."""
+    ranks = np.array(within, dtype=np.int64)
     row_ends = np.cumsum(row_counts)
-    rows = np.searchsorted(row_ends, two_hop, side="right")
-    within = two_hop - (row_ends[rows] - row_counts[rows])
+    rows = np.searchsorted(row_ends, ranks, side="right")
+    offsets = ranks - (row_ends[rows] - row_counts[rows])
     adjacent = np.zeros(len(view.ids), dtype=bool)
-    for a, group in itertools.groupby(zip(rows.tolist(), within.tolist()), key=lambda x: x[0]):
+    out: list[ConceptCombination] = []
+    for a, group in itertools.groupby(zip(rows.tolist(), offsets.tolist()), key=lambda x: x[0]):
         ends, via, width = _two_hop_row(view, a, adjacent)
         out.extend(_two_hop_combo(view.ids, a, ends[k], via[k], width[k]) for _, k in group)
     return out

@@ -269,7 +269,6 @@ class PipelineRun:
         """Build the knowledge base: extract, quality-filter, cluster, and
         pick representatives; rewrite seeds with representative concept ids."""
         config = self.config
-        config.require_roles("extract")
         seeds = load_seed_corpus(config.seed_corpus)
         extractor = config.backends["extractor"]
         kb_judge = config.backends["kb_judge"]
@@ -450,7 +449,6 @@ class PipelineRun:
         """Generate questions, gate them through the judge panel, route
         accepted ones to a solver, and apply the unanimous-vote rule."""
         config = self.config
-        config.require_roles("synthesize")
         panel = JudgePanel(judges=config.judges)
         templates = synthesis.load_templates(config.templates_dir)
         concepts = load_concepts(self.paths.file("knowledge_base"))
@@ -576,7 +574,6 @@ class PipelineRun:
         """Compute the run report: scale, novelty, similarity, cost,
         decontamination, adherence, and stage counters."""
         config = self.config
-        config.require_roles("analyze")
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         items = [rec for _, rec in read_jsonl(self.paths.file("items"))]
         params = config.analytics_params
@@ -721,16 +718,6 @@ class PipelineRun:
             json.dumps(report, sort_keys=True, indent=2) + "\n",
         )
 
-    # -- all stages ---------------------------------------------------------------
-
-    def cmd_run_all(self) -> None:
-        """All four stages in order; a stage failure halts before the next
-        stage and leaves its checkpoint in place."""
-        self.cmd_extract()
-        self.cmd_graph()
-        self.cmd_synthesize()
-        self.cmd_analyze()
-
 
 def _read_cache_tolerant(path: Path, wanted: set[str]) -> tuple[dict[str, dict], int]:
     """Read a results cache: (results of the ``wanted`` ids, intact bytes).
@@ -799,17 +786,23 @@ def _write_histogram_csv(path: Path, report: analytics.SimilarityReport) -> None
 
 
 def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None) -> None:
-    """Run one stage (or 'run-all') under the run-directory lock."""
+    """Run one stage, or all four in order for 'run-all', under the
+    run-directory lock. The backend roles of every stage to run are checked
+    first, so a missing role fails before any backend call or file write; a
+    stage failure halts before the next stage and leaves its checkpoint."""
     run = PipelineRun(config, client=client)
     commands = {
         "extract": run.cmd_extract,
         "graph": run.cmd_graph,
         "synthesize": run.cmd_synthesize,
         "analyze": run.cmd_analyze,
-        "run-all": run.cmd_run_all,
     }
-    if stage not in commands:
+    if stage != "run-all" and stage not in commands:
         raise ConfigurationError(f"unknown stage {stage!r}")
+    stages = list(commands) if stage == "run-all" else [stage]
+    for name in stages:
+        config.require_roles(name)
     run.paths.run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run.paths.lock()):
-        commands[stage]()
+        for name in stages:
+            commands[name]()

@@ -13,7 +13,6 @@ from graphsynth.graph import (
     ConceptCombination,
     build_graph,
     bottleneck_weight,
-    count_communities,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_three_hop,
@@ -44,11 +43,8 @@ def random_graph(rng, max_nodes=12, max_weight=4, density=0.3, label="n{:02d}".f
             adj[a].add(b)
             adj[b].add(a)
             weights[(a, b)] = rng.randint(1, max_weight)
-    g = build_graph([], all_concept_ids=nodes)
-    for (a, b), w in weights.items():
-        for _ in range(w):
-            g._add_cooccurrence(a, b)
-    return g, adj, weights
+    seeds = [(f"{a}-{b}-{k}", {a, b}) for (a, b), w in weights.items() for k in range(w)]
+    return build_graph(seeds, all_concept_ids=nodes), adj, weights
 
 
 class TestBuildGraph:
@@ -152,17 +148,6 @@ class TestTwoHop:
                                    label=lambda i: f"n{i * 37 % 1000}")
             got = [(*c.concept_ids, c.weight, c.witness) for c in enumerate_two_hop(g)]
             assert got == pairs_at_distance(g, 2)
-
-    def test_mutation_after_query_is_seen(self):
-        g = build_graph([("P", {"a", "b"}), ("Q", {"b", "c"})])
-        assert [c.witness for c in enumerate_two_hop(g)] == [["a", "b", "c"]]
-        g._add_cooccurrence("a", "c")
-        assert enumerate_two_hop(g) == []
-        g._add_node("d")
-        g._add_cooccurrence("c", "d")
-        g._add_cooccurrence("c", "d")
-        got = [(c.concept_ids, c.weight, c.witness) for c in enumerate_two_hop(g)]
-        assert got == [(["a", "d"], 1, ["a", "c", "d"]), (["b", "d"], 1, ["b", "c", "d"])]
 
     def test_witness_is_valid_shortest_path(self):
         rng = random.Random(3)
@@ -281,19 +266,14 @@ class TestCommunities:
 
     @pytest.mark.parametrize("sizes", [(3,), (4,), (3, 4)])
     def test_count_matches_uncapped_enumeration(self, sizes):
+        # The selector counts cliques per size without building them.
         rng = random.Random(59)
         for _ in range(20):
             g, _, _ = random_graph(rng, max_nodes=10, density=0.6)
-            assert count_communities(g, sizes) == len(enumerate_communities(g, sizes, cap=None))
-
-    def test_mutation_after_query_is_seen(self):
-        g = build_graph([("P", {"a", "b"}), ("Q", {"b", "c"})])
-        assert enumerate_communities(g) == []
-        g._add_cooccurrence("a", "c")
-        g._add_cooccurrence("a", "c")
-        combos = enumerate_communities(g)
-        assert [(c.concept_ids, c.weight) for c in combos] == [(["a", "b", "c"], 1)]
-        assert count_communities(g) == 1
+            _, enumerated, truncated = select_combinations(
+                g, identify_hubs(g, 1.0), sizes=sizes, budget=0)
+            assert enumerated["community"] == len(enumerate_communities(g, sizes, cap=None))
+            assert truncated == 0
 
     def test_cap_truncates_deterministically(self):
         g = build_graph([("P", {"a", "b", "c", "d", "e"})])  # K5
@@ -451,7 +431,7 @@ class TestSelectCombinations:
         expected_stats = (
             {"one_hop": len(one_hop), "two_hop": len(two_hop),
              "three_hop": len(three_hop), "community": len(communities)},
-            0 if cap is None else count_communities(g, sizes) - len(communities),
+            0 if cap is None else len(enumerate_communities(g, sizes)) - len(communities),
         )
         for budget in budgets(n):
             sampled, *stats = select_combinations(
@@ -470,7 +450,7 @@ class TestSelectCombinations:
             g, _, _ = random_graph(rng, max_nodes=14, density=rng.uniform(0.2, 0.8), label=label)
             hubs = identify_hubs(g, rng.choice([0.2, 1.0]))
             sizes = rng.choice([(3, 4), (3,), (4,)])
-            cliques = count_communities(g, sizes)
+            cliques = len(enumerate_communities(g, sizes))
             for cap in sorted({0, 1, max(cliques - 1, 0)}) + [None]:
                 self.check(g, hubs, sizes, cap, seed=rng.randrange(1000),
                            budgets=lambda n: sorted({0, 1, n // 2, max(n - 1, 0), n}) + [None])
@@ -495,21 +475,19 @@ class TestSelectCombinations:
         assert len(built) == enumerated["one_hop"] + enumerated["three_hop"] + drawn
 
     @pytest.mark.parametrize("odd", ["a!", "a+b"])
-    def test_ids_at_or_below_plus_take_the_fallback(self, monkeypatch, odd):
+    def test_ids_at_or_below_plus_follow_the_combination_order(self, odd):
         # "a!" and "a+b" sort after "a" as ids, but "a!+c" and "a+b+c" sort
-        # before "a+c" as combination ids: tuple order does not hold here.
+        # before "a+c" as combination ids: the combination order is the
+        # concept-id tuple order, not the combo_id order, for such ids.
         seeds = [("s1", {"a", odd, "c"}), ("s2", {"c", "b"}), ("s3", {"b", "d"}),
                  ("s4", {"d", "a"}), ("s5", {odd, "d", "e"})]
         g = build_graph(seeds)
         hubs = identify_hubs(g, 1.0)
-        calls = []
-        original = graph_module.sample_combinations
-        monkeypatch.setattr(graph_module, "sample_combinations",
-                            lambda *args: calls.append(args[1]) or original(*args))
-        total = len(build_everything(g, hubs, (3, 4), None))
+        everything = build_everything(g, hubs, (3, 4), None)
+        ordered = sample_combinations(everything, None, 0)
+        assert ordered != sorted(everything, key=lambda c: c.combo_id)
         for seed in range(5):
-            self.check(g, hubs, (3, 4), None, budgets=lambda n: range(n + 1), seed=seed)
-        assert calls == list(range(total + 1)) * 5
+            self.check(g, hubs, (3, 4), None, budgets=lambda n: [*range(n + 1), None], seed=seed)
 
     def test_graph_without_combinations(self):
         g = build_graph([("s", {"a"})], all_concept_ids={"a", "b"})

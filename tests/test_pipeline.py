@@ -81,6 +81,28 @@ class TestExtractStage:
         with pytest.raises(ConfigurationError, match="extractor"):
             run_stage(load_config(config_path), "extract")
 
+    def test_roles_of_every_stage_checked_before_the_first(self, tmp_path):
+        class CountingMock(MockServer):
+            requests = 0
+
+            def chat_completion(self, request):
+                CountingMock.requests += 1
+                return super().chat_completion(request)
+
+            def embeddings(self, request):
+                CountingMock.requests += 1
+                return super().embeddings(request)
+
+        config_path, config_dict = make_run(tmp_path)
+        del config_dict["backends"]["generator"]
+        write_config(config_path, config_dict)
+        config = load_config(config_path)
+        with pytest.raises(ConfigurationError, match="generator"):
+            run_stage(config, "run-all", client=BackendClient(mock=CountingMock(seed=7)))
+        assert CountingMock.requests == 0
+        assert not (config.run_dir / "cache").exists()
+        assert not (config.run_dir / "checkpoints").exists()
+
     def test_rejected_concepts_never_reach_seeds(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
         config_dict["mock"]["behaviors"]["quality_flags"] = {"Alpha": "vague"}
@@ -789,6 +811,21 @@ class TestCli:
         combos = (run_dir / "combinations.jsonl").read_text().splitlines()
         assert len(combos) == 2
 
+    def test_flags_round_trip_backslashes_and_quotes(self, tmp_path):
+        from graphsynth.cli import _collect_overrides, build_parser
+        from graphsynth.config import apply_override
+
+        run_dir, corpus = "runs\\tmp", 'seeds "v2".jsonl'
+        args = build_parser().parse_args([
+            "run-all", "--config", "c.json", "--run-dir", run_dir,
+            "--seed-corpus", corpus, "--random-seed", "3", "--hub-fraction", "0.5",
+        ])
+        data: dict = {}
+        for override in _collect_overrides(args):
+            data = apply_override(data, override)
+        assert data == {"run_dir": run_dir, "seed_corpus": corpus, "random_seed": 3,
+                        "graph": {"hub_fraction": 0.5}}
+
     def test_unreachable_backend_exit_two(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
         config_dict["backends"]["embedder"] = {
@@ -838,10 +875,30 @@ class TestConfigParsing:
         {"community_sizes": [2, 3]},
         {"community_sizes": [5]},
         {"community_sizes": 3},
+        {"hub_fraction": "most"},
     ])
     def test_bad_graph_settings_rejected(self, graph):
         with pytest.raises(ConfigurationError, match="graph"):
             parse_config({"run_dir": "r", "seed_corpus": "c", "graph": graph})
+
+    @pytest.mark.parametrize("settings,match", [
+        ({"max_in_flight": 0}, "max_in_flight"),
+        ({"max_in_flight": "many"}, "max_in_flight"),
+        ({"max_in_flight": 2.5}, "max_in_flight"),
+        ({"random_seed": "x"}, "random_seed"),
+        ({"random_seed": 1.5}, "random_seed"),
+        ({"thresholds": {"problem_accept": "high"}}, "problem_accept"),
+        ({"thresholds": {"same_band": None}}, "same_band"),
+    ])
+    def test_bad_run_settings_rejected(self, settings, match):
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config({"run_dir": "r", "seed_corpus": "c", **settings})
+
+    @pytest.mark.parametrize("override", ["max_in_flight=0", "random_seed=\"x\""])
+    def test_run_settings_checked_before_extract(self, tmp_path, override):
+        config_path, config_dict = make_run(tmp_path)
+        assert cli_main(["run-all", "--config", str(config_path), "--set", override]) == 1
+        assert not Path(config_dict["run_dir"]).exists()
 
     def test_graph_settings_checked_before_extract(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
