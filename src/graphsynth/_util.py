@@ -11,6 +11,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from .errors import CorpusError
+
 
 def canonicalize(text: str) -> str:
     """Trim and collapse internal whitespace; case is preserved.
@@ -89,16 +91,21 @@ def write_jsonl_atomic(path: str | Path, records: list[dict]) -> None:
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """Read a JSONL file, returning (1-based line number, parsed object) pairs.
 
-    Blank lines are skipped. Raises ValueError naming the line on bad JSON.
+    Blank lines are skipped. Raises CorpusError naming the path when the
+    file does not exist, and the path and line on bad JSON.
     """
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise CorpusError(f"{path} does not exist") from None
     out: list[tuple[int, dict]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
+                raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}", lineno) from exc
             out.append((lineno, obj))
     return out

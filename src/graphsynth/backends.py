@@ -350,39 +350,43 @@ class BackendClient:
 
 
 def run_bounded(
-    tasks: Sequence[Callable[[], Any]],
+    tasks: Iterable[Callable[[], Any]],
     max_in_flight: int,
-    on_ready: Callable[[list[Any]], None] | None = None,
-) -> list[Any]:
+    on_ready: Callable[[list[Any]], None],
+) -> None:
     """Run callables with at most ``max_in_flight`` executing at once.
 
-    One pool serves the whole task list: a sliding window keeps up to
-    ``max_in_flight`` tasks running and starts the next one as soon as any
-    finishes. Results come back in input order regardless of completion
-    order. A failing task does not abort the batch: its slot holds the
-    exception instance instead of a value (mirroring ``asyncio.gather`` with
+    One pool serves the whole task stream: a sliding window keeps up to
+    ``max_in_flight`` tasks running and pulls the next one from ``tasks`` as
+    soon as any finishes, so tasks are made no sooner than they can start. A
+    failing task does not abort the run: its outcome is the exception
+    instance instead of a value (mirroring ``asyncio.gather`` with
     ``return_exceptions=True``).
 
-    Whenever the completed prefix (in input order) grows, ``on_ready`` is
-    called on the calling thread with the newly completed results; the
-    calls together cover every task exactly once, in order. An exception
+    Whenever the completed prefix (in task order) grows, ``on_ready`` is
+    called on the calling thread with the newly completed outcomes; the
+    calls together cover every task exactly once, in order. Only outcomes
+    that have finished but not yet been handed over are kept. An exception
     raised by ``on_ready`` stops the run: no further task is started, the
     tasks in flight are waited for, and the exception propagates.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
-    results: list[Any] = [None] * len(tasks)
-    finished = [False] * len(tasks)
+    pending = iter(tasks)
     in_flight: dict[Future, int] = {}
-    next_task = 0  # index of the first task not yet submitted
+    finished: dict[int, Any] = {}  # outcomes not yet handed over, by position
+    submitted = 0  # tasks pulled from the stream
     ready = 0  # length of the completed prefix handed to on_ready
     pool = ThreadPoolExecutor(max_workers=max_in_flight)
 
     def fill_window() -> None:
-        nonlocal next_task
-        while next_task < len(tasks) and len(in_flight) < max_in_flight:
-            in_flight[pool.submit(tasks[next_task])] = next_task
-            next_task += 1
+        nonlocal submitted
+        while len(in_flight) < max_in_flight:
+            task = next(pending, None)
+            if task is None:
+                return
+            in_flight[pool.submit(task)] = submitted
+            submitted += 1
 
     try:
         fill_window()
@@ -391,21 +395,20 @@ def run_bounded(
             for fut in done:
                 idx = in_flight.pop(fut)
                 try:
-                    results[idx] = fut.result()
+                    finished[idx] = fut.result()
                 except Exception as exc:  # per-slot failure, batch continues
-                    results[idx] = exc
-                finished[idx] = True
+                    finished[idx] = exc
             # Refill the freed slots before on_ready, so its work overlaps
             # with running tasks.
             fill_window()
-            start = ready
-            while ready < len(tasks) and finished[ready]:
+            batch = []
+            while ready in finished:
+                batch.append(finished.pop(ready))
                 ready += 1
-            if on_ready is not None and ready > start:
-                on_ready(results[start:ready])
+            if batch:
+                on_ready(batch)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    return results
 
 
 # ---------------------------------------------------------------------------

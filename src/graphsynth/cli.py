@@ -25,14 +25,12 @@ import sys
 
 from .config import load_config
 from .errors import BackendError, ValidationError
-from .pipeline import run_stage
+from .pipeline import STAGES, run_stage
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BACKEND = 2
 EXIT_INTERRUPTED = 3
-
-STAGES = ("extract", "graph", "synthesize", "analyze", "run-all")
 
 # Convenience flags that map onto config keys.
 _FLAG_KEYS = {
@@ -53,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", "-v", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
+    for stage in (*STAGES, "run-all"):
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument(

@@ -18,8 +18,9 @@ from pathlib import Path
 from typing import Any
 
 from ._util import canonical_json, content_hash
+from .analytics import CostModel, _bin_edges
 from .backends import BackendDescriptor, MockBehaviors, RequestParams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 SINGLETON_ROLES = {
     "extractor": "extractor",
@@ -29,13 +30,6 @@ SINGLETON_ROLES = {
     "solver_small": "solver_small",
     "solver_large": "solver_large",
     "embedder": "embedder",
-}
-
-STAGE_ROLE_REQUIREMENTS = {
-    "extract": ("extractor", "kb_judge", "embedder"),
-    "graph": (),
-    "synthesize": ("generator", "rater", "solver_small", "solver_large"),
-    "analyze": ("embedder", "extractor"),
 }
 
 DEFAULTS: dict[str, Any] = {
@@ -127,18 +121,6 @@ class RunConfig:
         }
         return content_hash(canonical_json(effective))
 
-    def require_roles(self, stage: str) -> None:
-        missing = [
-            key for key in STAGE_ROLE_REQUIREMENTS.get(stage, ())
-            if key not in self.backends
-        ]
-        if missing:
-            raise ConfigurationError(
-                f"stage {stage!r} needs backends for: {', '.join(missing)}"
-            )
-        if stage == "synthesize" and not self.judges:
-            raise ConfigurationError("stage 'synthesize' needs at least one judge")
-
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -187,6 +169,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     # Checked here, not where they are used, so a bad value fails before
     # extract spends its backend calls or writes a checkpoint.
+    for section in ("thresholds", "graph", "analytics"):
+        if not isinstance(merged[section], dict):
+            raise ConfigurationError(f"{section} must be an object")
     if not _is_int(merged["random_seed"]):
         raise ConfigurationError("random_seed must be an integer")
     if not (_is_int(merged["max_in_flight"]) and merged["max_in_flight"] >= 1):
@@ -209,6 +194,41 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     sizes = graph.get("community_sizes")
     if not isinstance(sizes, (list, tuple)) or any(s not in (3, 4) for s in sizes):
         raise ConfigurationError("graph.community_sizes must be a list within {3, 4}")
+    if not _is_number(graph["three_hop_min_weight"]):
+        raise ConfigurationError("graph.three_hop_min_weight must be a number")
+
+    analytics = merged["analytics"]
+    if not (_is_int(analytics["adherence_sample"]) and analytics["adherence_sample"] >= 0):
+        raise ConfigurationError("analytics.adherence_sample must be an integer >= 0")
+    ngram_sizes = analytics["ngram_sizes"]
+    if not (isinstance(ngram_sizes, list) and ngram_sizes
+            and all(_is_int(n) and n >= 1 for n in ngram_sizes)):
+        raise ConfigurationError("analytics.ngram_sizes must be a non-empty list of integers >= 1")
+    tolerance = analytics["adherence_tolerance"]
+    if not (tolerance is None or _is_number(tolerance)):
+        raise ConfigurationError("analytics.adherence_tolerance must be null or a number")
+    width = analytics["similarity_bin_width"]
+    if not (_is_number(width) and 0 < width <= 1):
+        raise ConfigurationError("analytics.similarity_bin_width must be a number in (0, 1]")
+    try:
+        _bin_edges(width)
+    except ValidationError as exc:
+        raise ConfigurationError(f"analytics.similarity_bin_width: {exc}") from exc
+
+    cost = merged["cost"]
+    if cost:
+        if not isinstance(cost, dict):
+            raise ConfigurationError("cost must be null or an object")
+        try:
+            CostModel(**{k: v for k, v in cost.items() if k in CostModel.__dataclass_fields__})
+        except (TypeError, ValidationError) as exc:
+            raise ConfigurationError(f"cost: {exc}") from exc
+        for key in ("tokens_in_per_sample", "tokens_out_per_sample"):
+            if not _is_number(cost.get(key, 0)):
+                raise ConfigurationError(f"cost.{key} must be a number")
+    mock_cfg = merged.get("mock") or {}
+    if not _is_int(mock_cfg.get("seed", 0)):
+        raise ConfigurationError("mock.seed must be an integer")
 
     backends: dict[str, BackendDescriptor] = {}
     for key, rec in (merged.get("backends") or {}).items():
@@ -241,14 +261,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     if reference:
         merged["analytics"]["decontamination_reference"] = str(_resolve(str(reference)))
 
-    mock_cfg = merged.get("mock") or {}
     return RunConfig(
         run_dir=_resolve(str(merged["run_dir"])),
         seed_corpus=_resolve(str(merged["seed_corpus"])),
         raw=merged,
         backends=backends,
         judges=judges,
-        mock_seed=int(mock_cfg.get("seed", 0)),
+        mock_seed=mock_cfg.get("seed", 0),
         mock_behaviors=MockBehaviors.from_record(mock_cfg.get("behaviors") or {}),
     )
 

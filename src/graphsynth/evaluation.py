@@ -217,11 +217,7 @@ def load_gold_labels(path) -> list[GoldLabel]:
 
     labels = []
     seen: dict[str, int] = {}
-    try:
-        rows = read_jsonl(path)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    for lineno, rec in rows:
+    for lineno, rec in read_jsonl(path):
         item_id = rec.get("item_id")
         qualified = rec.get("qualified")
         if not isinstance(item_id, str) or not isinstance(qualified, bool):

@@ -1,4 +1,5 @@
-"""Stage orchestration: extract -> graph -> synthesize -> analyze.
+"""Stage orchestration: extract -> graph -> synthesize -> analyze, declared
+once in ``STAGES`` and run by one engine that writes each stage's stats.
 
 Expensive per-item work (model calls) runs through a checkpointed runner:
 one pool per stage keeps up to ``max_in_flight`` items in flight, and results
@@ -6,14 +7,15 @@ are appended, in input order, to a per-stage cache file that is the only
 record of which items are done. Each per-item task receives a scoped client,
 so its record keeps the backend usage of exactly its own calls, failed items
 included; the runner is the one place a task exception becomes a failed
-record. A stage's ``usage`` stat is the sum over those records, so a resumed
-run reports the same totals as an uninterrupted one. The stage checkpoint is
-a header holding the config fingerprint the cached results were computed
-under, rewritten whenever the stage starts with work pending. The stage's
-final output file is rebuilt wholesale (atomically) from the cache.
-Interrupting a run at any point and resuming therefore lands on the same
-final bytes as an uninterrupted run, because every mock-backed computation is
-a pure function of its inputs.
+record. The engine sums a stage's ``usage`` stat over those records, cached
+or fresh, plus the stage's own ``stage_client``, so a resumed run reports
+the same totals as an uninterrupted one. The stage checkpoint is a header
+holding the config fingerprint the cached results were computed under,
+rewritten whenever the stage starts with work pending. The stage's final
+output file is rebuilt wholesale (atomically) from the cache. Interrupting
+a run at any point and resuming therefore lands on the same final bytes as
+an uninterrupted run, because every mock-backed computation is a pure
+function of its inputs.
 
 A run directory is owned exclusively via a pid lock file; stale locks from
 dead processes are replaced automatically.
@@ -25,7 +27,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
@@ -69,6 +71,16 @@ FILES = {
 }
 
 OUTPUT_FILES = tuple(FILES.values())
+
+# Every stage in run order, with the backend keys its body calls ("judges"
+# is the judge panel). Preflight checks these keys, ``run-all`` runs the
+# stages in this order, and the engine calls ``PipelineRun.cmd_<stage>``.
+STAGES = {
+    "extract": ("extractor", "kb_judge", "embedder"),
+    "graph": (),
+    "synthesize": ("generator", "rater", "solver_small", "solver_large", "judges"),
+    "analyze": ("embedder", "extractor"),
+}
 
 
 class Interrupted(KeyboardInterrupt):
@@ -155,6 +167,10 @@ class _AbortBudget:
         self.limit = int(raw) if raw.isdigit() else None
         self.committed = 0
 
+    def admit(self, count: int) -> int:
+        """How many of ``count`` finished items may commit before the limit."""
+        return count if self.limit is None else min(count, self.limit - self.committed)
+
     def on_commit(self, count: int) -> None:
         if self.limit is None:
             return
@@ -166,7 +182,8 @@ class _AbortBudget:
 
 
 class PipelineRun:
-    """Shared context for one run: config, client, paths, lock."""
+    """Shared context for one run: config, client, paths, and the engine
+    that runs each stage body and writes its stats."""
 
     def __init__(self, config: RunConfig, client: BackendClient | None = None):
         self.config = config
@@ -176,6 +193,18 @@ class PipelineRun:
             client = BackendClient(mock=mock)
         self.client = client
         self._abort = _AbortBudget()
+
+    def _run_stage(self, stage: str) -> None:
+        """Run one stage body with a fresh ``stage_client`` for its calls
+        outside per-item tasks; write the counters it returns, plus the
+        stage's usage, to ``stats/<stage>.json``."""
+        self.stage_client = self.client.scoped()
+        self._record_usage = sum_usage([])
+        # Looked up at call time, so a wrapper installed on the class is used.
+        counters = getattr(self, f"cmd_{stage}")()
+        if counters is not None:
+            counters["usage"] = sum_usage([self._record_usage, self.stage_client.usage.total()])
+            write_atomic(self.paths.stats(stage), canonical_json(counters) + "\n")
 
     # -- checkpointed per-item execution --------------------------------------
 
@@ -189,9 +218,10 @@ class PipelineRun:
 
         Returns one JSON-able result record per work id. Each task gets its
         own scoped client, and its record carries the task's backend usage
-        under "usage". A task exception becomes a {"failed": message} record
-        (with the usage of the calls made before it), so one bad item never
-        aborts the stage.
+        under "usage"; the usage of every returned record, cached or fresh,
+        is added to the stage's total. A task exception becomes a
+        {"failed": message} record (with the usage of the calls made before
+        it), so one bad item never aborts the stage.
 
         The stage's results cache is its only progress record: an id with a
         complete line there is done and never runs again. The checkpoint is a
@@ -208,6 +238,7 @@ class PipelineRun:
         intact_bytes = 0
         if checkpoint is not None:
             results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
+            self._count_usage(results.values())
         pending = select_resumable_work(
             (wid for wid, _ in work), checkpoint, fingerprint, results
         )
@@ -230,6 +261,8 @@ class PipelineRun:
 
             def commit(outcomes: list[Any]) -> None:
                 nonlocal committed
+                # Under a fault-injection limit, commit exactly up to it.
+                outcomes = outcomes[:self._abort.admit(len(outcomes))]
                 batch = pending[committed:committed + len(outcomes)]
                 committed += len(outcomes)
                 for wid, outcome in zip(batch, outcomes):
@@ -237,14 +270,20 @@ class PipelineRun:
                     handle.write(canonical_json({"id": wid, "result": outcome}) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
+                self._count_usage(outcomes)
                 self._abort.on_commit(len(outcomes))
 
             run_bounded(
-                [self._wrap_task(task_fn, payloads[wid]) for wid in pending],
+                (self._wrap_task(task_fn, payloads[wid]) for wid in pending),
                 self.config.max_in_flight,
                 on_ready=commit,
             )
         return results
+
+    def _count_usage(self, records: Iterable[dict]) -> None:
+        self._record_usage = sum_usage([
+            self._record_usage, *(rec.get("usage") or {} for rec in records)
+        ])
 
     def _wrap_task(
         self, task_fn: Callable[[Any, BackendClient], dict], payload: Any
@@ -260,12 +299,9 @@ class PipelineRun:
 
         return run
 
-    def _write_stats(self, stage: str, stats: dict) -> None:
-        write_atomic(self.paths.stats(stage), canonical_json(stats) + "\n")
-
     # -- stage: extract --------------------------------------------------------
 
-    def cmd_extract(self) -> None:
+    def cmd_extract(self) -> dict:
         """Build the knowledge base: extract, quality-filter, cluster, and
         pick representatives; rewrite seeds with representative concept ids."""
         config = self.config
@@ -342,11 +378,10 @@ class PipelineRun:
 
         # Deterministic single-pass tail: similarity banding, synonym checks,
         # clustering, representative selection.
-        tail = self.client.scoped()
         thresholds = config.thresholds
         if len(kept) >= 2:
             verdicts = extraction.pairwise_similarity(
-                kept, embedder, tail,
+                kept, embedder, self.stage_client,
                 same_threshold=thresholds["same_band"],
                 judge_threshold=thresholds["judge_band"],
             )
@@ -355,14 +390,14 @@ class PipelineRun:
             same = [v for v in verdicts if v.band == "same"]
             borderline = [v for v in verdicts if v.band == "judge_checked"]
             confirmed = extraction.confirm_synonyms(
-                borderline, {c.id: c for c in kept}, kb_judge, tail
+                borderline, {c.id: c for c in kept}, kb_judge, self.stage_client
             )
             verdicts = same + confirmed
         else:
             verdicts = []
         clusters = extraction.build_clusters(kept, verdicts)
         clusters, final_concepts = extraction.select_representatives(
-            clusters, {c.id: c for c in kept}, kb_judge, tail
+            clusters, {c.id: c for c in kept}, kb_judge, self.stage_client
         )
 
         write_jsonl_atomic(
@@ -375,12 +410,7 @@ class PipelineRun:
         )
         save_seed_corpus(self.paths.file("seeds_enriched"), enriched)
 
-        item_usage = sum_usage([
-            *(rec.get("usage") or {}
-              for rec in [*extract_results.values(), *quality_results.values()]),
-            tail.usage.total(),
-        ])
-        self._write_stats("extract", {
+        return {
             "seeds": len(seeds),
             "extraction_failures": extraction_failures,
             "raw_concepts": len(raw_concepts),
@@ -389,12 +419,11 @@ class PipelineRun:
             "clusters": len(clusters),
             "synthetic_representatives": sum(1 for c in final_concepts if c.is_synthetic),
             "knowledge_base_size": len(final_concepts),
-            "usage": item_usage,
-        })
+        }
 
     # -- stage: graph ----------------------------------------------------------
 
-    def cmd_graph(self) -> None:
+    def cmd_graph(self) -> dict:
         """Build the co-occurrence graph, count every combination kind, draw
         the sampled ranks and build only those combinations."""
         config = self.config
@@ -431,7 +460,7 @@ class PipelineRun:
         kind_counts: dict[str, int] = {}
         for combo in sampled:
             kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
-        self._write_stats("graph", {
+        return {
             "nodes": g.node_count(),
             "edges": g.edge_count(),
             "hubs": sorted(hubs.hub_ids),
@@ -440,12 +469,11 @@ class PipelineRun:
             "community_cap_truncated": capped,
             "sampled_total": len(sampled),
             "sampled_by_kind": kind_counts,
-            "usage": sum_usage([]),
-        })
+        }
 
     # -- stage: synthesize -------------------------------------------------------
 
-    def cmd_synthesize(self) -> None:
+    def cmd_synthesize(self) -> dict:
         """Generate questions, gate them through the judge panel, route
         accepted ones to a solver, and apply the unanimous-vote rule."""
         config = self.config
@@ -555,18 +583,14 @@ class PipelineRun:
         status_counts: dict[str, int] = {}
         for item in items:
             status_counts[item["status"]] = status_counts.get(item["status"], 0) + 1
-        usage = sum_usage(
-            rec.get("usage") or {} for rec in [*generated.values(), *evaluated.values()]
-        )
-        self._write_stats("synthesize", {
+        return {
             "combinations": len(combos),
             "generation_failures": generation_failures,
             "duplicates_dropped": deduper.dropped,
             "evaluation_failures": evaluation_failures,
             "items": len(items),
             "status_counts": status_counts,
-            "usage": usage,
-        })
+        }
 
     # -- stage: analyze ----------------------------------------------------------
 
@@ -579,9 +603,6 @@ class PipelineRun:
         params = config.analytics_params
         embedder = config.backends["embedder"]
         extractor = config.backends["extractor"]
-        # Analyze's own calls (similarity embeds, adherence probes) are
-        # counted here; the other stages' calls come from their stats.
-        analyze = self.client.scoped()
 
         accepted = [i for i in items if i["status"] == "solution_accepted"]
         scored = [i for i in items if i.get("weighted_score") is not None]
@@ -637,8 +658,8 @@ class PipelineRun:
                 accepted_questions,
                 [s.question for s in seeds],
                 embedder,
-                analyze,
-                bin_width=float(params.get("similarity_bin_width", 0.05)),
+                self.stage_client,
+                bin_width=float(params["similarity_bin_width"]),
             )
             sim_section = {
                 "bin_edges": report.bin_edges,
@@ -671,11 +692,11 @@ class PipelineRun:
             reference_texts = _load_reference_texts(Path(reference))
             decon = analytics.ngram_overlap(
                 accepted_questions, reference_texts,
-                ns=[int(n) for n in params["ngram_sizes"]],
+                ns=params["ngram_sizes"],
             )
             sections["decontamination"] = decon.to_record()
 
-        sample_size = int(params.get("adherence_sample", 0) or 0)
+        sample_size = params["adherence_sample"]
         if sample_size > 0 and accepted:
             concepts = load_concepts(self.paths.file("knowledge_base"))
             texts_by_id = {c.id: c.text for c in concepts}
@@ -690,12 +711,12 @@ class PipelineRun:
 
             def extract_fn(question: str) -> list[str]:
                 probe = SeedExample(id="adherence-probe", question=question, solution="")
-                return extraction.extract_concepts(probe, extractor, analyze)
+                return extraction.extract_concepts(probe, extractor, self.stage_client)
 
             tolerance = params.get("adherence_tolerance")
             embed_fn = None
             if tolerance is not None:
-                embed_fn = lambda texts: analyze.embed(embedder, texts)
+                embed_fn = lambda texts: self.stage_client.embed(embedder, texts)
             adherence = analytics.adherence_report(
                 pairs, extract_fn,
                 matcher_tolerance=float(tolerance) if tolerance is not None else None,
@@ -705,11 +726,13 @@ class PipelineRun:
 
         sections["stage_counters"] = {
             stage: _load_stats(self.paths.stats(stage))
-            for stage in ("extract", "graph", "synthesize")
+            for stage in list(STAGES)[:list(STAGES).index("analyze")]
         }
+        # Analyze writes no stats: its own calls are counted here, on top
+        # of the earlier stages' usage.
         sections["backend_usage"] = sum_usage([
             *((stats or {}).get("usage") or {} for stats in sections["stage_counters"].values()),
-            analyze.usage.total(),
+            self.stage_client.usage.total(),
         ])
 
         report = analytics.run_report(sections)
@@ -786,23 +809,21 @@ def _write_histogram_csv(path: Path, report: analytics.SimilarityReport) -> None
 
 
 def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None) -> None:
-    """Run one stage, or all four in order for 'run-all', under the
-    run-directory lock. The backend roles of every stage to run are checked
+    """Run one stage, or every stage in order for 'run-all', under the
+    run-directory lock. The backend keys of every stage to run are checked
     first, so a missing role fails before any backend call or file write; a
     stage failure halts before the next stage and leaves its checkpoint."""
-    run = PipelineRun(config, client=client)
-    commands = {
-        "extract": run.cmd_extract,
-        "graph": run.cmd_graph,
-        "synthesize": run.cmd_synthesize,
-        "analyze": run.cmd_analyze,
-    }
-    if stage != "run-all" and stage not in commands:
+    if stage != "run-all" and stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}")
-    stages = list(commands) if stage == "run-all" else [stage]
+    stages = list(STAGES) if stage == "run-all" else [stage]
     for name in stages:
-        config.require_roles(name)
+        missing = [key for key in STAGES[name] if key != "judges" and key not in config.backends]
+        if missing:
+            raise ConfigurationError(f"stage {name!r} needs backends for: {', '.join(missing)}")
+        if "judges" in STAGES[name] and not config.judges:
+            raise ConfigurationError(f"stage {name!r} needs at least one judge")
+    run = PipelineRun(config, client=client)
     run.paths.run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run.paths.lock()):
         for name in stages:
-            commands[name]()
+            run._run_stage(name)

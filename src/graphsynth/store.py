@@ -288,13 +288,9 @@ def load_seed_corpus(path: str | Path) -> list[SeedExample]:
     Records keep file order. Ids default to a content hash when absent;
     duplicate ids are rejected with both line numbers named.
     """
-    try:
-        rows = read_jsonl(path)
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
     seeds: list[SeedExample] = []
     seen: dict[str, int] = {}
-    for lineno, rec in rows:
+    for lineno, rec in read_jsonl(path):
         seed = SeedExample.from_record(rec, line=lineno)
         if seed.id in seen:
             raise CorpusError(
@@ -311,11 +307,7 @@ def save_seed_corpus(path: str | Path, seeds: Sequence[SeedExample]) -> None:
 
 
 def load_concepts(path: str | Path) -> list[KeyConcept]:
-    try:
-        rows = read_jsonl(path)
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-    return [KeyConcept.from_record(rec, line=lineno) for lineno, rec in rows]
+    return [KeyConcept.from_record(rec, line=lineno) for lineno, rec in read_jsonl(path)]
 
 
 def save_concepts(path: str | Path, concepts: Sequence[KeyConcept]) -> None:
@@ -323,11 +315,7 @@ def save_concepts(path: str | Path, concepts: Sequence[KeyConcept]) -> None:
 
 
 def load_items(path: str | Path) -> list[SynthesizedItem]:
-    try:
-        rows = read_jsonl(path)
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-    return [SynthesizedItem.from_record(rec, line=lineno) for lineno, rec in rows]
+    return [SynthesizedItem.from_record(rec, line=lineno) for lineno, rec in read_jsonl(path)]
 
 
 def write_checkpoint(checkpoint: StageCheckpoint, path: str | Path) -> None:

@@ -4,6 +4,7 @@ import json
 import random
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -214,6 +215,13 @@ class TestMockEmbeddings:
         assert np.allclose(vec, [0.6, 0.8])
 
 
+def collect(tasks, max_in_flight):
+    """run_bounded's outcomes in task order, gathered through on_ready."""
+    outcomes = []
+    run_bounded(tasks, max_in_flight, on_ready=outcomes.extend)
+    return outcomes
+
+
 class TestRunBounded:
     def test_cap_respected(self):
         lock = threading.Lock()
@@ -228,7 +236,7 @@ class TestRunBounded:
                 state["now"] -= 1
             return True
 
-        results = run_bounded([task] * 10, max_in_flight=3)
+        results = collect([task] * 10, max_in_flight=3)
         assert results == [True] * 10
         assert state["peak"] <= 3
 
@@ -241,7 +249,7 @@ class TestRunBounded:
                 return i
             return task
 
-        results = run_bounded([make(i) for i in range(6)], max_in_flight=1)
+        results = collect([make(i) for i in range(6)], max_in_flight=1)
         assert results == list(range(6))
         assert order == list(range(6))
 
@@ -252,14 +260,14 @@ class TestRunBounded:
         def bad():
             raise RuntimeError("slot failure")
 
-        results = run_bounded([ok, bad, ok, ok, ok], max_in_flight=2)
+        results = collect([ok, bad, ok, ok, ok], max_in_flight=2)
         assert results[0] == "fine"
         assert isinstance(results[1], RuntimeError)
         assert results[2:] == ["fine", "fine", "fine"]
 
     def test_zero_cap_rejected(self):
         with pytest.raises(ValueError):
-            run_bounded([], max_in_flight=0)
+            run_bounded([], max_in_flight=0, on_ready=lambda outcomes: None)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=12), st.integers(1, 5))
@@ -274,7 +282,7 @@ class TestRunBounded:
             return task
 
         tasks = [make(v, d) for v, d in zip(values, delays)]
-        assert run_bounded(tasks, cap) == values
+        assert collect(tasks, cap) == values
 
     def test_on_ready_gets_in_order_prefixes_on_calling_thread(self):
         rng = random.Random(7)
@@ -290,8 +298,7 @@ class TestRunBounded:
         def on_ready(prefix):
             calls.append((threading.get_ident(), list(prefix)))
 
-        results = run_bounded([make(i) for i in range(40)], 4, on_ready=on_ready)
-        assert results == list(range(40))
+        run_bounded([make(i) for i in range(40)], 4, on_ready=on_ready)
         assert {ident for ident, _ in calls} == {threading.get_ident()}
         assert all(prefix for _, prefix in calls)
         assert [i for _, prefix in calls for i in prefix] == list(range(40))
@@ -332,6 +339,46 @@ class TestRunBounded:
         assert state["running"] == 0  # tasks in flight were waited for
         assert state["started"] < 50
 
+    def test_pulls_a_generator_at_most_max_in_flight_ahead(self):
+        lock = threading.Lock()
+        state = {"pulled": 0, "finished": 0, "ahead": []}
+
+        def task():
+            time.sleep(0.001)
+            with lock:
+                state["finished"] += 1
+            return True
+
+        def tasks():
+            for _ in range(60):
+                with lock:
+                    state["pulled"] += 1
+                    state["ahead"].append(state["pulled"] - state["finished"])
+                yield task
+
+        assert collect(tasks(), max_in_flight=3) == [True] * 60
+        assert max(state["ahead"]) <= 3
+
+    def test_handed_over_outcomes_are_released(self):
+        class Outcome:
+            pass
+
+        def task():
+            time.sleep(0.0005)
+            return Outcome()
+
+        handed: list[list[weakref.ref]] = []
+        alive_two_calls_back = []
+
+        def on_ready(outcomes):
+            if len(handed) >= 2:
+                alive_two_calls_back.extend(ref() is not None for ref in handed[-2])
+            handed.append([weakref.ref(outcome) for outcome in outcomes])
+
+        run_bounded((task for _ in range(60)), 2, on_ready=on_ready)
+        assert len(handed) >= 3
+        assert alive_two_calls_back and not any(alive_two_calls_back)
+
 
 class TestMeter:
     def test_scoped_counts_only_own_task(self):
@@ -345,7 +392,7 @@ class TestMeter:
                 return scoped.usage.total()
             return run
 
-        records = run_bounded([task(i) for i in range(8)], max_in_flight=4)
+        records = collect([task(i) for i in range(8)], max_in_flight=4)
         assert all(r["calls"] == 1 for r in records)
         total = sum(r["input_tokens"] for r in records)
         assert total == client.usage.totals()["g"]["input_tokens"]
@@ -366,6 +413,6 @@ class TestMeter:
                 thread.join()
             return scoped.usage.total()
 
-        (record,) = run_bounded([task], max_in_flight=1)
+        (record,) = collect([task], max_in_flight=1)
         assert record["calls"] == 2
         assert client.usage.total() == record

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from graphsynth.errors import CheckpointError, ConfigurationError, ValidationErr
 from graphsynth.pipeline import (
     FAULT_ABORT_ENV,
     OUTPUT_FILES,
+    PipelineRun,
     RunLock,
     _read_cache_tolerant,
     run_stage,
@@ -403,6 +405,27 @@ class TestAnalyzeStage:
         assert report["adherence"] == "not computed"
 
 
+class TestStageEngine:
+    def test_stage_body_is_looked_up_when_it_runs(self, tmp_path, monkeypatch):
+        # A wrapper installed on the class (as perfbench's tracer does) is
+        # called once, and what it returns is what the engine writes.
+        original = PipelineRun.cmd_graph
+        returned = []
+
+        def counting(self):
+            counters = original(self)
+            returned.append(counters)
+            return counters
+
+        monkeypatch.setattr(PipelineRun, "cmd_graph", counting)
+        config = load_config(make_run(tmp_path)[0])
+        run_stage(config, "run-all")
+        assert len(returned) == 1
+        stats = json.loads((config.run_dir / "stats" / "graph.json").read_text())
+        no_calls = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
+        assert stats == {**returned[0], "usage": no_calls}
+
+
 class TestTaskFailures:
     @pytest.mark.parametrize("stages,module,name,cache_stage,failures_key", [
         (("extract",), extraction, "extract_concepts", "extract.concepts",
@@ -451,6 +474,15 @@ class PromptRecordingMock(MockServer):
     def chat_completion(self, request):
         with self._lock:
             self.prompts.append("\n".join(m["content"] for m in request["messages"]))
+        return super().chat_completion(request)
+
+
+class SlowMock(MockServer):
+    """Answers every chat request about 1 ms late, so items in flight
+    finish together and reach the cache in batches."""
+
+    def chat_completion(self, request):
+        time.sleep(0.001)
         return super().chat_completion(request)
 
 
@@ -505,6 +537,22 @@ class TestDeterminismAndResume:
         run_stage(load_config(config_path), "synthesize")
         run_stage(load_config(config_path), "analyze")
         assert read_outputs(baseline.run_dir) == read_outputs(config.run_dir)
+
+    def test_abort_commits_exactly_the_limit(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        committed = {}
+        for limit in (5, 13, 23, 37, 51):
+            config_dict = base_config(tmp_path, corpus, run_name=f"abort-{limit}")
+            config = load_config(write_config(tmp_path / f"abort-{limit}.json", config_dict))
+            mock = SlowMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+            monkeypatch.setenv(FAULT_ABORT_ENV, str(limit))
+            with pytest.raises(KeyboardInterrupt):
+                run_stage(config, "run-all", client=BackendClient(mock=mock))
+            committed[limit] = sum(
+                len(path.read_text().splitlines())
+                for path in (config.run_dir / "cache").glob("*.jsonl")
+            )
+        assert committed == {limit: limit for limit in committed}
 
     def test_config_change_mid_run_refuses_resume(self, tmp_path, monkeypatch):
         config_path, config_dict = make_run(tmp_path)
@@ -826,6 +874,23 @@ class TestCli:
         assert data == {"run_dir": run_dir, "seed_corpus": corpus, "random_seed": 3,
                         "graph": {"hub_fraction": 0.5}}
 
+    @pytest.mark.parametrize("earlier,stage,missing", [
+        ((), "extract", "corpus.jsonl"),
+        ((), "graph", "seeds_enriched.jsonl"),
+        (("extract", "graph"), "analyze", "items.jsonl"),
+    ], ids=["extract-without-corpus", "graph-before-extract", "analyze-before-synthesize"])
+    def test_missing_input_is_an_error_line(self, tmp_path, capsys, earlier, stage, missing):
+        config_path, config_dict = make_run(tmp_path)
+        if stage == "extract":
+            Path(config_dict["seed_corpus"]).unlink()
+        for name in earlier:
+            assert cli_main([name, "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert cli_main([stage, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{missing} does not exist" in err
+
     def test_unreachable_backend_exit_two(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
         config_dict["backends"]["embedder"] = {
@@ -876,6 +941,8 @@ class TestConfigParsing:
         {"community_sizes": [5]},
         {"community_sizes": 3},
         {"hub_fraction": "most"},
+        {"three_hop_min_weight": "heavy"},
+        {"three_hop_min_weight": None},
     ])
     def test_bad_graph_settings_rejected(self, graph):
         with pytest.raises(ConfigurationError, match="graph"):
@@ -889,12 +956,36 @@ class TestConfigParsing:
         ({"random_seed": 1.5}, "random_seed"),
         ({"thresholds": {"problem_accept": "high"}}, "problem_accept"),
         ({"thresholds": {"same_band": None}}, "same_band"),
+        ({"analytics": None}, "analytics"),
+        ({"analytics": {"adherence_sample": "x"}}, "adherence_sample"),
+        ({"analytics": {"adherence_sample": -1}}, "adherence_sample"),
+        ({"analytics": {"adherence_sample": None}}, "adherence_sample"),
+        ({"analytics": {"ngram_sizes": "x"}}, "ngram_sizes"),
+        ({"analytics": {"ngram_sizes": []}}, "ngram_sizes"),
+        ({"analytics": {"ngram_sizes": [8, 0]}}, "ngram_sizes"),
+        ({"analytics": {"ngram_sizes": [2.5]}}, "ngram_sizes"),
+        ({"analytics": {"similarity_bin_width": 0}}, "similarity_bin_width"),
+        ({"analytics": {"similarity_bin_width": -0.05}}, "similarity_bin_width"),
+        ({"analytics": {"similarity_bin_width": 0.3}}, "similarity_bin_width"),
+        ({"analytics": {"similarity_bin_width": "x"}}, "similarity_bin_width"),
+        ({"analytics": {"adherence_tolerance": "close"}}, "adherence_tolerance"),
+        ({"cost": "cheap"}, "cost"),
+        ({"cost": {"gpu_rate": 1}}, "cost"),
+        ({"cost": {"mode": "barter"}}, "cost"),
+        ({"cost": {"mode": "gpu_hourly", "hours": "x"}}, "cost"),
+        ({"cost": {"mode": "gpu_hourly", "sample_count": 0}}, "cost"),
+        ({"cost": {"mode": "token_priced", "tokens_in_per_sample": "x"}}, "tokens_in"),
+        ({"mock": {"seed": "x"}}, "mock.seed"),
+        ({"mock": {"seed": 1.5}}, "mock.seed"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
             parse_config({"run_dir": "r", "seed_corpus": "c", **settings})
 
-    @pytest.mark.parametrize("override", ["max_in_flight=0", "random_seed=\"x\""])
+    @pytest.mark.parametrize("override", [
+        "max_in_flight=0", "random_seed=\"x\"", "analytics.similarity_bin_width=0",
+        "analytics.adherence_sample=\"x\"", "mock.seed=\"x\"",
+    ])
     def test_run_settings_checked_before_extract(self, tmp_path, override):
         config_path, config_dict = make_run(tmp_path)
         assert cli_main(["run-all", "--config", str(config_path), "--set", override]) == 1
