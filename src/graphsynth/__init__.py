@@ -23,7 +23,6 @@ from .analytics import (
 from .backends import (
     BackendClient,
     BackendDescriptor,
-    CompletionExchange,
     MockBehaviors,
     MockServer,
     RequestParams,
@@ -80,7 +79,6 @@ from .store import (
     write_checkpoint,
 )
 from .synthesis import (
-    DifficultyRating,
     PromptTemplate,
     QuestionDeduper,
     generate_problem,

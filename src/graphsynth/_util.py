@@ -1,5 +1,5 @@
-"""Small shared helpers: canonical text forms, content hashes, yes/no reply
-parsing, atomic writes."""
+"""Small shared helpers: canonical text forms, content hashes, config value
+type checks, yes/no reply parsing, atomic writes."""
 
 from __future__ import annotations
 
@@ -28,6 +28,14 @@ def canonicalize_question(text: str) -> str:
     Lowercase, collapse whitespace, strip trailing sentence punctuation.
     """
     return " ".join(text.lower().split()).rstrip(".!? ")
+
+
+def is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_yes_no(raw: str) -> bool | None:

@@ -40,18 +40,10 @@ SIMILARITY_BLOCK_ROWS = 4096
 class SimilarityReport:
     """Max-cosine-to-seed distribution for a synthesized corpus."""
 
-    per_item_max_cosine: list[float]
+    mean_max_cosine: float
     bin_edges: list[float]
     histogram: list[int]
     cdf: list[float]
-
-    def to_record(self) -> dict:
-        return {
-            "per_item_max_cosine": self.per_item_max_cosine,
-            "bin_edges": self.bin_edges,
-            "histogram": self.histogram,
-            "cdf": self.cdf,
-        }
 
 
 @dataclass
@@ -126,11 +118,12 @@ def similarity_distribution(
     client: BackendClient,
     bin_width: float = HISTOGRAM_BIN_WIDTH,
 ) -> SimilarityReport:
-    """Per item: max cosine against all seed embeddings, plus a fixed-width
-    histogram over [0, 1] and its CDF (one cumulative fraction per upper
-    bin edge). Scores are clipped into [0, 1] for binning so counts always
-    sum to the item count. The cosines are taken ``SIMILARITY_BLOCK_ROWS``
-    synthesized rows at a time."""
+    """Per item: max cosine against all seed embeddings. Reports their mean
+    (a left-to-right float sum over the items, divided by the count), a
+    fixed-width histogram over [0, 1] and its CDF (one cumulative fraction
+    per upper bin edge). Scores are clipped into [0, 1] for binning so counts
+    always sum to the item count. The cosines are taken
+    ``SIMILARITY_BLOCK_ROWS`` synthesized rows at a time."""
     if not synth_texts or not seed_texts:
         raise ValidationError("similarity_distribution needs nonempty corpora")
     synth_vecs = _embed_batched(client, embedder, synth_texts)
@@ -144,7 +137,7 @@ def similarity_distribution(
     counts, _ = np.histogram(np.clip(per_item, 0.0, 1.0), bins=edges)
     cdf = np.cumsum(counts) / len(per_item)
     return SimilarityReport(
-        per_item_max_cosine=[float(x) for x in per_item],
+        mean_max_cosine=sum(per_item.tolist()) / len(per_item),
         bin_edges=[float(e) for e in edges],
         histogram=[int(c) for c in counts],
         cdf=[float(x) for x in cdf],

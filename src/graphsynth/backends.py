@@ -2,14 +2,15 @@
 
 The wire protocol is the de-facto OpenAI-compatible one: POST
 ``{endpoint}/chat/completions`` for generation/judging and
-``{endpoint}/embeddings`` for vectors. ``complete`` and ``embed`` build the
-payload and hand it to one request path, ``BackendClient._post``, the only
-place that tells the transports apart. A descriptor whose endpoint is the
-marker string ``"mock"`` goes to an in-process :class:`MockServer` that
-speaks the same request/response shapes, so the whole pipeline runs
-offline and reproducibly; any other endpoint goes over HTTP with retries.
-``requests`` is imported on the first HTTP call, so a mock run never
-loads an HTTP stack.
+``{endpoint}/embeddings`` for vectors. ``complete`` returns the reply text
+and ``embed`` unit row vectors; token counts go only to the client's
+``UsageTracker``. Both build the payload and hand it to one request path,
+``BackendClient._post``, the only place that tells the transports apart.
+A descriptor whose endpoint is the marker string ``"mock"`` goes to an
+in-process :class:`MockServer` that speaks the same request/response
+shapes, so the whole pipeline runs offline and reproducibly; any other
+endpoint goes over HTTP with retries. ``requests`` is imported on the
+first HTTP call, so a mock run never loads an HTTP stack.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._util import canonicalize, stable_int
+from ._util import canonicalize, is_int, is_number, stable_int
 from .errors import ConfigurationError, ProtocolError, TransportError
 
 if TYPE_CHECKING:
@@ -59,17 +60,6 @@ class RequestParams:
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.2
     timeout: float = 60.0
-
-    def to_record(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_jitter": self.backoff_jitter,
-            "timeout": self.timeout,
-        }
 
     @classmethod
     def from_record(cls, rec: dict) -> "RequestParams":
@@ -108,21 +98,6 @@ class BackendDescriptor:
     @property
     def is_mock(self) -> bool:
         return self.endpoint == MOCK_ENDPOINT
-
-
-@dataclass
-class CompletionExchange:
-    """One prompt/response round trip with its token accounting."""
-
-    prompt: str
-    output: str
-    input_tokens: int
-    output_tokens: int
-    latency: float
-
-    def __post_init__(self) -> None:
-        if self.input_tokens < 0 or self.output_tokens < 0:
-            raise ProtocolError("token counts must be nonnegative")
 
 
 def sum_usage(records: Iterable[dict]) -> dict[str, int]:
@@ -178,9 +153,8 @@ class BackendClient:
     so concurrent callers are safe.
     """
 
-    def __init__(self, mock: "MockServer | None" = None, session: requests.Session | None = None):
+    def __init__(self, mock: "MockServer | None" = None):
         self._mock = mock if mock is not None else MockServer()
-        self._fixed_session = session
         self._thread_state = threading.local()
         self.usage = UsageTracker()
 
@@ -197,12 +171,9 @@ class BackendClient:
         return view
 
     def _http(self) -> requests.Session:
-        # requests.Session is not thread-safe; keep one per calling thread
-        # unless the caller injected a session (tests).
+        # requests.Session is not thread-safe; keep one per calling thread.
         import requests
 
-        if self._fixed_session is not None:
-            return self._fixed_session
         session = getattr(self._thread_state, "session", None)
         if session is None:
             session = requests.Session()
@@ -273,8 +244,9 @@ class BackendClient:
         descriptor: BackendDescriptor,
         prompt: str,
         decode_params: dict | None = None,
-    ) -> CompletionExchange:
-        """Run one chat completion and return the exchange with token counts.
+    ) -> str:
+        """Run one chat completion and return the reply text; its token
+        counts go to ``self.usage``.
 
         Transient failures are retried with exponential backoff up to the
         descriptor's attempt limit, then surface as :class:`TransportError`.
@@ -293,9 +265,7 @@ class BackendClient:
         }
         if decode_params:
             payload.update(decode_params)
-        started = time.monotonic()
         data = self._post(descriptor, "chat/completions", payload)
-        latency = time.monotonic() - started
         try:
             output = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -305,14 +275,12 @@ class BackendClient:
         usage = data.get("usage") or {}
         input_tokens = int(usage.get("prompt_tokens", _approx_tokens(prompt)))
         output_tokens = int(usage.get("completion_tokens", _approx_tokens(output)))
+        if input_tokens < 0 or output_tokens < 0:
+            raise ProtocolError(
+                f"backend {descriptor.backend_id!r}: token counts must be nonnegative"
+            )
         self.usage.add(descriptor.backend_id, input_tokens, output_tokens)
-        return CompletionExchange(
-            prompt=prompt,
-            output=output,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            latency=latency,
-        )
+        return output
 
     def embed(self, descriptor: BackendDescriptor, texts: Sequence[str]) -> np.ndarray:
         """Embed ``texts`` and return an array of unit row vectors."""
@@ -441,6 +409,16 @@ class MockBehaviors:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MockBehaviors":
+        """Parse ``mock.behaviors``. An unknown key, or a value whose type
+        differs from what the mock reads, raises ConfigurationError."""
+        unknown = sorted(set(rec) - set(_BEHAVIOR_TYPES))
+        if unknown:
+            raise ConfigurationError(f"unknown mock.behaviors keys: {unknown}")
+        for key, value in rec.items():
+            valid, expected = _BEHAVIOR_TYPES[key]
+            if not valid(value):
+                raise ConfigurationError(f"mock.behaviors.{key} must be {expected}")
+        keyed_by_text = ("quality_flags", "synonym_yes", "representative_picks")
         return cls(
             quality_flags={canonicalize(k): v for k, v in rec.get("quality_flags", {}).items()},
             synonym_yes={
@@ -451,15 +429,46 @@ class MockBehaviors:
                 frozenset(canonicalize(t) for t in entry["members"]): entry["pick"]
                 for entry in rec.get("representative_picks", [])
             },
-            problem_score=rec.get("problem_score"),
-            problem_score_by_kind=dict(rec.get("problem_score_by_kind", {})),
-            problem_score_by_model=dict(rec.get("problem_score_by_model", {})),
-            solution_vote=rec.get("solution_vote"),
-            solution_vote_by_model=dict(rec.get("solution_vote_by_model", {})),
-            difficulty=rec.get("difficulty"),
-            embedding_overrides=dict(rec.get("embedding_overrides", {})),
-            garbage_prompt_substrings=list(rec.get("garbage_prompt_substrings", [])),
+            **{k: copy.copy(v) for k, v in rec.items() if k not in keyed_by_text},
         )
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _map_of(valid: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, dict) and all(_is_str(k) and valid(x) for k, x in v.items())
+
+
+def _list_of(valid: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and all(valid(x) for x in v)
+
+
+def _optional(valid: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: v is None or valid(v)
+
+
+# mock.behaviors key -> (value check, what the check expects).
+_BEHAVIOR_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "quality_flags": (_map_of(_is_str), "an object of strings"),
+    "synonym_yes": (
+        _list_of(lambda p: _list_of(_is_str)(p) and len(p) == 2), "a list of string pairs"
+    ),
+    "representative_picks": (
+        _list_of(lambda e: isinstance(e, dict) and set(e) == {"members", "pick"}
+                 and _list_of(_is_str)(e["members"]) and _is_str(e["pick"])),
+        "a list of {members: [string], pick: string} objects",
+    ),
+    "problem_score": (_optional(is_number), "null or a number"),
+    "problem_score_by_kind": (_map_of(is_number), "an object of numbers"),
+    "problem_score_by_model": (_map_of(is_number), "an object of numbers"),
+    "solution_vote": (_optional(is_int), "null or an integer"),
+    "solution_vote_by_model": (_map_of(is_int), "an object of integers"),
+    "difficulty": (_optional(_is_str), "null or a string"),
+    "embedding_overrides": (_map_of(_list_of(is_number)), "an object of number lists"),
+    "garbage_prompt_substrings": (_list_of(_is_str), "a list of strings"),
+}
 
 
 class MockServer:

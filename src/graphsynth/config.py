@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ._util import canonical_json, content_hash
+from ._util import canonical_json, content_hash, is_int, is_number
 from .analytics import CostModel, _bin_edges
 from .backends import BackendDescriptor, MockBehaviors, RequestParams
 from .errors import ConfigurationError, ValidationError
@@ -122,14 +122,6 @@ class RunConfig:
         return content_hash(canonical_json(effective))
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_descriptor(key: str, role: str, rec: dict) -> BackendDescriptor:
     if not isinstance(rec, dict):
         raise ConfigurationError(f"backend {key!r} must be an object")
@@ -172,43 +164,43 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     for section in ("thresholds", "graph", "analytics"):
         if not isinstance(merged[section], dict):
             raise ConfigurationError(f"{section} must be an object")
-    if not _is_int(merged["random_seed"]):
+    if not is_int(merged["random_seed"]):
         raise ConfigurationError("random_seed must be an integer")
-    if not (_is_int(merged["max_in_flight"]) and merged["max_in_flight"] >= 1):
+    if not (is_int(merged["max_in_flight"]) and merged["max_in_flight"] >= 1):
         raise ConfigurationError("max_in_flight must be an integer >= 1")
     thresholds = merged["thresholds"]
     for name, value in thresholds.items():
-        if not (_is_number(value) and 0.0 <= value <= 1.0):
+        if not (is_number(value) and 0.0 <= value <= 1.0):
             raise ConfigurationError(f"threshold {name!r} must be a number within [0, 1]")
     if thresholds["judge_band"] > thresholds["same_band"]:
         raise ConfigurationError(
             "thresholds.judge_band must not exceed thresholds.same_band"
         )
     graph = merged["graph"]
-    if not (_is_number(graph["hub_fraction"]) and 0 < graph["hub_fraction"] <= 1):
+    if not (is_number(graph["hub_fraction"]) and 0 < graph["hub_fraction"] <= 1):
         raise ConfigurationError("graph.hub_fraction must be a number in (0, 1]")
     for key in ("combination_budget", "community_cap"):
         value = graph.get(key)
-        if not (value is None or (_is_int(value) and value >= 0)):
+        if not (value is None or (is_int(value) and value >= 0)):
             raise ConfigurationError(f"graph.{key} must be null or an integer >= 0")
     sizes = graph.get("community_sizes")
     if not isinstance(sizes, (list, tuple)) or any(s not in (3, 4) for s in sizes):
         raise ConfigurationError("graph.community_sizes must be a list within {3, 4}")
-    if not _is_number(graph["three_hop_min_weight"]):
+    if not is_number(graph["three_hop_min_weight"]):
         raise ConfigurationError("graph.three_hop_min_weight must be a number")
 
     analytics = merged["analytics"]
-    if not (_is_int(analytics["adherence_sample"]) and analytics["adherence_sample"] >= 0):
+    if not (is_int(analytics["adherence_sample"]) and analytics["adherence_sample"] >= 0):
         raise ConfigurationError("analytics.adherence_sample must be an integer >= 0")
     ngram_sizes = analytics["ngram_sizes"]
     if not (isinstance(ngram_sizes, list) and ngram_sizes
-            and all(_is_int(n) and n >= 1 for n in ngram_sizes)):
+            and all(is_int(n) and n >= 1 for n in ngram_sizes)):
         raise ConfigurationError("analytics.ngram_sizes must be a non-empty list of integers >= 1")
     tolerance = analytics["adherence_tolerance"]
-    if not (tolerance is None or _is_number(tolerance)):
+    if not (tolerance is None or is_number(tolerance)):
         raise ConfigurationError("analytics.adherence_tolerance must be null or a number")
     width = analytics["similarity_bin_width"]
-    if not (_is_number(width) and 0 < width <= 1):
+    if not (is_number(width) and 0 < width <= 1):
         raise ConfigurationError("analytics.similarity_bin_width must be a number in (0, 1]")
     try:
         _bin_edges(width)
@@ -224,11 +216,14 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         except (TypeError, ValidationError) as exc:
             raise ConfigurationError(f"cost: {exc}") from exc
         for key in ("tokens_in_per_sample", "tokens_out_per_sample"):
-            if not _is_number(cost.get(key, 0)):
+            if not is_number(cost.get(key, 0)):
                 raise ConfigurationError(f"cost.{key} must be a number")
-    mock_cfg = merged.get("mock") or {}
-    if not _is_int(mock_cfg.get("seed", 0)):
+    mock_cfg = merged["mock"] or {}
+    if not isinstance(mock_cfg, dict) or not isinstance(mock_cfg.get("behaviors") or {}, dict):
+        raise ConfigurationError("mock and mock.behaviors must each be null or an object")
+    if not is_int(mock_cfg.get("seed", 0)):
         raise ConfigurationError("mock.seed must be an integer")
+    mock_behaviors = MockBehaviors.from_record(mock_cfg.get("behaviors") or {})
 
     backends: dict[str, BackendDescriptor] = {}
     for key, rec in (merged.get("backends") or {}).items():
@@ -268,7 +263,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         backends=backends,
         judges=judges,
         mock_seed=mock_cfg.get("seed", 0),
-        mock_behaviors=MockBehaviors.from_record(mock_cfg.get("behaviors") or {}),
+        mock_behaviors=mock_behaviors,
     )
 
 

@@ -121,8 +121,7 @@ def score_problem(
     scores: dict[str, float] = {}
     review: set[str] = set()
     for judge in panel.judges:
-        exchange = client.complete(judge, prompt)
-        score = parse_score(exchange.output)
+        score = parse_score(client.complete(judge, prompt))
         if score is None:
             logger.warning("judge %s reply unparseable; scoring 0", judge.backend_id)
             scores[judge.backend_id] = 0.0
@@ -163,8 +162,7 @@ def vote_solution(
     votes: dict[str, int] = {}
     review: set[str] = set()
     for judge in panel.judges:
-        exchange = client.complete(judge, prompt)
-        vote = parse_vote(exchange.output)
+        vote = parse_vote(client.complete(judge, prompt))
         if vote is None:
             logger.warning("judge %s vote unparseable; voting 0", judge.backend_id)
             votes[judge.backend_id] = 0

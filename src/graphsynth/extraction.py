@@ -94,23 +94,6 @@ class SimilarityVerdict:
         if (self.judge_confirmed is not None) and self.band != "judge_checked":
             raise ValidationError("judge_confirmed only applies to judge_checked pairs")
 
-    def to_record(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "cosine": self.cosine,
-            "band": self.band,
-            "judge_confirmed": self.judge_confirmed,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "SimilarityVerdict":
-        return cls(
-            pair=(rec["pair"][0], rec["pair"][1]),
-            cosine=rec["cosine"],
-            band=rec["band"],
-            judge_confirmed=rec.get("judge_confirmed"),
-        )
-
 
 @dataclass
 class ConceptCluster:
@@ -126,14 +109,6 @@ class ConceptCluster:
             "member_ids": sorted(self.member_ids),
             "representative_id": self.representative_id,
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "ConceptCluster":
-        return cls(
-            cluster_id=rec["cluster_id"],
-            member_ids=set(rec["member_ids"]),
-            representative_id=rec.get("representative_id"),
-        )
 
 
 @dataclass
@@ -188,12 +163,12 @@ def extract_concepts(
     if not seed.question.strip():
         raise ValidationError(f"seed {seed.id!r}: empty question")
     prompt = EXTRACT_PROMPT.format(question=seed.question, solution=seed.solution)
-    exchange = client.complete(extractor, prompt)
-    phrases = parse_concept_list(exchange.output)
+    output = client.complete(extractor, prompt)
+    phrases = parse_concept_list(output)
     if not phrases:
         raise ExtractionError(
             f"seed {seed.id!r}: could not parse any concept from extractor output",
-            raw_output=exchange.output,
+            raw_output=output,
         )
     if len(phrases) > MAX_CONCEPTS_PER_SEED:
         logger.warning(
@@ -219,8 +194,7 @@ def filter_low_quality(
     verdicts = []
     for concept in concepts:
         prompt = QUALITY_PROMPT.format(concept=concept.text)
-        exchange = client.complete(judge, prompt)
-        category = _parse_category(exchange.output)
+        category = _parse_category(client.complete(judge, prompt))
         if category is None:
             logger.warning("quality judge unparseable for %s; keeping with review flag",
                            concept.id)
@@ -300,8 +274,7 @@ def confirm_synonyms(
             )
         a = concepts_by_id[verdict.pair[0]].text
         b = concepts_by_id[verdict.pair[1]].text
-        exchange = client.complete(judge, SYNONYM_PROMPT.format(a=a, b=b))
-        confirmed = parse_yes_no(exchange.output)
+        confirmed = parse_yes_no(client.complete(judge, SYNONYM_PROMPT.format(a=a, b=b)))
         out.append(
             SimilarityVerdict(
                 pair=verdict.pair,
@@ -436,13 +409,12 @@ def _judge_representative(
 ) -> str | None:
     listing = "\n".join(f"{i}. {m.text}" for i, m in enumerate(members, start=1))
     try:
-        exchange = client.complete(judge, REPRESENTATIVE_PROMPT.format(members=listing))
+        reply = client.complete(judge, REPRESENTATIVE_PROMPT.format(members=listing))
     except Exception:
         logger.warning("representative judge failed for cluster of %d; using fallback",
                        len(members))
         return None
-    reply = canonicalize(exchange.output)
-    return reply or None
+    return canonicalize(reply) or None
 
 
 def _fallback_representative(members: Sequence[KeyConcept]) -> str:

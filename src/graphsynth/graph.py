@@ -113,7 +113,6 @@ class HubSet:
     """Top-degree nodes; ties broken by ascending concept id."""
 
     hub_ids: set[str]
-    selection_fraction: float
     min_degree_achieved: int
 
 
@@ -156,13 +155,6 @@ class ConceptGraph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
-    def has_node(self, node: str) -> bool:
-        return node in self._adj
-
-    def neighbors(self, node: str) -> dict[str, int]:
-        self._require(node)
-        return dict(self._adj[node])
 
     def degree(self, node: str) -> int:
         self._require(node)
@@ -406,7 +398,6 @@ def identify_hubs(g: ConceptGraph, fraction: float) -> HubSet:
     hubs = ranked[:k]
     return HubSet(
         hub_ids=set(hubs),
-        selection_fraction=fraction,
         min_degree_achieved=min(g.degree(n) for n in hubs),
     )
 

@@ -17,12 +17,14 @@ a run at any point and resuming therefore lands on the same final bytes as
 an uninterrupted run, because every mock-backed computation is a pure
 function of its inputs.
 
-A run directory is owned exclusively via a pid lock file; stale locks from
-dead processes are replaced automatically.
+A run directory is owned exclusively through a kernel ``flock`` on its
+``.lock`` file, which the kernel drops when the holding process exits, so
+a crashed run never leaves a lock behind.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -108,55 +110,30 @@ class RunPaths:
 
 
 class RunLock:
-    """Exclusive pid-based lock on a run directory."""
+    """Exclusive lock on a run directory: a kernel ``flock`` on its lock file.
+
+    The kernel releases the lock when the holder's descriptor closes, however
+    the process ends, so a dead holder never leaves a stale lock. The file
+    stays in place on release: were it unlinked, a third process could lock
+    a new file at the same path while a second still held the old one.
+    """
 
     def __init__(self, path: Path):
         self.path = path
-        self._held = False
 
     def __enter__(self) -> "RunLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._steal_if_stale():
-                    continue
-                raise ValidationError(
-                    f"run directory is locked by another process ({self.path}); "
-                    "remove the lock file if that process is gone"
-                )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(str(os.getpid()))
-            self._held = True
-            return self
-
-    def _steal_if_stale(self) -> bool:
+        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            pid = int(self.path.read_text().strip() or "0")
-        except (OSError, ValueError):
-            pid = 0
-        if pid > 0:
-            try:
-                os.kill(pid, 0)
-                return False  # holder is alive
-            except ProcessLookupError:
-                pass
-            except PermissionError:
-                return False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-        return True
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self._fd)
+            raise ValidationError(
+                f"run directory is locked by another process ({self.path})"
+            ) from None
+        return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._held:
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
-            self._held = False
+        os.close(self._fd)
 
 
 class _AbortBudget:
@@ -372,9 +349,6 @@ class PipelineRun:
         write_jsonl_atomic(self.paths.file("concepts_filtered"), filtered_records)
 
         kept = [c for c in raw_concepts if quality[c.id].kept]
-        for concept in raw_concepts:
-            if not quality[concept.id].kept:
-                concept.status = "rejected"
 
         # Deterministic single-pass tail: similarity banding, synonym checks,
         # clustering, representative selection.
@@ -543,9 +517,8 @@ class PipelineRun:
             item.weighted_score = weighted
             item.advance_status("problem_accepted" if accepted else "problem_rejected")
             if accepted:
-                rating = synthesis.rate_difficulty(question, rater, client)
-                item.difficulty = rating.level
-                solver = synthesis.route_solver(rating.level, solvers)
+                item.difficulty = synthesis.rate_difficulty(question, rater, client)
+                solver = synthesis.route_solver(item.difficulty, solvers)
                 try:
                     item.solution = synthesis.generate_solution(
                         question, solver, client
@@ -665,9 +638,7 @@ class PipelineRun:
                 "bin_edges": report.bin_edges,
                 "histogram": report.histogram,
                 "cdf": report.cdf,
-                "mean_max_cosine": (
-                    sum(report.per_item_max_cosine) / len(report.per_item_max_cosine)
-                ),
+                "mean_max_cosine": report.mean_max_cosine,
             }
             _write_histogram_csv(self.paths.file("similarity_histogram"), report)
         sections["similarity"] = sim_section

@@ -120,16 +120,6 @@ class PromptTemplate:
         )
 
 
-@dataclass
-class DifficultyRating:
-    level: str
-    raw_output: str
-
-    def __post_init__(self) -> None:
-        if self.level not in DIFFICULTY_LEVELS:
-            raise ValidationError(f"unknown difficulty level {self.level!r}")
-
-
 def default_templates() -> dict[int, PromptTemplate]:
     return {
         arity: PromptTemplate(
@@ -210,8 +200,7 @@ def generate_problem(
 ) -> str:
     """Generate one question for the combination; empty output raises."""
     prompt = render_prompt(combination, templates, concept_texts_by_id)
-    exchange = client.complete(generator, prompt)
-    question = exchange.output.strip()
+    question = client.complete(generator, prompt).strip()
     if not question:
         raise ValidationError(
             f"generator returned empty output for {combination.combo_id}"
@@ -223,22 +212,17 @@ def rate_difficulty(
     question: str,
     rater: BackendDescriptor,
     client: BackendClient,
-) -> DifficultyRating:
-    """Parse a {low, medium, high} level; anything unparseable defaults to
-    high so the stronger solver handles it."""
+) -> str:
+    """The last {low, medium, high} word of the rater's reply; anything
+    unparseable defaults to high so the stronger solver handles it."""
     if not question.strip():
         raise ValidationError("cannot rate an empty question")
-    exchange = client.complete(rater, RATE_PROMPT.format(question=question))
-    tokens = re.findall(r"[a-z]+", exchange.output.lower())
-    level = None
-    for token in reversed(tokens):
+    output = client.complete(rater, RATE_PROMPT.format(question=question))
+    for token in reversed(re.findall(r"[a-z]+", output.lower())):
         if token in DIFFICULTY_LEVELS:
-            level = token
-            break
-    if level is None:
-        logger.warning("difficulty rating unparseable; defaulting to high")
-        level = "high"
-    return DifficultyRating(level=level, raw_output=exchange.output)
+            return token
+    logger.warning("difficulty rating unparseable; defaulting to high")
+    return "high"
 
 
 def route_solver(level: str, solvers: Mapping[str, BackendDescriptor]) -> BackendDescriptor:
@@ -258,8 +242,7 @@ def generate_solution(
     client: BackendClient,
 ) -> str:
     """Produce a solution for an accepted question; empty output raises."""
-    exchange = client.complete(solver, SOLVE_PROMPT.format(question=question))
-    solution = exchange.output.strip()
+    solution = client.complete(solver, SOLVE_PROMPT.format(question=question)).strip()
     if not solution:
         raise ValidationError("solver returned empty output")
     return solution

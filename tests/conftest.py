@@ -43,6 +43,13 @@ def descriptors():
     }
 
 
+def wire_usage(mock: MockServer, descriptor: BackendDescriptor, prompt: str) -> dict:
+    """The ``usage`` object the mock sends for one chat request."""
+    request = {"model": descriptor.model_name,
+               "messages": [{"role": "user", "content": prompt}]}
+    return mock.chat_completion(request)["usage"]
+
+
 def toy_corpus_seeds(n_chain: int = 12, copies: int = 2, n_triples: int = 6) -> list[dict]:
     """A seed corpus whose bracket-marked concepts give the mock extractor a
     controlled co-occurrence structure: a chain C0-C1-...-C{n} (distances up

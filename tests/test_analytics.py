@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_descriptor
+from conftest import make_descriptor, wire_usage
 from graphsynth import analytics
 from graphsynth.analytics import (
     CostModel,
@@ -48,7 +48,7 @@ class TestSimilarityDistribution:
         client = BackendClient(mock=MockServer(seed=7))
         report = similarity_distribution(["same question"], ["same question", "other"],
                                          self.embedder(), client)
-        assert report.per_item_max_cosine[0] == pytest.approx(1.0, abs=1e-9)
+        assert report.mean_max_cosine == pytest.approx(1.0, abs=1e-9)
         assert report.histogram[-1] == 1
         assert report.cdf[-1] == pytest.approx(1.0)
 
@@ -109,8 +109,20 @@ class TestSimilarityDistribution:
                                           BackendClient(mock=MockServer(seed=5)))
         assert blocked.histogram == whole.histogram
         assert blocked.cdf == whole.cdf
-        assert blocked.per_item_max_cosine == pytest.approx(whole.per_item_max_cosine,
-                                                            abs=1e-12)
+        assert blocked.mean_max_cosine == pytest.approx(whole.mean_max_cosine, abs=1e-12)
+
+    def test_mean_is_left_to_right_sum_of_row_maxima(self):
+        # The mean goes into report.json, so it must be exactly Python's
+        # sum over the row maxima of one synth x seed product, over n.
+        synth = [f"synth text {i}" for i in range(37)]
+        seeds = [f"seed text {i}" for i in range(11)]
+        report = similarity_distribution(synth, seeds, self.embedder(),
+                                         BackendClient(mock=MockServer(seed=9)))
+        client = BackendClient(mock=MockServer(seed=9))
+        synth_vecs = client.embed(self.embedder(), synth)
+        seed_vecs = client.embed(self.embedder(), seeds)
+        row_max = np.clip((synth_vecs @ seed_vecs.T).max(axis=1), -1.0, 1.0)
+        assert report.mean_max_cosine == sum(row_max.tolist()) / len(synth)
 
 
 class TestNoveltyRate:
@@ -359,22 +371,23 @@ class TestRunReport:
 
 class TestCostAccountingLinkage:
     def test_exchange_sums_drive_token_costs(self):
-        # The client's usage totals are exactly the sum of per-exchange token
-        # counts, and cost_report priced from either side agrees.
+        # The client's usage totals are exactly the sum of the token counts
+        # the mock put on the wire, and cost_report priced from either side
+        # agrees.
         client = BackendClient(mock=MockServer(seed=5))
         generator = make_descriptor("generator")
-        exchanges = [
-            client.complete(generator, f"prompt number {i} with several words")
-            for i in range(12)
-        ]
-        sum_in = sum(e.input_tokens for e in exchanges)
-        sum_out = sum(e.output_tokens for e in exchanges)
+        prompts = [f"prompt number {i} with several words" for i in range(12)]
+        for prompt in prompts:
+            client.complete(generator, prompt)
+        wire = [wire_usage(MockServer(seed=5), generator, prompt) for prompt in prompts]
+        sum_in = sum(u["prompt_tokens"] for u in wire)
+        sum_out = sum(u["completion_tokens"] for u in wire)
         totals = client.usage.totals()["generator"]
         assert (totals["input_tokens"], totals["output_tokens"]) == (sum_in, sum_out)
 
         model = CostModel(mode="token_priced", input_price=10.0, output_price=30.0)
         per_sample_from_exchanges = cost_report(
-            model, sum_in / len(exchanges), sum_out / len(exchanges))
+            model, sum_in / len(prompts), sum_out / len(prompts))
         per_sample_from_totals = cost_report(
             model, totals["input_tokens"] / totals["calls"],
             totals["output_tokens"] / totals["calls"])

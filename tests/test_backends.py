@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wire_usage
 from graphsynth.backends import (
     BackendClient,
     BackendDescriptor,
@@ -29,6 +30,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     script: list[int] = []
     lock = threading.Lock()
     requests_seen: list[dict] = []
+    chat_usage: dict = {"prompt_tokens": 4, "completion_tokens": 1}
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -51,7 +53,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         else:
             payload = {
                 "choices": [{"index": 0, "message": {"role": "assistant", "content": "pong"}}],
-                "usage": {"prompt_tokens": 4, "completion_tokens": 1},
+                "usage": type(self).chat_usage,
             }
         data = json.dumps(payload).encode()
         self.send_response(200)
@@ -69,6 +71,7 @@ def http_endpoint():
     server = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
+    ScriptedHandler.chat_usage = {"prompt_tokens": 4, "completion_tokens": 1}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
@@ -103,20 +106,20 @@ class TestMockCompletion:
         d = BackendDescriptor("g", "generator", "mock", "mock-gen")
         first = client.complete(d, "ping")
         second = client.complete(d, "ping")
-        assert first.output == second.output
-        assert first.output  # fixed nonempty string
+        assert first == second
+        assert first  # fixed nonempty string
 
     def test_pure_function_of_model_prompt_seed(self):
         out = []
         for _ in range(2):
             client = BackendClient(mock=MockServer(seed=11))
             d = BackendDescriptor("g", "generator", "mock", "mock-gen")
-            out.append(client.complete(d, "hello world").output)
+            out.append(client.complete(d, "hello world"))
         assert out[0] == out[1]
         other_seed = BackendClient(mock=MockServer(seed=12)).complete(
             BackendDescriptor("g", "generator", "mock", "mock-gen"), "hello world"
         )
-        assert other_seed.output != out[0]
+        assert other_seed != out[0]
 
     def test_embedder_role_rejected(self):
         client = BackendClient(mock=MockServer())
@@ -125,25 +128,42 @@ class TestMockCompletion:
             client.complete(d, "ping")
 
     def test_token_counts_nonnegative_and_tracked(self):
+        # The tracker holds exactly the token counts the mock put on the wire.
         client = BackendClient(mock=MockServer(seed=7))
         d = BackendDescriptor("g", "generator", "mock", "mock-gen")
-        exchanges = [client.complete(d, f"prompt {i} with words") for i in range(5)]
-        total_in = sum(e.input_tokens for e in exchanges)
-        total_out = sum(e.output_tokens for e in exchanges)
+        prompts = [f"prompt {i} with words" for i in range(5)]
+        for prompt in prompts:
+            client.complete(d, prompt)
+        wire = [wire_usage(MockServer(seed=7), d, prompt) for prompt in prompts]
         totals = client.usage.totals()["g"]
-        assert totals["input_tokens"] == total_in
-        assert totals["output_tokens"] == total_out
+        assert totals["input_tokens"] == sum(u["prompt_tokens"] for u in wire)
+        assert totals["output_tokens"] == sum(u["completion_tokens"] for u in wire)
         assert totals["calls"] == 5
+        assert all(min(u.values()) >= 0 for u in wire)
 
 
 class TestLiveHttp:
     def test_retry_two_500s_then_success(self, http_endpoint):
         ScriptedHandler.script = [500, 500]
         client = BackendClient()
-        exchange = client.complete(live_descriptor(http_endpoint), "ping")
-        assert exchange.output == "pong"
+        assert client.complete(live_descriptor(http_endpoint), "ping") == "pong"
         assert len(ScriptedHandler.requests_seen) == 3
         assert ScriptedHandler.requests_seen[0]["path"].endswith("/chat/completions")
+        # Only the answered attempt is counted, with the server's token counts.
+        assert client.usage.totals() == {
+            "live": {"input_tokens": 4, "output_tokens": 1, "calls": 1}
+        }
+
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": -1, "completion_tokens": 1},
+        {"prompt_tokens": 4, "completion_tokens": -1},
+    ])
+    def test_negative_token_counts_are_protocol_errors(self, http_endpoint, usage):
+        ScriptedHandler.chat_usage = usage
+        client = BackendClient()
+        with pytest.raises(ProtocolError, match="nonnegative"):
+            client.complete(live_descriptor(http_endpoint), "ping")
+        assert client.usage.totals() == {}
 
     def test_retries_exhausted_carries_attempts(self, http_endpoint):
         ScriptedHandler.script = [500, 500, 500, 500]

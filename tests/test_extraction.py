@@ -490,19 +490,6 @@ class TestSelectRepresentatives:
 
 
 class TestRecordRoundTrips:
-    def test_similarity_verdict(self):
-        verdict = SimilarityVerdict(pair=("kc-1", "kc-2"), cosine=0.81,
-                                    band="judge_checked", judge_confirmed=True)
-        assert SimilarityVerdict.from_record(verdict.to_record()) == verdict
-
-    def test_cluster(self):
-        from graphsynth.extraction import ConceptCluster
-
-        cluster = ConceptCluster(cluster_id="cluster-kc-1",
-                                 member_ids={"kc-1", "kc-2"},
-                                 representative_id="kc-1")
-        assert ConceptCluster.from_record(cluster.to_record()) == cluster
-
     def test_band_consistency_enforced(self):
         with pytest.raises(ValidationError):
             SimilarityVerdict(pair=("a", "b"), cosine=0.95, band="same",

@@ -192,7 +192,7 @@ class TestThreeHop:
     def test_forced_hub_a_finds_ae(self, g0):
         from graphsynth.graph import HubSet
 
-        hubs = HubSet(hub_ids={"A"}, selection_fraction=0.2, min_degree_achieved=2)
+        hubs = HubSet(hub_ids={"A"}, min_degree_achieved=2)
         combos = enumerate_three_hop(g0, hubs, min_weight=1)
         assert [tuple(c.concept_ids) for c in combos] == [("A", "E")]
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -812,16 +815,74 @@ class TestColdStart:
 class TestRunLock:
     def test_live_lock_refused(self, tmp_path):
         lock_path = tmp_path / ".lock"
-        lock_path.write_text(str(os.getpid()))
-        with pytest.raises(ValidationError, match="locked"):
-            RunLock(lock_path).__enter__()
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            with pytest.raises(ValidationError, match="locked"):
+                RunLock(lock_path).__enter__()
+        finally:
+            os.close(fd)
 
     def test_stale_lock_replaced(self, tmp_path):
+        # A holder that dies without releasing (no __exit__, no cleanup)
+        # leaves a lock file the next acquirer gets, and the file stays.
         lock_path = tmp_path / ".lock"
-        lock_path.write_text("999999999")
+        script = (
+            "import os, sys\n"
+            "from pathlib import Path\n"
+            "from graphsynth.pipeline import RunLock\n"
+            "RunLock(Path(sys.argv[1])).__enter__()\n"
+            "os._exit(0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(lock_path)],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert lock_path.exists()
         with RunLock(lock_path):
-            assert lock_path.read_text() == str(os.getpid())
-        assert not lock_path.exists()
+            with pytest.raises(ValidationError, match="locked"):
+                RunLock(lock_path).__enter__()
+        assert lock_path.exists()
+
+    def test_two_acquirers_of_a_dead_holders_lock_never_both_hold_it(
+        self, tmp_path, monkeypatch
+    ):
+        # Forced interleaving for a liveness-probe lock: both acquirers find
+        # the dead holder's pid before either replaces the file, and the
+        # later one goes on only once the earlier one has taken the lock.
+        lock_path = tmp_path / ".lock"
+        dead_pid = 999999999
+        lock_path.write_text(str(dead_pid))
+        barrier = threading.Barrier(2, timeout=10)
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            if pid != dead_pid:
+                return real_kill(pid, sig)
+            if barrier.wait() == 1:
+                deadline = time.monotonic() + 10
+                while lock_path.read_text() != str(os.getpid()) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            raise ProcessLookupError(pid)
+
+        monkeypatch.setattr(os, "kill", kill)
+        held, refused = [], []
+
+        def acquire():
+            lock = RunLock(lock_path)
+            try:
+                held.append(lock.__enter__())
+            except ValidationError:
+                refused.append(lock)
+
+        threads = [threading.Thread(target=acquire) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        for lock in held:
+            lock.__exit__(None, None, None)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (len(held), len(refused)) == (1, 1)
 
 
 class TestCli:
@@ -977,10 +1038,61 @@ class TestConfigParsing:
         ({"cost": {"mode": "token_priced", "tokens_in_per_sample": "x"}}, "tokens_in"),
         ({"mock": {"seed": "x"}}, "mock.seed"),
         ({"mock": {"seed": 1.5}}, "mock.seed"),
+        ({"mock": "x"}, "mock"),
+        ({"mock": {"behaviors": "x"}}, "mock.behaviors"),
+        ({"mock": {"behaviors": {"problem_scor": 0.9}}}, "problem_scor"),
+        ({"mock": {"behaviors": {"problem_score": "x"}}}, "problem_score"),
+        ({"mock": {"behaviors": {"problem_score": True}}}, "problem_score"),
+        ({"mock": {"behaviors": {"problem_score_by_kind": {"one_hop": "x"}}}},
+         "problem_score_by_kind"),
+        ({"mock": {"behaviors": {"problem_score_by_model": []}}}, "problem_score_by_model"),
+        ({"mock": {"behaviors": {"quality_flags": 5}}}, "quality_flags"),
+        ({"mock": {"behaviors": {"quality_flags": {"Alpha": 1}}}}, "quality_flags"),
+        ({"mock": {"behaviors": {"synonym_yes": [["a", "b", "c"]]}}}, "synonym_yes"),
+        ({"mock": {"behaviors": {"synonym_yes": [["a", 2]]}}}, "synonym_yes"),
+        ({"mock": {"behaviors": {"representative_picks": [{"members": ["a"]}]}}},
+         "representative_picks"),
+        ({"mock": {"behaviors": {"representative_picks": [{"members": "a", "pick": "a"}]}}},
+         "representative_picks"),
+        ({"mock": {"behaviors": {"solution_vote": 0.5}}}, "solution_vote"),
+        ({"mock": {"behaviors": {"solution_vote_by_model": {"m": "YES"}}}},
+         "solution_vote_by_model"),
+        ({"mock": {"behaviors": {"difficulty": 3}}}, "difficulty"),
+        ({"mock": {"behaviors": {"embedding_overrides": {"x": "1,0"}}}}, "embedding_overrides"),
+        ({"mock": {"behaviors": {"embedding_overrides": {"x": [1, "0"]}}}},
+         "embedding_overrides"),
+        ({"mock": {"behaviors": {"garbage_prompt_substrings": "GARBLE"}}},
+         "garbage_prompt_substrings"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
             parse_config({"run_dir": "r", "seed_corpus": "c", **settings})
+
+    def test_every_mock_behavior_key_parses(self):
+        behaviors = {
+            "quality_flags": {" Alpha  ": "vague"},
+            "synonym_yes": [["Gamma", "Delta "]],
+            "representative_picks": [{"members": ["Alpha", "Beta"], "pick": "Beta"}],
+            "problem_score": 1,
+            "problem_score_by_kind": {"one_hop": 0.9},
+            "problem_score_by_model": {"mock-judge-a": 0.5},
+            "solution_vote": None,
+            "solution_vote_by_model": {"mock-judge-b": 0},
+            "difficulty": "high",
+            "embedding_overrides": {"Alpha": [1, 0.5]},
+            "garbage_prompt_substrings": ["GARBLE"],
+        }
+        config = parse_config({"run_dir": "r", "seed_corpus": "c",
+                               "mock": {"behaviors": behaviors}})
+        parsed = config.mock_behaviors
+        assert parsed.quality_flags == {"Alpha": "vague"}
+        assert parsed.synonym_yes == {frozenset(("Gamma", "Delta"))}
+        assert parsed.representative_picks == {frozenset(("Alpha", "Beta")): "Beta"}
+        assert (parsed.problem_score, parsed.solution_vote, parsed.difficulty) == (1, None, "high")
+        assert parsed.embedding_overrides == {"Alpha": [1, 0.5]}
+        assert parsed.garbage_prompt_substrings == ["GARBLE"]
+        assert parsed.solution_vote_by_model == {"mock-judge-b": 0}
+        assert config.raw["mock"]["behaviors"] == behaviors
 
     @pytest.mark.parametrize("override", [
         "max_in_flight=0", "random_seed=\"x\"", "analytics.similarity_bin_width=0",
