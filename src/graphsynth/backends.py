@@ -63,7 +63,21 @@ class RequestParams:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RequestParams":
-        return cls(**{k: rec[k] for k in rec if k in cls.__dataclass_fields__})
+        """Parse ``request_params``. An unknown key, or a value that is not a
+        number (an integer where the default is one), raises
+        ConfigurationError."""
+        if not isinstance(rec, dict):
+            raise ConfigurationError("request_params must be an object")
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(rec) - set(fields))
+        if unknown:
+            raise ConfigurationError(f"unknown request_params keys: {unknown}")
+        for key, value in rec.items():
+            integral = is_int(fields[key].default)
+            if not (is_int(value) if integral else is_number(value)):
+                expected = "an integer" if integral else "a number"
+                raise ConfigurationError(f"request_params.{key} must be {expected}")
+        return cls(**rec)
 
 
 @dataclass
@@ -89,7 +103,8 @@ class BackendDescriptor:
                 "exactly for role 'judge'"
             )
         if self.judge_weight is not None:
-            if not math.isfinite(self.judge_weight) or self.judge_weight < 0:
+            if not (is_number(self.judge_weight) and math.isfinite(self.judge_weight)
+                    and self.judge_weight >= 0):
                 raise ConfigurationError(
                     f"backend {self.backend_id!r}: judge_weight must be a finite "
                     "nonnegative number"

@@ -227,9 +227,13 @@ def pairwise_similarity(
     whose band is ``same`` or ``judge_checked``. Every pair left out is
     distinct. Each pair is ordered by concept id and the list is sorted by
     pair. Memory is one block plus the returned pairs, not K(K-1)/2 verdicts.
+    Only the kept cosines are clipped to [-1, 1]; for a threshold in [0, 1]
+    the clip cannot move a cosine across it, so both must lie there.
     """
     if len(concepts) < 2:
         raise ValidationError("pairwise_similarity requires at least two concepts")
+    if not (0.0 <= same_threshold <= 1.0 and 0.0 <= judge_threshold <= 1.0):
+        raise ValidationError("pairwise_similarity thresholds must lie within [0, 1]")
     texts = [canonicalize(c.text) for c in concepts]
     order = sorted(range(len(concepts)), key=lambda i: concepts[i].id)
     ids = [concepts[i].id for i in order]
@@ -239,12 +243,12 @@ def pairwise_similarity(
     floor = min(same_threshold, judge_threshold)
     verdicts = []
     for start in range(0, len(ids), SIMILARITY_BLOCK_ROWS):
-        block = np.clip(vectors[start:start + SIMILARITY_BLOCK_ROWS] @ vectors[start:].T,
-                        -1.0, 1.0)
+        block = vectors[start:start + SIMILARITY_BLOCK_ROWS] @ vectors[start:].T
         rows, cols = np.nonzero(block >= floor)
         upper = cols > rows
         rows, cols = rows[upper], cols[upper]
-        for r, c, cosine in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+        cosines = np.clip(block[rows, cols], -1.0, 1.0)
+        for r, c, cosine in zip(rows.tolist(), cols.tolist(), cosines.tolist()):
             verdicts.append(
                 SimilarityVerdict(
                     pair=(ids[start + r], ids[start + c]),

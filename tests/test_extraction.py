@@ -214,6 +214,25 @@ class TestPairwiseSimilarity:
         assert verdicts[0].cosine == pytest.approx(1.0, abs=1e-9)
         assert verdicts[0].band == "same"
 
+    def test_cosine_rounding_above_one_clipped(self, descriptors):
+        # [1, 1, 1] normalised has a dot product with itself of
+        # 1.0000000000000002; the kept verdict reads exactly 1.0.
+        behaviors = MockBehaviors(embedding_overrides={"alpha": [1.0, 1.0, 1.0],
+                                                       "beta": [1.0, 1.0, 1.0]})
+        client = client_with(behaviors)
+        vectors = client.embed(descriptors["embedder"], ["alpha", "beta"])
+        assert vectors[0] @ vectors[1] > 1.0
+        verdicts = pairwise_similarity([kc("alpha"), kc("beta")], descriptors["embedder"],
+                                       client)
+        assert [(v.cosine, v.band) for v in verdicts] == [(1.0, "same")]
+
+    @pytest.mark.parametrize("thresholds", [(1.01, 0.7), (0.9, -0.1), (-0.5, -0.5)])
+    def test_thresholds_outside_unit_interval_rejected(self, descriptors, mock_client,
+                                                        thresholds):
+        with pytest.raises(ValidationError, match="thresholds"):
+            pairwise_similarity([kc("alpha"), kc("beta")], descriptors["embedder"],
+                                mock_client, *thresholds)
+
     def test_engineered_borderline_cosine(self, descriptors):
         v = math.sqrt(1 - 0.805 ** 2)
         behaviors = MockBehaviors(embedding_overrides={

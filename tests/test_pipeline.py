@@ -811,6 +811,35 @@ class TestColdStart:
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "run" / "report.json").exists()
 
+    @staticmethod
+    def blas_probe(openblas_threads):
+        # A fresh interpreter imports graphsynth, then numpy, computes one
+        # product the size of a cosine block, and prints its thread count
+        # and OPENBLAS_NUM_THREADS.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc/self/task")
+        script = (
+            "import os\n"
+            "import graphsynth\n"
+            "import numpy as np\n"
+            "vectors = np.random.default_rng(0).standard_normal((600, 32))\n"
+            "vectors @ vectors.T\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        env = {k: v for k, v in src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_blas_pinned_to_one_thread(self):
+        assert self.blas_probe(None) == ["1", "1"]
+
+    def test_callers_blas_setting_kept(self):
+        assert self.blas_probe("2")[1] == "2"
+
 
 class TestRunLock:
     def test_live_lock_refused(self, tmp_path):
@@ -1063,10 +1092,31 @@ class TestConfigParsing:
          "embedding_overrides"),
         ({"mock": {"behaviors": {"garbage_prompt_substrings": "GARBLE"}}},
          "garbage_prompt_substrings"),
+        ({"judges": [{"endpoint": "mock", "judge_weight": "x"}]}, "judge_weight"),
+        ({"judges": [{"endpoint": "mock", "judge_weight": True}]}, "judge_weight"),
+        ({"backends": {"generator": {"endpoint": "mock", "request_params": "x"}}},
+         "request_params"),
+        ({"backends": {"generator": {"endpoint": "mock", "request_params": {"timeout_s": 5}}}},
+         "timeout_s"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"max_attempts": "x"}}}},
+         "max_attempts"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"max_attempts": 2.5}}}},
+         "max_attempts"),
+        ({"judges": [{"endpoint": "mock", "request_params": {"timeout": "5"}}]}, "timeout"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
             parse_config({"run_dir": "r", "seed_corpus": "c", **settings})
+
+    def test_request_params_parse(self):
+        params = {"temperature": 1, "max_output_tokens": 64, "max_attempts": 2,
+                  "backoff_base": 0.1, "backoff_factor": 3, "backoff_jitter": 0.0,
+                  "timeout": 5}
+        config = parse_config({"run_dir": "r", "seed_corpus": "c", "backends": {
+            "generator": {"endpoint": "mock", "request_params": params}}})
+        assert vars(config.backends["generator"].request_params) == params
 
     def test_every_mock_behavior_key_parses(self):
         behaviors = {
