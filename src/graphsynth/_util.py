@@ -1,5 +1,5 @@
-"""Small shared helpers: canonical text forms, content hashes, config value
-type checks, yes/no reply parsing, atomic writes."""
+"""Small shared helpers: canonical text forms, content and file hashes,
+config value type checks, yes/no reply parsing, atomic writes."""
 
 from __future__ import annotations
 
@@ -54,6 +54,31 @@ def content_hash(*parts: str) -> str:
     for part in parts:
         h.update(part.encode("utf-8"))
         h.update(b"\x1f")
+    return h.hexdigest()
+
+
+def file_sha256(path: str | Path | None) -> str | None:
+    """Hex sha256 of a file's bytes, read in 64 KiB chunks so a multi-GB
+    output never sits in memory; None when ``path`` is None or missing.
+
+    A directory hashes as the names and digests of its regular files, in
+    name order.
+    """
+    if path is None:
+        return None
+    path = Path(path)
+    h = hashlib.sha256()
+    if path.is_dir():
+        for child in sorted(p for p in path.iterdir() if p.is_file()):
+            h.update(f"{child.name}\0{file_sha256(child)}\n".encode("utf-8"))
+        return h.hexdigest()
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 

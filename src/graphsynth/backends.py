@@ -161,6 +161,12 @@ def _approx_tokens(text: str) -> int:
     return len(text.split())
 
 
+def _reported_or(usage: dict, key: str, estimate: Callable[[], int]) -> int:
+    """The token count a reply reports under ``key``; ``estimate()`` is
+    called only when the reply lacks it."""
+    return int(usage[key]) if key in usage else estimate()
+
+
 class BackendClient:
     """Shared, thread-safe client for all configured backends.
 
@@ -288,8 +294,8 @@ class BackendClient:
                 f"backend {descriptor.backend_id!r}: malformed completion response"
             ) from exc
         usage = data.get("usage") or {}
-        input_tokens = int(usage.get("prompt_tokens", _approx_tokens(prompt)))
-        output_tokens = int(usage.get("completion_tokens", _approx_tokens(output)))
+        input_tokens = _reported_or(usage, "prompt_tokens", lambda: _approx_tokens(prompt))
+        output_tokens = _reported_or(usage, "completion_tokens", lambda: _approx_tokens(output))
         if input_tokens < 0 or output_tokens < 0:
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: token counts must be nonnegative"
@@ -325,8 +331,8 @@ class BackendClient:
                 f"backend {descriptor.backend_id!r}: embedding with zero norm"
             )
         usage = data.get("usage") or {}
-        input_tokens = int(
-            usage.get("prompt_tokens", sum(_approx_tokens(t) for t in texts))
+        input_tokens = _reported_or(
+            usage, "prompt_tokens", lambda: sum(_approx_tokens(t) for t in texts)
         )
         self.usage.add(descriptor.backend_id, input_tokens, 0)
         return vectors / norms

@@ -10,12 +10,23 @@ included; the runner is the one place a task exception becomes a failed
 record. The engine sums a stage's ``usage`` stat over those records, cached
 or fresh, plus the stage's own ``stage_client``, so a resumed run reports
 the same totals as an uninterrupted one. The stage checkpoint is a header
-holding the config fingerprint the cached results were computed under,
-rewritten whenever the stage starts with work pending. The stage's final
-output file is rebuilt wholesale (atomically) from the cache. Interrupting
-a run at any point and resuming therefore lands on the same final bytes as
-an uninterrupted run, because every mock-backed computation is a pure
-function of its inputs.
+holding the config fingerprint and the input file digests the cached
+results were computed under, rewritten whenever the stage starts with work
+pending. The stage's final output file is rebuilt wholesale (atomically)
+from the cache. Interrupting a run at any point and resuming therefore
+lands on the same final bytes as an uninterrupted run, because every
+mock-backed computation is a pure function of its inputs.
+
+Each ``STAGES`` entry also names the files its stage reads and writes, by
+role. After a stage's body and stats are written, the engine writes
+``manifests/<stage>.json`` last: the config fingerprint and the sha256 of
+every input and output, keyed by role so that a copied run directory still
+matches. The manifest is deleted before the body runs, so only a finished
+stage has one. A stage that calls a backend is skipped while its manifest
+holds (same fingerprint and inputs, outputs unchanged), which is the
+verifying-trace rebuild check of Mokhov, Mitchell & Peyton Jones, "Build
+Systems à la Carte" (ICFP 2018). The graph stage calls no backend, so it
+always recomputes.
 
 A run directory is owned exclusively through a kernel ``flock`` on its
 ``.lock`` file, which the kernel drops when the holding process exits, so
@@ -28,12 +39,20 @@ import fcntl
 import json
 import logging
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
-from ._util import canonical_json, canonicalize, read_jsonl, write_atomic, write_jsonl_atomic
+from ._util import (
+    canonical_json,
+    canonicalize,
+    file_sha256,
+    read_jsonl,
+    write_atomic,
+    write_jsonl_atomic,
+)
 from .backends import BackendClient, MockServer, run_bounded, sum_usage
 from .config import RunConfig
 from .errors import ConfigurationError, ValidationError
@@ -74,14 +93,45 @@ FILES = {
 
 OUTPUT_FILES = tuple(FILES.values())
 
-# Every stage in run order, with the backend keys its body calls ("judges"
-# is the judge panel). Preflight checks these keys, ``run-all`` runs the
-# stages in this order, and the engine calls ``PipelineRun.cmd_<stage>``.
+
+@dataclass(frozen=True)
+class Stage:
+    """What one stage body uses: the backend keys it calls ("judges" is the
+    judge panel), and the roles of the files it reads and writes. A role is
+    a ``FILES`` key, ``stats.<stage>``, or one of the config's input paths
+    (``seed_corpus``, ``templates``, ``decontamination_reference``)."""
+
+    backends: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+# Every stage in run order. Preflight checks the backend keys, ``run-all``
+# runs the stages in this order, and the engine calls
+# ``PipelineRun.cmd_<stage>`` and hashes the files for the stage manifest.
 STAGES = {
-    "extract": ("extractor", "kb_judge", "embedder"),
-    "graph": (),
-    "synthesize": ("generator", "rater", "solver_small", "solver_large", "judges"),
-    "analyze": ("embedder", "extractor"),
+    "extract": Stage(
+        backends=("extractor", "kb_judge", "embedder"),
+        reads=("seed_corpus",),
+        writes=("concepts_raw", "concepts_filtered", "clusters", "knowledge_base",
+                "seeds_enriched", "stats.extract"),
+    ),
+    "graph": Stage(
+        backends=(),
+        reads=("seeds_enriched", "knowledge_base"),
+        writes=("graph_edges", "combinations", "stats.graph"),
+    ),
+    "synthesize": Stage(
+        backends=("generator", "rater", "solver_small", "solver_large", "judges"),
+        reads=("templates", "knowledge_base", "combinations"),
+        writes=("items", "stats.synthesize"),
+    ),
+    "analyze": Stage(
+        backends=("embedder", "extractor"),
+        reads=("seeds_enriched", "items", "knowledge_base", "decontamination_reference",
+               "stats.extract", "stats.graph", "stats.synthesize"),
+        writes=("report", "similarity_histogram"),
+    ),
 }
 
 
@@ -104,6 +154,9 @@ class RunPaths:
 
     def stats(self, stage: str) -> Path:
         return self.run_dir / "stats" / f"{stage}.json"
+
+    def manifest(self, stage: str) -> Path:
+        return self.run_dir / "manifests" / f"{stage}.json"
 
     def lock(self) -> Path:
         return self.run_dir / ".lock"
@@ -174,7 +227,21 @@ class PipelineRun:
     def _run_stage(self, stage: str) -> None:
         """Run one stage body with a fresh ``stage_client`` for its calls
         outside per-item tasks; write the counters it returns, plus the
-        stage's usage, to ``stats/<stage>.json``."""
+        stage's usage, to ``stats/<stage>.json``, then the stage manifest.
+
+        A stage that calls a backend is skipped while its manifest still
+        holds: same config fingerprint, same input digests, and outputs that
+        still hash as recorded. The graph stage calls none, so it always
+        recomputes.
+        """
+        spec = STAGES[stage]
+        fingerprint = self.config.fingerprint()
+        self._inputs = self._digests(spec.reads)
+        manifest_path = self.paths.manifest(stage)
+        if spec.backends and self._manifest_holds(stage, fingerprint):
+            logger.info("%s: skipped, its outputs match %s", stage, manifest_path)
+            return
+        manifest_path.unlink(missing_ok=True)
         self.stage_client = self.client.scoped()
         self._record_usage = sum_usage([])
         # Looked up at call time, so a wrapper installed on the class is used.
@@ -182,6 +249,44 @@ class PipelineRun:
         if counters is not None:
             counters["usage"] = sum_usage([self._record_usage, self.stage_client.usage.total()])
             write_atomic(self.paths.stats(stage), canonical_json(counters) + "\n")
+        manifest = {
+            "fingerprint": fingerprint,
+            "inputs": self._inputs,
+            "outputs": self._digests(spec.writes),
+        }
+        write_atomic(manifest_path, canonical_json(manifest) + "\n")
+
+    def _role_path(self, role: str) -> Path | None:
+        if role in FILES:
+            return self.paths.file(role)
+        if role.startswith("stats."):
+            return self.paths.stats(role.removeprefix("stats."))
+        reference = self.config.analytics_params.get("decontamination_reference")
+        return {
+            "seed_corpus": self.config.seed_corpus,
+            "templates": self.config.templates_dir,
+            "decontamination_reference": Path(reference) if reference else None,
+        }[role]
+
+    def _digests(self, roles: Iterable[str]) -> dict[str, str | None]:
+        """sha256 of each role's file, keyed by role so that a run directory
+        copied elsewhere keeps matching; None for a missing file."""
+        return {role: file_sha256(self._role_path(role)) for role in roles}
+
+    def _manifest_holds(self, stage: str, fingerprint: str) -> bool:
+        path = self.paths.manifest(stage)
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return False
+        except ValueError:
+            logger.warning("ignoring unreadable manifest %s", path)
+            return False
+        return (
+            manifest.get("fingerprint") == fingerprint
+            and manifest.get("inputs") == self._inputs
+            and manifest.get("outputs") == self._digests(STAGES[stage].writes)
+        )
 
     # -- checkpointed per-item execution --------------------------------------
 
@@ -202,15 +307,23 @@ class PipelineRun:
 
         The stage's results cache is its only progress record: an id with a
         complete line there is done and never runs again. The checkpoint is a
-        header naming the config fingerprint those results were computed
-        under; it is rewritten before the first append of each run with
-        pending work. A cache without a header cannot be trusted and is
-        discarded.
+        header naming the config fingerprint and the input file digests
+        those results were computed under; it is rewritten before the first
+        append of each run with pending work. A changed fingerprint refuses
+        the resume. A cache without a header, or one computed from other
+        input files, cannot be trusted and is discarded.
         """
         fingerprint = self.config.fingerprint()
         checkpoint_path = self.paths.checkpoint(stage)
         cache_path = self.paths.cache(stage)
         checkpoint = read_checkpoint(checkpoint_path)
+        # A header written before input digests were recorded has none, and
+        # is trusted as it was then.
+        if (checkpoint is not None and checkpoint.config_fingerprint == fingerprint
+                and checkpoint.inputs is not None and checkpoint.inputs != self._inputs):
+            logger.warning("%s: input files changed since its cache was written; "
+                           "discarding the cache", stage)
+            checkpoint = None
         results: dict[str, dict] = {}
         intact_bytes = 0
         if checkpoint is not None:
@@ -231,7 +344,8 @@ class PipelineRun:
                 handle.truncate(intact_bytes)
                 os.fsync(handle.fileno())
             write_checkpoint(
-                StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint),
+                StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint,
+                                inputs=self._inputs),
                 checkpoint_path,
             )
             committed = 0
@@ -788,10 +902,11 @@ def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None
         raise ConfigurationError(f"unknown stage {stage!r}")
     stages = list(STAGES) if stage == "run-all" else [stage]
     for name in stages:
-        missing = [key for key in STAGES[name] if key != "judges" and key not in config.backends]
+        backends = STAGES[name].backends
+        missing = [key for key in backends if key != "judges" and key not in config.backends]
         if missing:
             raise ConfigurationError(f"stage {name!r} needs backends for: {', '.join(missing)}")
-        if "judges" in STAGES[name] and not config.judges:
+        if "judges" in backends and not config.judges:
             raise ConfigurationError(f"stage {name!r} needs at least one judge")
     run = PipelineRun(config, client=client)
     run.paths.run_dir.mkdir(parents=True, exist_ok=True)

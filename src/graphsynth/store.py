@@ -5,8 +5,9 @@ Everything on disk is line-delimited JSON (one entity per line) so stages can
 stream large corpora instead of loading them whole. Records without an id get
 a content-addressed one, which keeps deduplication stable across runs.
 
-A stage checkpoint on disk is a header: the stage name and the fingerprint of
-the configuration its cached results were computed under. It is written
+A stage checkpoint on disk is a header: the stage name, the fingerprint of
+the configuration its cached results were computed under and the digests of
+the input files they were computed from. It is written
 atomically whenever a stage starts with work pending; which items are done is
 read from the stage's append-only results cache, not from the checkpoint.
 """
@@ -247,8 +248,9 @@ class SynthesizedItem:
 
 @dataclass
 class StageCheckpoint:
-    """Header of one pipeline stage's results cache: the stage name and the
-    fingerprint of the configuration the cached results were computed under.
+    """Header of one pipeline stage's results cache: the stage name, the
+    fingerprint of the configuration the cached results were computed under,
+    and the sha256 of each input file the stage read, by role.
 
     Which items are done is read from the cache, never from here; a
     list of done ids left by older versions is ignored.
@@ -256,9 +258,14 @@ class StageCheckpoint:
 
     stage_name: str
     config_fingerprint: str = ""
+    inputs: dict[str, str | None] | None = None
 
     def to_record(self) -> dict:
-        return {"stage_name": self.stage_name, "config_fingerprint": self.config_fingerprint}
+        return {
+            "stage_name": self.stage_name,
+            "config_fingerprint": self.config_fingerprint,
+            "inputs": self.inputs,
+        }
 
     @classmethod
     def from_record(cls, rec: dict) -> "StageCheckpoint":
@@ -267,6 +274,7 @@ class StageCheckpoint:
         return cls(
             stage_name=rec["stage_name"],
             config_fingerprint=rec.get("config_fingerprint", ""),
+            inputs=rec.get("inputs"),
         )
 
 

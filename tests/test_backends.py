@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wire_usage
+from graphsynth import backends
 from graphsynth.backends import (
     BackendClient,
     BackendDescriptor,
@@ -140,6 +141,42 @@ class TestMockCompletion:
         assert totals["output_tokens"] == sum(u["completion_tokens"] for u in wire)
         assert totals["calls"] == 5
         assert all(min(u.values()) >= 0 for u in wire)
+
+    @pytest.mark.parametrize("reported", [True, False], ids=["reported", "missing"])
+    def test_word_count_estimate_only_when_the_reply_lacks_counts(self, monkeypatch, reported):
+        class CountsMock(MockServer):
+            def chat_completion(self, request):
+                reply = {"choices": [{"message": {"content": "a four word reply"}}]}
+                if reported:
+                    reply["usage"] = {"prompt_tokens": 3, "completion_tokens": 2}
+                return reply
+
+            def embeddings(self, request):
+                reply = {"data": [{"index": i, "embedding": [1.0, 0.0]}
+                                  for i in range(len(request["input"]))]}
+                if reported:
+                    reply["usage"] = {"prompt_tokens": 5}
+                return reply
+
+        estimated = []
+        real_estimate = backends._approx_tokens
+        monkeypatch.setattr(backends, "_approx_tokens",
+                            lambda text: estimated.append(text) or real_estimate(text))
+        client = BackendClient(mock=CountsMock())
+        client.complete(BackendDescriptor("g", "generator", "mock", "m"), "two words")
+        client.embed(BackendDescriptor("e", "embedder", "mock", "m"), ["x y", "z"])
+        if reported:
+            assert estimated == []
+            assert client.usage.totals() == {
+                "g": {"input_tokens": 3, "output_tokens": 2, "calls": 1},
+                "e": {"input_tokens": 5, "output_tokens": 0, "calls": 1},
+            }
+        else:
+            assert estimated == ["two words", "a four word reply", "x y", "z"]
+            assert client.usage.totals() == {
+                "g": {"input_tokens": 2, "output_tokens": 4, "calls": 1},
+                "e": {"input_tokens": 3, "output_tokens": 0, "calls": 1},
+            }
 
 
 class TestLiveHttp:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import fcntl
 import json
+import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -24,6 +26,7 @@ from graphsynth.errors import CheckpointError, ConfigurationError, ValidationErr
 from graphsynth.pipeline import (
     FAULT_ABORT_ENV,
     OUTPUT_FILES,
+    STAGES,
     PipelineRun,
     RunLock,
     _read_cache_tolerant,
@@ -729,6 +732,170 @@ class TestDeterminismAndResume:
             assert proc.returncode == 0, proc.stderr
             dirs.append(Path(config_dict["run_dir"]))
         assert read_outputs(dirs[0]) == read_outputs(dirs[1])
+
+
+class NonceMock(MockServer):
+    """Answers that differ from one instance to the next, as a backend
+    sampling at a temperature above 0 would: the nonce goes into every
+    seeded draw. Its 2-d embeddings put many concept pairs in the same or
+    the judge band, so a recomputed extract tail would merge other concepts.
+    Counts the requests sent to each model."""
+
+    def __init__(self, *args, nonce: int, **kwargs):
+        super().__init__(*args, embedding_dim=2, **kwargs)
+        self.seed = f"{self.seed}:nonce-{nonce}"
+        self.requests = Counter()
+        self._lock = threading.Lock()
+
+    def chat_completion(self, request):
+        with self._lock:
+            self.requests[request["model"]] += 1
+        return super().chat_completion(request)
+
+    def embeddings(self, request):
+        with self._lock:
+            self.requests[request["model"]] += 1
+        return super().embeddings(request)
+
+
+def skipped_stages(caplog) -> list[str]:
+    return [r.getMessage().split(":")[0] for r in caplog.records
+            if "skipped, its outputs match" in r.getMessage()]
+
+
+class TestStageManifests:
+    EXTRACT_OUTPUTS = ("knowledge_base.jsonl", "clusters.jsonl", "seeds_enriched.jsonl",
+                       "stats/extract.json")
+
+    def test_resume_in_evaluate_never_recomputes_extract(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        config = load_config(write_config(tmp_path / "run.json", base_config(tmp_path, corpus)))
+
+        def nonce_mock(nonce: int) -> NonceMock:
+            return NonceMock(seed=config.mock_seed, behaviors=config.mock_behaviors, nonce=nonce)
+
+        run_stage(config, "extract", client=BackendClient(mock=nonce_mock(1)))
+        run_stage(config, "graph")
+        combos = json.loads((config.run_dir / "stats" / "graph.json").read_text())["sampled_total"]
+        # Every generate item, then one evaluate item.
+        monkeypatch.setenv(FAULT_ABORT_ENV, str(combos + 1))
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(config, "synthesize", client=BackendClient(mock=nonce_mock(2)))
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        before = {name: (config.run_dir / name).read_bytes() for name in self.EXTRACT_OUTPUTS}
+
+        mock = nonce_mock(3)
+        for stage in ("extract", "graph", "synthesize"):
+            run_stage(config, stage, client=BackendClient(mock=mock))
+        after = {name: (config.run_dir / name).read_bytes() for name in self.EXTRACT_OUTPUTS}
+        assert after == before
+        assert mock.requests["mock-embedder"] == mock.requests["mock-kb_judge"] == 0
+        assert mock.requests["mock-judge-a"] > 0  # the pending evaluate items ran
+        assert len(load_items(config.run_dir / "items.jsonl")) > 1
+
+    def test_manifests_name_no_path_and_a_copied_run_skips(self, tmp_path, caplog):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        run_dirs = []
+        for name in ("run-a", "run-b"):
+            config = load_config(write_config(
+                tmp_path / f"{name}.json", base_config(tmp_path, corpus, run_name=name)))
+            run_stage(config, "run-all")
+            run_dirs.append(config.run_dir)
+        manifests = [
+            {path.name: path.read_bytes() for path in (run_dir / "manifests").iterdir()}
+            for run_dir in run_dirs
+        ]
+        assert sorted(manifests[0]) == [f"{stage}.json" for stage in sorted(STAGES)]
+        assert manifests[0] == manifests[1]
+
+        copied = tmp_path / "copied"
+        shutil.copytree(run_dirs[0], copied)
+        config = load_config(write_config(
+            tmp_path / "copied.json", base_config(tmp_path, corpus, run_name="copied")))
+        mock = RequestCountingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        with caplog.at_level(logging.INFO, logger="graphsynth.pipeline"):
+            run_stage(config, "run-all", client=BackendClient(mock=mock))
+        assert skipped_stages(caplog) == ["extract", "synthesize", "analyze"]
+        assert str(copied / "manifests" / "extract.json") in caplog.text
+        assert mock.requests == 0
+        assert read_outputs(copied) == read_outputs(run_dirs[0])
+
+    @pytest.mark.parametrize("change", ["edit-output", "edit-seed-line", "delete-manifest"])
+    def test_changed_stage_reruns_to_a_fresh_runs_bytes(self, tmp_path, caplog, change):
+        seeds = toy_corpus_seeds(8, 1, 3)
+        corpus = write_corpus(tmp_path / "corpus.jsonl", seeds)
+        config = load_config(write_config(tmp_path / "run.json", base_config(tmp_path, corpus)))
+        run_stage(config, "run-all")
+        if change == "edit-output":
+            kb = config.run_dir / "knowledge_base.jsonl"
+            kb.write_text(kb.read_text().replace("Concept 03", "Concept 3"))
+        elif change == "edit-seed-line":
+            seeds[3] = dict(seeds[3], question=seeds[3]["question"] + " Also use [Concept 42].")
+            write_corpus(corpus, seeds)
+        else:
+            (config.run_dir / "manifests" / "extract.json").unlink()
+
+        with caplog.at_level(logging.INFO, logger="graphsynth.pipeline"):
+            run_stage(config, "run-all")
+        # Extract's outputs do not change unless its input does, so the
+        # stages after it stay skipped.
+        assert skipped_stages(caplog) == (
+            [] if change == "edit-seed-line" else ["synthesize", "analyze"])
+        fresh = load_config(write_config(
+            tmp_path / "fresh.json", base_config(tmp_path, corpus, run_name="fresh")))
+        run_stage(fresh, "run-all")
+        assert read_outputs(config.run_dir) == read_outputs(fresh.run_dir)
+        if change == "edit-seed-line":
+            kb = {c.text for c in load_concepts(config.run_dir / "knowledge_base.jsonl")}
+            assert "Concept 42" in kb
+
+    def test_changed_random_seed_after_finished_extract_refused(self, tmp_path, monkeypatch):
+        config_path, config_dict = make_run(tmp_path, seeds=toy_corpus_seeds(8, 1, 3))
+        config = load_config(config_path)
+        run_stage(config, "extract")
+        run_stage(config, "graph")
+        monkeypatch.setenv(FAULT_ABORT_ENV, "3")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(config, "synthesize")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        config_dict["random_seed"] = 99
+        write_config(config_path, config_dict)
+        with pytest.raises(CheckpointError, match="restart"):
+            run_stage(load_config(config_path), "run-all")
+
+    def test_header_without_input_digests_keeps_its_cache(self, tmp_path, monkeypatch):
+        # Headers written before input digests were recorded are trusted.
+        seeds = toy_corpus_seeds(8, 1, 3)
+        config_path, config_dict = make_run(tmp_path, seeds=seeds, max_in_flight=1)
+        monkeypatch.setenv(FAULT_ABORT_ENV, "4")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(load_config(config_path), "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        run_dir = Path(config_dict["run_dir"])
+        checkpoint = run_dir / "checkpoints" / "extract.concepts.json"
+        header = json.loads(checkpoint.read_text())
+        checkpoint.write_text(json.dumps({k: v for k, v in header.items() if k != "inputs"}))
+        done = cached_ids(run_dir / "cache" / "extract.concepts.jsonl")
+
+        config = load_config(config_path)
+        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        asked = {s["id"] for s in seeds for p in mock.prompts
+                 if p.startswith("TASK: extract-concepts") and s["question"] in p}
+        assert asked == {s["id"] for s in seeds} - done
+        assert json.loads(checkpoint.read_text()) == header
+
+    def test_verbose_cli_names_the_skipped_stage(self, tmp_path):
+        config_path, config_dict = make_run(tmp_path)
+        command = [sys.executable, "-m", "graphsynth.cli", "-v", "extract",
+                   "--config", str(config_path)]
+        first = subprocess.run(command, capture_output=True, text=True, env=src_env(), timeout=120)
+        second = subprocess.run(command, capture_output=True, text=True, env=src_env(), timeout=120)
+        assert first.returncode == second.returncode == 0
+        manifest = Path(config_dict["run_dir"]) / "manifests" / "extract.json"
+        line = f"INFO graphsynth.pipeline: extract: skipped, its outputs match {manifest}"
+        assert line not in first.stderr
+        assert line in second.stderr.splitlines()
 
 
 class TestWireProtocolEquivalence:

@@ -16,9 +16,11 @@ for a missing file).
 
 A workload with an abort point (crash-resume) is first run uninterrupted,
 to count its work items, then aborted by the fault-injection hook once that
-share of ``synthesize.evaluate`` has committed, as perfbench does, and then
-resumed. Its digests are the resumed run's; the exit code is 1 if they
-differ from the uninterrupted run's.
+share of ``synthesize.evaluate`` has committed. As perfbench does, the
+aborted run directory is copied to a new path and resumed there, so a
+resume that depends on where its run directory lives shows up here. Its
+digests are the resumed run's; the exit code is 1 if they differ from the
+uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -91,10 +94,11 @@ def workload_digests(name: str, seed: int, work: Path) -> tuple[dict, bool]:
     run_all(run_config(w, seed, corpus_path, reference, full))
     if w.abort_at_evaluate_frac is None:
         return digests(full), True
-    resumed = work / "resumed"
-    config = run_config(w, seed, corpus_path, reference, resumed)
-    run_all(config, abort_after=abort_point(full, w.abort_at_evaluate_frac))
-    run_all(config)
+    aborted, resumed = work / "aborted", work / "resumed"
+    run_all(run_config(w, seed, corpus_path, reference, aborted),
+            abort_after=abort_point(full, w.abort_at_evaluate_frac))
+    shutil.copytree(aborted, resumed)
+    run_all(run_config(w, seed, corpus_path, reference, resumed))
     final = digests(resumed)
     return final, final == digests(full)
 
