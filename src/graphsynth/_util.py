@@ -1,5 +1,6 @@
 """Small shared helpers: canonical text forms, content and file hashes,
-config value type checks, yes/no reply parsing, atomic writes."""
+config value type checks, yes/no reply parsing, atomic writes, JSONL
+reads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import CorpusError
 
@@ -96,7 +97,8 @@ def write_atomic(path: str | Path, data: str) -> None:
     """Write a file atomically: temp file in the same directory, then rename.
 
     Readers observe either the old content or the new content, never a
-    partial write.
+    partial write. The directory is fsynced after the rename, so the new
+    name survives a power loss once this returns.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -113,6 +115,11 @@ def write_atomic(path: str | Path, data: str) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def write_jsonl_atomic(path: str | Path, records: list[dict]) -> None:
@@ -121,17 +128,18 @@ def write_jsonl_atomic(path: str | Path, records: list[dict]) -> None:
     write_atomic(path, body)
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """Read a JSONL file, returning (1-based line number, parsed object) pairs.
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, parsed object) pairs of a JSONL file, one
+    line at a time, so a caller that folds them holds one record at once.
 
     Blank lines are skipped. Raises CorpusError naming the path when the
-    file does not exist, and the path and line on bad JSON.
+    file does not exist (on the first ``next``), and the path and line on
+    bad JSON.
     """
     try:
         handle = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise CorpusError(f"{path} does not exist") from None
-    out: list[tuple[int, dict]] = []
     with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -140,5 +148,9 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}", lineno) from exc
-            out.append((lineno, obj))
-    return out
+            yield lineno, obj
+
+
+def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """Every (line number, object) pair of :func:`iter_jsonl`, as a list."""
+    return list(iter_jsonl(path))

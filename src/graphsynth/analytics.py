@@ -10,14 +10,20 @@ Conventions worth knowing:
   the reference", which is directional.
 * Adherence matching defaults to canonicalized string equality; matching by
   embedding cosine is opt-in because it changes the metric.
+
+Similarity, novelty and n-gram overlap are each an accumulator fed one item
+at a time (``SeedSimilarity``, ``NoveltyCounter``, ``NgramOverlap``), so the
+analyze stage reads the items once and keeps no item, embedding or n-gram
+object. ``similarity_distribution``, ``novelty_rate`` and ``ngram_overlap``
+feed a whole corpus to one and report.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +37,7 @@ logger = logging.getLogger(__name__)
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_NGRAM_SIZES = (8, 10, 13, 15)
 EMBED_BATCH_SIZE = 128
-# Synthesized rows per block of the item x seed cosine matrix, so memory
+# Most synthesized rows per block of the item x seed cosine matrix, so memory
 # stays bounded by the seed count rather than the item count.
 SIMILARITY_BLOCK_ROWS = 4096
 
@@ -111,6 +117,69 @@ def expansion_ratio(n_synth: int, n_seed: int) -> float:
     return n_synth / n_seed
 
 
+class SeedSimilarity:
+    """Max-cosine-to-seed distribution, folded over a stream of texts.
+
+    :meth:`add` buffers texts and embeds them ``EMBED_BATCH_SIZE`` at a
+    time. The seeds are embedded on the first flush, so a stream with no
+    text makes no request. Each embedded chunk is folded into the histogram
+    counts and into a running sum of its row maxima (built-in ``sum``,
+    started from the total so far), so the mean is one left-to-right float
+    sum over every item, in item order. No embedding outlives its chunk.
+    """
+
+    def __init__(
+        self,
+        seed_texts: Sequence[str],
+        embedder: BackendDescriptor,
+        client: BackendClient,
+        bin_width: float = HISTOGRAM_BIN_WIDTH,
+    ):
+        self._seed_texts = seed_texts
+        self._embedder = embedder
+        self._client = client
+        self._seed_vecs: np.ndarray | None = None
+        self._pending: list[str] = []
+        self._edges = np.asarray(_bin_edges(bin_width))
+        self._counts = np.zeros(len(self._edges) - 1, dtype=np.int64)
+        self._total = 0.0
+        self._count = 0
+
+    def add(self, text: str) -> None:
+        self._pending.append(text)
+        if len(self._pending) == EMBED_BATCH_SIZE:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        if self._seed_vecs is None:
+            self._seed_vecs = _embed_batched(self._client, self._embedder, self._seed_texts)
+        self._fold(self._client.embed(self._embedder, self._pending))
+        self._pending = []
+
+    def _fold(self, vectors: np.ndarray) -> None:
+        """Fold embedded rows in, ``SIMILARITY_BLOCK_ROWS`` at a time."""
+        for start in range(0, len(vectors), SIMILARITY_BLOCK_ROWS):
+            block = vectors[start:start + SIMILARITY_BLOCK_ROWS] @ self._seed_vecs.T
+            row_max = np.clip(block.max(axis=1), -1.0, 1.0)
+            counts, _ = np.histogram(np.clip(row_max, 0.0, 1.0), bins=self._edges)
+            self._counts += counts
+            self._total = sum(row_max.tolist(), self._total)
+            self._count += len(row_max)
+
+    def report(self) -> SimilarityReport:
+        self._flush()
+        if self._count == 0:
+            raise ValidationError("similarity_distribution needs nonempty corpora")
+        return SimilarityReport(
+            mean_max_cosine=self._total / self._count,
+            bin_edges=[float(e) for e in self._edges],
+            histogram=[int(c) for c in self._counts],
+            cdf=[float(x) for x in np.cumsum(self._counts) / self._count],
+        )
+
+
 def similarity_distribution(
     synth_texts: Sequence[str],
     seed_texts: Sequence[str],
@@ -122,26 +191,13 @@ def similarity_distribution(
     (a left-to-right float sum over the items, divided by the count), a
     fixed-width histogram over [0, 1] and its CDF (one cumulative fraction
     per upper bin edge). Scores are clipped into [0, 1] for binning so counts
-    always sum to the item count. The cosines are taken
-    ``SIMILARITY_BLOCK_ROWS`` synthesized rows at a time."""
+    always sum to the item count. See :class:`SeedSimilarity`."""
     if not synth_texts or not seed_texts:
         raise ValidationError("similarity_distribution needs nonempty corpora")
-    synth_vecs = _embed_batched(client, embedder, synth_texts)
-    seed_vecs = _embed_batched(client, embedder, seed_texts)
-    row_max = [
-        (synth_vecs[start:start + SIMILARITY_BLOCK_ROWS] @ seed_vecs.T).max(axis=1)
-        for start in range(0, len(synth_vecs), SIMILARITY_BLOCK_ROWS)
-    ]
-    per_item = np.clip(np.concatenate(row_max), -1.0, 1.0)
-    edges = np.asarray(_bin_edges(bin_width))
-    counts, _ = np.histogram(np.clip(per_item, 0.0, 1.0), bins=edges)
-    cdf = np.cumsum(counts) / len(per_item)
-    return SimilarityReport(
-        mean_max_cosine=sum(per_item.tolist()) / len(per_item),
-        bin_edges=[float(e) for e in edges],
-        histogram=[int(c) for c in counts],
-        cdf=[float(x) for x in cdf],
-    )
+    similarity = SeedSimilarity(seed_texts, embedder, client, bin_width=bin_width)
+    for text in synth_texts:
+        similarity.add(text)
+    return similarity.report()
 
 
 def _bin_edges(bin_width: float) -> list[float]:
@@ -168,31 +224,43 @@ def _embed_batched(
     return np.vstack(chunks)
 
 
+class NoveltyCounter:
+    """Counts the concept sets that appear in no seed example.
+
+    Counts what :func:`graph.is_novel` would for each set, through an
+    inverted index built once (concept id -> positions of the seeds holding
+    it): a set is covered by a seed iff the posting lists of its concepts
+    intersect. Empty sets are not novel.
+    """
+
+    def __init__(self, seed_concept_sets: Iterable[Iterable[str]]):
+        self._postings: dict[str, set[int]] = {}
+        for pos, concepts in enumerate(seed_concept_sets):
+            for cid in concepts:
+                self._postings.setdefault(cid, set()).add(pos)
+        self.count = 0
+        self._novel = 0
+
+    def add(self, concept_ids: Iterable[str]) -> None:
+        self.count += 1
+        lists = sorted((self._postings.get(cid, set()) for cid in set(concept_ids)), key=len)
+        if lists and not lists[0].intersection(*lists[1:]):
+            self._novel += 1
+
+    def rate(self) -> float:
+        return self._novel / self.count if self.count else 0.0
+
+
 def novelty_rate(
     combinations: Sequence[ConceptCombination],
     seed_concept_sets: Sequence[Iterable[str]],
 ) -> float:
-    """Fraction of items whose concept set appears in no seed example.
-
-    Counts what :func:`graph.is_novel` would for each item, through an
-    inverted index built once (concept id -> positions of the seeds holding
-    it): an item is covered by a seed iff the posting lists of its concepts
-    intersect. Empty combinations are not novel.
-    """
-    if not combinations:
-        return 0.0
-    postings: dict[str, set[int]] = {}
-    for pos, concepts in enumerate(seed_concept_sets):
-        for cid in concepts:
-            postings.setdefault(cid, set()).add(pos)
-    novel = 0
+    """Fraction of items whose concept set appears in no seed example (see
+    :class:`NoveltyCounter`); 0.0 for no items."""
+    counter = NoveltyCounter(seed_concept_sets)
     for combo in combinations:
-        if not combo.concept_ids:
-            continue
-        lists = sorted((postings.get(cid, set()) for cid in set(combo.concept_ids)), key=len)
-        if not lists[0].intersection(*lists[1:]):
-            novel += 1
-    return novel / len(combinations)
+        counter.add(combo.concept_ids)
+    return counter.rate()
 
 
 def cost_report(
@@ -234,8 +302,139 @@ def normalize_for_ngrams(text: str) -> str:
     return " ".join(text.lower().translate(_KEEP_ALNUM_SPACE).split())
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
-    return zip(*(tokens[i:] for i in range(n)))
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _member(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` that ``sorted_values`` holds."""
+    idx = np.searchsorted(sorted_values, values)
+    found = idx < len(sorted_values)
+    found[found] = sorted_values[idx[found]] == values[found]
+    return found
+
+
+def _rank(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Name each position's (first, second) pair by its rank among the
+    distinct pairs, so equal pairs, and only they, get equal names."""
+    key = first.astype(np.int64) * (int(second.max(initial=0)) + 1) + second
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    names = np.empty(len(key), dtype=np.int32)
+    names[order] = np.cumsum(new, dtype=np.int32) - 1
+    return names
+
+
+def _shifted(names: np.ndarray, k: int) -> np.ndarray:
+    """``names`` moved ``k`` places left, padded with zeros."""
+    out = np.zeros_like(names)
+    out[:len(names) - k] = names[k:]
+    return out
+
+
+def _gram_names(ids: np.ndarray, ns: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """For each n, ascending, a name for the n ids starting at every
+    position: two windows get equal names iff they hold equal ids (a window
+    running past the end gets some name). This is Karp, Miller & Rosenberg's
+    doubling (STOC 1972): a window of 2p ids is named by the names of its
+    halves, and one of n ids, p < n < 2p, by those of its first and last p
+    ids. Only the current power-of-two level is kept."""
+    names, p = ids, 1
+    for n in sorted(ns):
+        while 2 * p <= n:
+            names, p = _rank(names, _shifted(names, p)), 2 * p
+        yield n, names if n == p else _rank(names, _shifted(names, n - p))
+
+
+class _Vocabulary(dict):
+    """Word -> id, numbering each word on first sight."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = index = len(self)
+        return index
+
+
+class NgramOverlap:
+    """Distinct-n-gram overlap of a stream of texts against a reference.
+
+    Each text is kept only as its int32 token ids (one id per distinct
+    word), 4 bytes a token, plus its length. :meth:`report` names every
+    window of n ids by :func:`_gram_names`, so distinct n-grams are counted
+    exactly on integer names, and the only strings it builds are those of
+    ``top_overlapping``.
+    """
+
+    def __init__(
+        self,
+        reference_texts: Iterable[str],
+        ns: Sequence[int] = DEFAULT_NGRAM_SIZES,
+        top_k: int = 5,
+    ):
+        if not ns:
+            raise ValidationError("ngram_overlap needs at least one n")
+        if any(n < 1 for n in ns):
+            raise ValidationError("every n must be >= 1")
+        self._ns = sorted(set(ns))
+        self._top_k = top_k
+        self._vocab = _Vocabulary()
+        self._ids = array("i")
+        self._lengths = array("i")
+        for text in reference_texts:
+            self.add(text)
+        self._reference_tokens = len(self._ids)
+
+    def add(self, text: str) -> None:
+        words = normalize_for_ngrams(text).split()
+        self._ids.extend(map(self._vocab.__getitem__, words))
+        self._lengths.append(len(words))
+
+    def report(self) -> DecontaminationReport:
+        """Overlap fraction per n, with the synthesized side's distinct
+        n-grams as the denominator; None for an n at which the synthesized
+        texts have no n-gram. ``top_overlapping`` lists the shared n-grams
+        with the highest synthesized-side frequency at the smallest n."""
+        ids = np.array(self._ids, dtype=np.int32)
+        lengths = np.array(self._lengths, dtype=np.int32)
+        position = np.arange(len(ids), dtype=np.int32)
+        # Tokens from each position to the end of its text.
+        room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - position
+        synthesized = position >= self._reference_tokens
+        del position
+        per_n: dict[int, float | None] = {}
+        top: list[tuple[str, int]] = []
+        for n, names in _gram_names(ids, self._ns):
+            fits = room >= n
+            synth = _distinct(names[fits & synthesized])
+            if not len(synth):
+                per_n[n] = None
+                continue
+            shared = synth[_member(synth, _distinct(names[fits & ~synthesized]))]
+            per_n[n] = len(shared) / len(synth)
+            if n == self._ns[0] and len(shared):
+                top = self._top(ids, names, np.flatnonzero(fits & synthesized), shared, n)
+        return DecontaminationReport(per_n=per_n, top_overlapping=top)
+
+    def _top(
+        self, ids: np.ndarray, names: np.ndarray, positions: np.ndarray,
+        shared: np.ndarray, n: int,
+    ) -> list[tuple[str, int]]:
+        """The ``top_k`` shared n-grams by synthesized-side occurrences
+        (over the window ``positions``), ties broken by the word tuple."""
+        hit = _member(names[positions], shared)
+        slot = np.searchsorted(shared, names[positions[hit]])
+        counts = np.bincount(slot, minlength=len(shared)).tolist()
+        where = np.empty(len(shared), dtype=np.int64)
+        where[slot] = positions[hit]  # any occurrence: all hold the same ids
+        words = list(self._vocab)
+        grams = [tuple(words[i] for i in ids[p:p + n].tolist()) for p in where.tolist()]
+        ranked = sorted(range(len(shared)), key=lambda j: (-counts[j], grams[j]))
+        return [(" ".join(grams[j]), counts[j]) for j in ranked[:self._top_k]]
 
 
 def ngram_overlap(
@@ -244,49 +443,17 @@ def ngram_overlap(
     ns: Sequence[int] = DEFAULT_NGRAM_SIZES,
     top_k: int = 5,
 ) -> DecontaminationReport:
-    """Distinct-n-gram overlap fraction per n, synth side as denominator.
+    """Distinct-n-gram overlap fraction per n, synth side as denominator
+    (see :class:`NgramOverlap`).
 
     Texts shorter than n tokens contribute no n-grams. When the synthesized
     corpus yields zero n-grams for some n, that n is reported as undefined
-    (None), not as zero. ``top_overlapping`` lists the shared n-grams with
-    the highest synthesized-side frequency, computed at the smallest
-    requested n.
+    (None), not as zero.
     """
-    if not ns:
-        raise ValidationError("ngram_overlap needs at least one n")
-    if any(n < 1 for n in ns):
-        raise ValidationError("every n must be >= 1")
-    # One str object per distinct token: the n-gram tuples share them.
-    vocab: dict[str, str] = {}
-
-    def tokenize(text: str) -> list[str]:
-        words = normalize_for_ngrams(text).split()
-        return list(map(vocab.setdefault, words, words))
-
-    synth_tokens = [tokenize(t) for t in synth_texts]
-    ref_tokens = [tokenize(t) for t in reference_texts]
-    per_n: dict[int, float | None] = {}
-    top: list[tuple[str, int]] = []
-    for n in sorted(set(ns)):
-        synth_set: set[tuple[str, ...]] = set()
-        for tokens in synth_tokens:
-            synth_set.update(_ngrams(tokens, n))
-        ref_set: set[tuple[str, ...]] = set()
-        for tokens in ref_tokens:
-            ref_set.update(_ngrams(tokens, n))
-        if not synth_set:
-            per_n[n] = None
-            continue
-        shared = synth_set & ref_set
-        per_n[n] = len(shared) / len(synth_set)
-        if n == min(ns) and shared:
-            synth_counts = Counter(
-                gram for tokens in synth_tokens
-                for gram in _ngrams(tokens, n) if gram in shared
-            )
-            ranked = sorted(shared, key=lambda g: (-synth_counts[g], g))
-            top = [(" ".join(g), synth_counts[g]) for g in ranked[:top_k]]
-    return DecontaminationReport(per_n=per_n, top_overlapping=top)
+    overlap = NgramOverlap(reference_texts, ns=ns, top_k=top_k)
+    for text in synth_texts:
+        overlap.add(text)
+    return overlap.report()
 
 
 def adherence_report(

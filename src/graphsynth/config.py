@@ -190,6 +190,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError("graph.three_hop_min_weight must be a number")
 
     analytics = merged["analytics"]
+    unknown = sorted(set(analytics) - set(DEFAULTS["analytics"]))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown analytics key(s) {unknown}; expected some of {sorted(DEFAULTS['analytics'])}"
+        )
     if not (is_int(analytics["adherence_sample"]) and analytics["adherence_sample"] >= 0):
         raise ConfigurationError("analytics.adherence_sample must be an integer >= 0")
     ngram_sizes = analytics["ngram_sizes"]
@@ -197,8 +202,16 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             and all(is_int(n) and n >= 1 for n in ngram_sizes)):
         raise ConfigurationError("analytics.ngram_sizes must be a non-empty list of integers >= 1")
     tolerance = analytics["adherence_tolerance"]
-    if not (tolerance is None or is_number(tolerance)):
-        raise ConfigurationError("analytics.adherence_tolerance must be null or a number")
+    # NaN and the infinities fail the range test too.
+    if not (tolerance is None or (is_number(tolerance) and -1.0 <= tolerance <= 1.0)):
+        raise ConfigurationError(
+            "analytics.adherence_tolerance must be null or a finite number in [-1, 1]"
+        )
+    reference = analytics["decontamination_reference"]
+    if not (reference is None or (isinstance(reference, str) and reference)):
+        raise ConfigurationError(
+            "analytics.decontamination_reference must be null or a non-empty string"
+        )
     width = analytics["similarity_bin_width"]
     if not (is_number(width) and 0 < width <= 1):
         raise ConfigurationError("analytics.similarity_bin_width must be a number in (0, 1]")
@@ -252,9 +265,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     if merged.get("templates_dir"):
         merged["templates_dir"] = str(_resolve(str(merged["templates_dir"])))
-    reference = merged["analytics"].get("decontamination_reference")
     if reference:
-        merged["analytics"]["decontamination_reference"] = str(_resolve(str(reference)))
+        analytics["decontamination_reference"] = str(_resolve(reference))
 
     return RunConfig(
         run_dir=_resolve(str(merged["run_dir"])),

@@ -41,7 +41,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
@@ -49,6 +49,7 @@ from ._util import (
     canonical_json,
     canonicalize,
     file_sha256,
+    iter_jsonl,
     read_jsonl,
     write_atomic,
     write_jsonl_atomic,
@@ -683,37 +684,66 @@ class PipelineRun:
 
     def cmd_analyze(self) -> None:
         """Compute the run report: scale, novelty, similarity, cost,
-        decontamination, adherence, and stage counters."""
+        decontamination, adherence, and stage counters.
+
+        ``items.jsonl`` is read once, one item at a time. Each item feeds
+        one small accumulator per report section; only the first
+        ``adherence_sample`` accepted (concept ids, question) pairs are
+        kept whole."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
-        items = [rec for _, rec in read_jsonl(self.paths.file("items"))]
         params = config.analytics_params
         embedder = config.backends["embedder"]
         extractor = config.backends["extractor"]
+        sample_size = params["adherence_sample"]
 
-        accepted = [i for i in items if i["status"] == "solution_accepted"]
-        scored = [i for i in items if i.get("weighted_score") is not None]
-        problem_accepted = [
-            i for i in items
-            if i["status"] in ("problem_accepted", "solution_accepted", "solution_rejected")
-        ]
+        novelty = analytics.NoveltyCounter(s.concept_ids for s in seeds)
+        similarity = None
+        if seeds:
+            similarity = analytics.SeedSimilarity(
+                [s.question for s in seeds], embedder, self.stage_client,
+                bin_width=float(params["similarity_bin_width"]),
+            )
+        reference = params.get("decontamination_reference")
+        overlap = None
+        if reference:
+            overlap = analytics.NgramOverlap(
+                _iter_reference_texts(Path(reference)), ns=params["ngram_sizes"]
+            )
+
+        accepted = problem_accepted = scored = 0
+        kind_counts: dict[str, int] = {}
+        quality_by_kind: dict[str, dict[str, float]] = {}
+        adherence_pairs: list[tuple[list[str], str]] = []
+        for _, item in iter_jsonl(self.paths.file("items")):
+            combo = graphmod.ConceptCombination.from_record(item["combination"])
+            novelty.add(combo.concept_ids)
+            if item.get("weighted_score") is not None:
+                scored += 1
+                kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
+                bucket = quality_by_kind.setdefault(combo.kind, {"count": 0, "sum": 0.0})
+                bucket["count"] += 1
+                bucket["sum"] += item["weighted_score"]
+            if item["status"] in ("problem_accepted", "solution_accepted", "solution_rejected"):
+                problem_accepted += 1
+            if item["status"] != "solution_accepted":
+                continue
+            accepted += 1
+            question = item["question"]
+            if similarity is not None:
+                similarity.add(question)
+            if overlap is not None:
+                overlap.add(question)
+            if len(adherence_pairs) < sample_size:
+                adherence_pairs.append((combo.concept_ids, question))
 
         sections: dict[str, Any] = {}
         sections["seed_count"] = len(seeds)
         sections["expansion"] = {
             "seeds": len(seeds),
-            "synthesized": len(accepted),
-            "ratio": analytics.expansion_ratio(len(accepted), len(seeds)) if seeds else None,
+            "synthesized": accepted,
+            "ratio": analytics.expansion_ratio(accepted, len(seeds)) if seeds else None,
         }
-
-        kind_counts: dict[str, int] = {}
-        quality_by_kind: dict[str, dict[str, float]] = {}
-        for item in scored:
-            kind = item["combination"]["kind"]
-            kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            bucket = quality_by_kind.setdefault(kind, {"count": 0, "sum": 0.0})
-            bucket["count"] += 1
-            bucket["sum"] += item["weighted_score"]
         sections["combination_kinds"] = kind_counts
         sections["problem_quality_by_kind"] = {
             kind: {
@@ -723,31 +753,17 @@ class PipelineRun:
             for kind, b in sorted(quality_by_kind.items())
         }
         sections["acceptance_rates"] = {
-            "problem": len(problem_accepted) / len(scored) if scored else None,
-            "solution": (
-                len(accepted) / len(problem_accepted) if problem_accepted else None
-            ),
+            "problem": problem_accepted / scored if scored else None,
+            "solution": accepted / problem_accepted if problem_accepted else None,
         }
-
-        combos = [
-            graphmod.ConceptCombination.from_record(i["combination"]) for i in items
-        ]
-        seed_sets = [set(s.concept_ids) for s in seeds]
         sections["novelty"] = {
-            "rate": analytics.novelty_rate(combos, seed_sets) if combos else None,
-            "items_considered": len(combos),
+            "rate": novelty.rate() if novelty.count else None,
+            "items_considered": novelty.count,
         }
 
         sim_section = None
-        accepted_questions = [i["question"] for i in accepted]
-        if accepted_questions and seeds:
-            report = analytics.similarity_distribution(
-                accepted_questions,
-                [s.question for s in seeds],
-                embedder,
-                self.stage_client,
-                bin_width=float(params["similarity_bin_width"]),
-            )
+        if similarity is not None and accepted:
+            report = similarity.report()
             sim_section = {
                 "bin_edges": report.bin_edges,
                 "histogram": report.histogram,
@@ -772,26 +788,15 @@ class PipelineRun:
                 ),
             }
 
-        reference = params.get("decontamination_reference")
-        if reference and accepted_questions:
-            reference_texts = _load_reference_texts(Path(reference))
-            decon = analytics.ngram_overlap(
-                accepted_questions, reference_texts,
-                ns=params["ngram_sizes"],
-            )
-            sections["decontamination"] = decon.to_record()
+        if overlap is not None and accepted:
+            sections["decontamination"] = overlap.report().to_record()
 
-        sample_size = params["adherence_sample"]
-        if sample_size > 0 and accepted:
+        if adherence_pairs:
             concepts = load_concepts(self.paths.file("knowledge_base"))
             texts_by_id = {c.id: c.text for c in concepts}
-            chosen = accepted[:sample_size]
             pairs = [
-                (
-                    [texts_by_id[c] for c in i["combination"]["concept_ids"]],
-                    i["question"],
-                )
-                for i in chosen
+                ([texts_by_id[c] for c in concept_ids], question)
+                for concept_ids, question in adherence_pairs
             ]
 
             def extract_fn(question: str) -> list[str]:
@@ -865,23 +870,21 @@ def _load_stats(path: Path) -> dict | None:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _load_reference_texts(path: Path) -> list[str]:
-    """Reference corpus for decontamination: JSONL with a question/text
-    field, or a plain text file with one document per line."""
+def _iter_reference_texts(path: Path) -> Iterator[str]:
+    """Reference corpus for decontamination, one text at a time: JSONL with
+    a question/text field, or a plain text file with one document per line."""
     if not path.exists():
         raise ValidationError(f"decontamination reference {path} does not exist")
-    texts = []
-    if path.suffix == ".jsonl":
-        for lineno, rec in read_jsonl(path):
-            value = rec.get("question", rec.get("text"))
-            if not isinstance(value, str):
-                raise ValidationError(
-                    f"{path}:{lineno}: reference record needs a 'question' or 'text' field"
-                )
-            texts.append(value)
-    else:
-        texts = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    return texts
+    if path.suffix != ".jsonl":
+        yield from (line for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+        return
+    for lineno, rec in iter_jsonl(path):
+        value = rec.get("question", rec.get("text"))
+        if not isinstance(value, str):
+            raise ValidationError(
+                f"{path}:{lineno}: reference record needs a 'question' or 'text' field"
+            )
+        yield value
 
 
 def _write_histogram_csv(path: Path, report: analytics.SimilarityReport) -> None:
@@ -895,12 +898,15 @@ def _write_histogram_csv(path: Path, report: analytics.SimilarityReport) -> None
 
 def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None) -> None:
     """Run one stage, or every stage in order for 'run-all', under the
-    run-directory lock. The backend keys of every stage to run are checked
-    first, so a missing role fails before any backend call or file write; a
-    stage failure halts before the next stage and leaves its checkpoint."""
+    run-directory lock. The backend keys of every stage to run, and the
+    decontamination reference when analyze is among them, are checked
+    first, so a missing role or file fails before any backend call or file
+    write; a stage failure halts before the next stage and leaves its
+    checkpoint."""
     if stage != "run-all" and stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}")
     stages = list(STAGES) if stage == "run-all" else [stage]
+    reference = config.analytics_params.get("decontamination_reference")
     for name in stages:
         backends = STAGES[name].backends
         missing = [key for key in backends if key != "judges" and key not in config.backends]
@@ -908,6 +914,9 @@ def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None
             raise ConfigurationError(f"stage {name!r} needs backends for: {', '.join(missing)}")
         if "judges" in backends and not config.judges:
             raise ConfigurationError(f"stage {name!r} needs at least one judge")
+        if (reference and "decontamination_reference" in STAGES[name].reads
+                and not Path(reference).exists()):
+            raise ConfigurationError(f"decontamination reference {reference} does not exist")
     run = PipelineRun(config, client=client)
     run.paths.run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run.paths.lock()):

@@ -392,3 +392,70 @@ class TestCostAccountingLinkage:
             model, totals["input_tokens"] / totals["calls"],
             totals["output_tokens"] / totals["calls"])
         assert per_sample_from_exchanges == per_sample_from_totals
+
+
+class EmbedRecordingMock(MockServer):
+    """Records the texts of every embeddings request it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.embed_requests: list[tuple[str, ...]] = []
+
+    def embeddings(self, request):
+        self.embed_requests.append(tuple(request["input"]))
+        return super().embeddings(request)
+
+
+class TestSimilarityFold:
+    """The streamed fold embeds in ``EMBED_BATCH_SIZE`` chunks and folds
+    each chunk's row maxima; it must give what one stacked product gives."""
+
+    @pytest.mark.parametrize("n_synth", [127, 128, 129])
+    def test_fold_equals_one_stacked_block(self, n_synth):
+        embedder = make_descriptor("embedder")
+        synth = [f"synth text {i}" for i in range(n_synth)]
+        seeds = [f"seed text {i}" for i in range(11)]
+        folded_mock = EmbedRecordingMock(seed=9)
+        report = similarity_distribution(synth, seeds, embedder,
+                                         BackendClient(mock=folded_mock))
+
+        # The computation as one block: every chunk embedded as before,
+        # then stacked, multiplied once and reduced.
+        stacked_mock = EmbedRecordingMock(seed=9)
+        client = BackendClient(mock=stacked_mock)
+        size = analytics.EMBED_BATCH_SIZE
+        synth_vecs = np.vstack([client.embed(embedder, synth[i:i + size])
+                                for i in range(0, n_synth, size)])
+        seed_vecs = client.embed(embedder, seeds)
+        per_item = np.clip((synth_vecs @ seed_vecs.T).max(axis=1), -1.0, 1.0)
+        edges = np.asarray(report.bin_edges)
+        counts, _ = np.histogram(np.clip(per_item, 0.0, 1.0), bins=edges)
+
+        assert report.histogram == counts.tolist()
+        assert report.cdf == (np.cumsum(counts) / n_synth).tolist()
+        assert report.mean_max_cosine == sum(per_item.tolist()) / n_synth
+        assert sorted(folded_mock.embed_requests) == sorted(stacked_mock.embed_requests)
+
+    def test_a_stream_without_text_makes_no_request(self):
+        mock = EmbedRecordingMock(seed=9)
+        similarity = analytics.SeedSimilarity(["seed"], make_descriptor("embedder"),
+                                              BackendClient(mock=mock))
+        with pytest.raises(ValidationError):
+            similarity.report()
+        assert mock.embed_requests == []
+
+
+class TestNgramNames:
+    def test_long_and_odd_ns_match_the_oracle(self):
+        # Windows longer than 8 are named from two shorter names (n = 9 from
+        # two 8s, n = 17 from two 16s); a window that runs into the next
+        # text must never count. Few words make many shared n-grams.
+        rng = random.Random(41)
+        for _ in range(40):
+            synth = [" ".join(rng.choices("ab", k=rng.randint(0, 24)))
+                     for _ in range(rng.randint(1, 8))]
+            ref = [" ".join(rng.choices("abc", k=rng.randint(0, 24)))
+                   for _ in range(rng.randint(0, 6))]
+            ns = rng.sample([1, 2, 3, 5, 8, 9, 13, 16, 17], rng.randint(1, 4))
+            report = ngram_overlap(synth, ref, ns=ns, top_k=4)
+            assert report.to_record() == oracles.ngram_overlap_record(synth, ref, ns, 4)

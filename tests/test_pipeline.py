@@ -411,6 +411,24 @@ class TestAnalyzeStage:
         assert report["adherence"] == "not computed"
 
 
+    @pytest.mark.parametrize("stage", ["run-all", "analyze"])
+    def test_missing_reference_fails_before_any_request(self, tmp_path, stage):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        config_dict = base_config(tmp_path, corpus)
+        config_dict["analytics"]["decontamination_reference"] = str(tmp_path / "missing.jsonl")
+        config = load_config(write_config(tmp_path / "run.json", config_dict))
+        mock = RequestCountingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        with pytest.raises(ConfigurationError, match="missing.jsonl does not exist"):
+            run_stage(config, stage, client=BackendClient(mock=mock))
+        assert mock.requests == 0
+        assert not config.run_dir.exists()
+
+    def test_a_stage_without_analyze_ignores_the_reference(self, tmp_path):
+        config_path, config_dict = make_run(tmp_path)
+        config_dict["analytics"]["decontamination_reference"] = str(tmp_path / "missing.jsonl")
+        run_stage(load_config(write_config(config_path, config_dict)), "extract")
+
+
 class TestStageEngine:
     def test_stage_body_is_looked_up_when_it_runs(self, tmp_path, monkeypatch):
         # A wrapper installed on the class (as perfbench's tracer does) is
@@ -1272,6 +1290,14 @@ class TestConfigParsing:
                                      "request_params": {"max_attempts": 2.5}}}},
          "max_attempts"),
         ({"judges": [{"endpoint": "mock", "request_params": {"timeout": "5"}}]}, "timeout"),
+        ({"analytics": {"typo_key": 1}}, "typo_key"),
+        ({"analytics": {"adherence_tolerance": 5}}, "adherence_tolerance"),
+        ({"analytics": {"adherence_tolerance": -3}}, "adherence_tolerance"),
+        ({"analytics": {"adherence_tolerance": float("nan")}}, "adherence_tolerance"),
+        ({"analytics": {"adherence_tolerance": float("inf")}}, "adherence_tolerance"),
+        ({"analytics": {"adherence_tolerance": True}}, "adherence_tolerance"),
+        ({"analytics": {"decontamination_reference": 5}}, "decontamination_reference"),
+        ({"analytics": {"decontamination_reference": ""}}, "decontamination_reference"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):

@@ -248,3 +248,52 @@ def test_item_round_trip(item_id, question, scores):
 def test_checkpoint_round_trip(stage, fp):
     cp = StageCheckpoint(stage_name=stage, config_fingerprint=fp)
     assert StageCheckpoint.from_record(cp.to_record()) == cp
+
+
+class TestAtomicWriteDurability:
+    def test_directory_synced_after_the_rename(self, tmp_path, monkeypatch):
+        import os
+        import stat
+
+        import graphsynth._util as util
+
+        path = tmp_path / "out.json"
+        path.write_text("old", encoding="utf-8")
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino,
+                           path.read_text(encoding="utf-8")))
+            real_fsync(fd)
+
+        monkeypatch.setattr(util.os, "fsync", recording_fsync)
+        util.write_atomic(path, "new")
+        # The temp file first, with the target still old; then the
+        # directory, once the target holds the new bytes.
+        assert [entry[0] for entry in synced] == [False, True]
+        assert synced[0][2] == "old"
+        assert synced[1][1:] == (tmp_path.stat().st_ino, "new")
+
+
+class TestIterJsonl:
+    def test_lazy_reader_yields_what_read_jsonl_returns(self, tmp_path):
+        from graphsynth._util import iter_jsonl, read_jsonl
+
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
+        assert list(iter_jsonl(path)) == read_jsonl(path) == [(1, {"a": 1}), (3, {"a": 2})]
+
+    def test_lazy_reader_raises_the_same_errors(self, tmp_path):
+        from graphsynth._util import iter_jsonl
+
+        with pytest.raises(CorpusError, match="does not exist"):
+            next(iter_jsonl(tmp_path / "missing.jsonl"))
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"a": 1}\n{oops\n', encoding="utf-8")
+        records = iter_jsonl(path)
+        assert next(records) == (1, {"a": 1})
+        with pytest.raises(CorpusError, match="line 2") as info:
+            next(records)
+        assert info.value.line == 2
