@@ -322,7 +322,9 @@ def _rank(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Name each position's (first, second) pair by its rank among the
     distinct pairs, so equal pairs, and only they, get equal names."""
     key = first.astype(np.int64) * (int(second.max(initial=0)) + 1) + second
-    order = np.argsort(key)
+    # Stability is not needed here, but numpy's default int64 argsort
+    # raised the benchmark's peak RSS by about 0.4 MiB over timsort.
+    order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
