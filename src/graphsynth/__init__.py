@@ -80,7 +80,6 @@ from .pipeline import PipelineRun, run_stage
 from .store import (
     KeyConcept,
     SeedExample,
-    StageCheckpoint,
     SynthesizedItem,
     load_seed_corpus,
     read_checkpoint,

@@ -13,7 +13,7 @@ Any config key can be overridden per invocation with ``--set key.path=value``
 shorthand for ``--set`` on one key each, their values JSON-encoded so paths
 keep backslashes and quotes as typed. Exit codes: 0 on
 success, 1 for validation/config problems, 2 for backend failures, 3 when
-interrupted with a preserved checkpoint.
+interrupted with the results cache preserved.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except KeyboardInterrupt:
-        print("interrupted; checkpoints preserved, rerun to resume", file=sys.stderr)
+        print("interrupted; results cache preserved, rerun to resume", file=sys.stderr)
         return EXIT_INTERRUPTED
     return EXIT_OK
 

@@ -5,9 +5,10 @@ threshold, hub fraction, weight floor, caps, budgets, the random seed) live
 here as defaults so nothing quality-critical is hard-coded in stage logic.
 
 The config fingerprint covers every effective setting except the run
-directory and ``max_in_flight``, which changes how many items run at once
-but not their results; checkpoints written under a different fingerprint
-refuse to resume.
+directory, ``max_in_flight``, which changes how many items run at once but
+not their results, and the paths of the input files, whose contents each
+stage record hashes instead. Results caches written under a different
+fingerprint refuse to resume.
 """
 
 from __future__ import annotations
@@ -113,11 +114,17 @@ class RunConfig:
         return Path(value) if value else None
 
     def fingerprint(self) -> str:
-        """Hash of every effective setting except the run directory and
-        ``max_in_flight``: a resume may change either without changing
-        results."""
+        """Hash of every effective setting except the run directory,
+        ``max_in_flight`` and the input paths (``seed_corpus``,
+        ``templates_dir``, ``analytics.decontamination_reference``): a resume
+        may change any of them without changing results. The stage records
+        hash the contents of the input files instead."""
         effective = {
-            k: v for k, v in self.raw.items() if k not in ("run_dir", "max_in_flight")
+            k: v for k, v in self.raw.items()
+            if k not in ("run_dir", "max_in_flight", "seed_corpus", "templates_dir")
+        }
+        effective["analytics"] = {
+            k: v for k, v in effective["analytics"].items() if k != "decontamination_reference"
         }
         return content_hash(canonical_json(effective))
 
@@ -160,7 +167,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             raise ConfigurationError(f"config key {key!r} is required")
 
     # Checked here, not where they are used, so a bad value fails before
-    # extract spends its backend calls or writes a checkpoint.
+    # extract spends its backend calls or writes a stage record.
     for section in ("thresholds", "graph", "analytics"):
         if not isinstance(merged[section], dict):
             raise ConfigurationError(f"{section} must be an object")

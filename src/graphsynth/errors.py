@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ValidationError and subclasses map to 1,
-BackendError and subclasses to 2, interruption with a preserved checkpoint
-to 3.
+BackendError and subclasses to 2, interruption with the results caches
+preserved to 3.
 """
 
 
@@ -27,7 +27,8 @@ class ConfigurationError(ValidationError):
 
 
 class CheckpointError(ValidationError):
-    """Checkpoint unusable for resumption (e.g. config fingerprint changed)."""
+    """Stage record or results cache unusable for resumption (the record is
+    unreadable, or the caches were written under another config fingerprint)."""
 
 
 class BackendError(GraphsynthError):

@@ -9,24 +9,22 @@ so its record keeps the backend usage of exactly its own calls, failed items
 included; the runner is the one place a task exception becomes a failed
 record. The engine sums a stage's ``usage`` stat over those records, cached
 or fresh, plus the stage's own ``stage_client``, so a resumed run reports
-the same totals as an uninterrupted one. The stage checkpoint is a header
-holding the config fingerprint and the input file digests the cached
-results were computed under, rewritten whenever the stage starts with work
-pending. The stage's final output file is rebuilt wholesale (atomically)
-from the cache. Interrupting a run at any point and resuming therefore
-lands on the same final bytes as an uninterrupted run, because every
-mock-backed computation is a pure function of its inputs.
+the same totals as an uninterrupted one. The stage's final output file is
+rebuilt wholesale (atomically) from the cache. Interrupting a run at any
+point and resuming therefore lands on the same final bytes as an
+uninterrupted run, because every mock-backed computation is a pure function
+of its inputs.
 
 Each ``STAGES`` entry also names the files its stage reads and writes, by
-role. After a stage's body and stats are written, the engine writes
-``manifests/<stage>.json`` last: the config fingerprint and the sha256 of
-every input and output, keyed by role so that a copied run directory still
-matches. The manifest is deleted before the body runs, so only a finished
-stage has one. A stage that calls a backend is skipped while its manifest
-holds (same fingerprint and inputs, outputs unchanged), which is the
-verifying-trace rebuild check of Mokhov, Mitchell & Peyton Jones, "Build
-Systems à la Carte" (ICFP 2018). The graph stage calls no backend, so it
-always recomputes.
+role. ``manifests/<stage>.json`` is the stage's one resume record: the
+config fingerprint and the sha256 of every input, keyed by role so that a
+copied run directory still matches, written before the body runs, and the
+sha256 of every output, added after the body and stats are written. It
+vouches for the stage's results caches, and a stage that calls a backend is
+skipped while it holds (same fingerprint and inputs, outputs unchanged),
+which is the verifying-trace rebuild check of Mokhov, Mitchell & Peyton
+Jones, "Build Systems à la Carte" (ICFP 2018). The graph stage calls no
+backend, so it always recomputes.
 
 A run directory is owned exclusively through a kernel ``flock`` on its
 ``.lock`` file, which the kernel drops when the holding process exits, so
@@ -56,12 +54,11 @@ from ._util import (
 )
 from .backends import BackendClient, MockServer, run_bounded, sum_usage
 from .config import RunConfig
-from .errors import ConfigurationError, ValidationError
+from .errors import CheckpointError, ConfigurationError, ValidationError
 from .evaluation import JudgePanel
 from .store import (
     KeyConcept,
     SeedExample,
-    StageCheckpoint,
     SynthesizedItem,
     concept_id_for,
     load_concepts,
@@ -109,7 +106,7 @@ class Stage:
 
 # Every stage in run order. Preflight checks the backend keys, ``run-all``
 # runs the stages in this order, and the engine calls
-# ``PipelineRun.cmd_<stage>`` and hashes the files for the stage manifest.
+# ``PipelineRun.cmd_<stage>`` and hashes the files for the stage record.
 STAGES = {
     "extract": Stage(
         backends=("extractor", "kb_judge", "embedder"),
@@ -147,11 +144,12 @@ class RunPaths:
     def file(self, key: str) -> Path:
         return self.run_dir / FILES[key]
 
-    def checkpoint(self, stage: str) -> Path:
-        return self.run_dir / "checkpoints" / f"{stage}.json"
+    def cache(self, name: str) -> Path:
+        return self.run_dir / "cache" / f"{name}.jsonl"
 
-    def cache(self, stage: str) -> Path:
-        return self.run_dir / "cache" / f"{stage}.jsonl"
+    def caches(self, stage: str) -> list[Path]:
+        """The results caches of ``stage``: ``cache/<stage>.*.jsonl``."""
+        return sorted((self.run_dir / "cache").glob(f"{stage}.*.jsonl"))
 
     def stats(self, stage: str) -> Path:
         return self.run_dir / "stats" / f"{stage}.json"
@@ -228,21 +226,41 @@ class PipelineRun:
     def _run_stage(self, stage: str) -> None:
         """Run one stage body with a fresh ``stage_client`` for its calls
         outside per-item tasks; write the counters it returns, plus the
-        stage's usage, to ``stats/<stage>.json``, then the stage manifest.
+        stage's usage, to ``stats/<stage>.json``.
 
-        A stage that calls a backend is skipped while its manifest still
-        holds: same config fingerprint, same input digests, and outputs that
-        still hash as recorded. The graph stage calls none, so it always
-        recomputes.
+        The stage record ``manifests/<stage>.json`` is read once and decides,
+        in order: a stage that calls a backend is skipped while the record
+        holds (same config fingerprint, same input digests, outputs that
+        still hash as recorded); the stage's results caches, written under
+        another fingerprint, refuse the resume before anything is written;
+        and they are deleted when no record vouches for them or the input
+        files changed. The record is then written with null outputs, and
+        again with the output digests once the stats are written.
         """
         spec = STAGES[stage]
         fingerprint = self.config.fingerprint()
-        self._inputs = self._digests(spec.reads)
-        manifest_path = self.paths.manifest(stage)
-        if spec.backends and self._manifest_holds(stage, fingerprint):
-            logger.info("%s: skipped, its outputs match %s", stage, manifest_path)
+        inputs = self._digests(spec.reads)
+        record_path = self.paths.manifest(stage)
+        record = read_checkpoint(record_path)
+        if (spec.backends and record is not None and record["fingerprint"] == fingerprint
+                and record["inputs"] == inputs
+                and record["outputs"] == self._digests(spec.writes)):
+            logger.info("%s: skipped, its outputs match %s", stage, record_path)
             return
-        manifest_path.unlink(missing_ok=True)
+        caches = self.paths.caches(stage)
+        if caches and record is not None and record["fingerprint"] != fingerprint:
+            raise CheckpointError(
+                f"the results caches of stage {stage!r} were written under a different "
+                "configuration; resumption refused. Start a full restart (remove "
+                f"{record_path} or use a new run directory)."
+            )
+        if caches and (record is None or record["inputs"] != inputs):
+            logger.warning("%s: no record vouches for its results caches, or its input "
+                           "files changed; discarding the caches", stage)
+            for path in caches:
+                path.unlink()
+        record = {"fingerprint": fingerprint, "inputs": inputs, "outputs": None}
+        write_checkpoint(record, record_path)
         self.stage_client = self.client.scoped()
         self._record_usage = sum_usage([])
         # Looked up at call time, so a wrapper installed on the class is used.
@@ -250,12 +268,7 @@ class PipelineRun:
         if counters is not None:
             counters["usage"] = sum_usage([self._record_usage, self.stage_client.usage.total()])
             write_atomic(self.paths.stats(stage), canonical_json(counters) + "\n")
-        manifest = {
-            "fingerprint": fingerprint,
-            "inputs": self._inputs,
-            "outputs": self._digests(spec.writes),
-        }
-        write_atomic(manifest_path, canonical_json(manifest) + "\n")
+        write_checkpoint({**record, "outputs": self._digests(spec.writes)}, record_path)
 
     def _role_path(self, role: str) -> Path | None:
         if role in FILES:
@@ -274,26 +287,11 @@ class PipelineRun:
         copied elsewhere keeps matching; None for a missing file."""
         return {role: file_sha256(self._role_path(role)) for role in roles}
 
-    def _manifest_holds(self, stage: str, fingerprint: str) -> bool:
-        path = self.paths.manifest(stage)
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return False
-        except ValueError:
-            logger.warning("ignoring unreadable manifest %s", path)
-            return False
-        return (
-            manifest.get("fingerprint") == fingerprint
-            and manifest.get("inputs") == self._inputs
-            and manifest.get("outputs") == self._digests(STAGES[stage].writes)
-        )
-
     # -- checkpointed per-item execution --------------------------------------
 
     def _run_checkpointed(
         self,
-        stage: str,
+        name: str,
         work: Sequence[tuple[str, Any]],
         task_fn: Callable[[Any, BackendClient], dict],
     ) -> dict[str, dict]:
@@ -306,49 +304,26 @@ class PipelineRun:
         {"failed": message} record (with the usage of the calls made before
         it), so one bad item never aborts the stage.
 
-        The stage's results cache is its only progress record: an id with a
-        complete line there is done and never runs again. The checkpoint is a
-        header naming the config fingerprint and the input file digests
-        those results were computed under; it is rewritten before the first
-        append of each run with pending work. A changed fingerprint refuses
-        the resume. A cache without a header, or one computed from other
-        input files, cannot be trusted and is discarded.
+        The results cache ``cache/<name>.jsonl`` is the only progress
+        record: an id with a complete line there is done and never runs
+        again. ``_run_stage`` has already deleted a cache its stage record
+        does not vouch for.
         """
-        fingerprint = self.config.fingerprint()
-        checkpoint_path = self.paths.checkpoint(stage)
-        cache_path = self.paths.cache(stage)
-        checkpoint = read_checkpoint(checkpoint_path)
-        # A header written before input digests were recorded has none, and
-        # is trusted as it was then.
-        if (checkpoint is not None and checkpoint.config_fingerprint == fingerprint
-                and checkpoint.inputs is not None and checkpoint.inputs != self._inputs):
-            logger.warning("%s: input files changed since its cache was written; "
-                           "discarding the cache", stage)
-            checkpoint = None
-        results: dict[str, dict] = {}
-        intact_bytes = 0
-        if checkpoint is not None:
-            results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
-            self._count_usage(results.values())
-        pending = select_resumable_work(
-            (wid for wid, _ in work), checkpoint, fingerprint, results
-        )
+        cache_path = self.paths.cache(name)
+        results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
+        self._count_usage(results.values())
+        pending = select_resumable_work((wid for wid, _ in work), results)
         if not pending:
             return results
 
         payloads = dict(work)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         with open(cache_path, "a", encoding="utf-8") as handle:
-            # Cut a torn final line (or a headerless cache) before appending,
-            # so the next record starts on a line of its own.
+            # Cut a torn final line before appending, so the next record
+            # starts on a line of its own.
             if os.fstat(handle.fileno()).st_size > intact_bytes:
                 handle.truncate(intact_bytes)
                 os.fsync(handle.fileno())
-            write_checkpoint(
-                StageCheckpoint(stage_name=stage, config_fingerprint=fingerprint,
-                                inputs=self._inputs),
-                checkpoint_path,
-            )
             committed = 0
 
             def commit(outcomes: list[Any]) -> None:
@@ -902,7 +877,7 @@ def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None
     decontamination reference when analyze is among them, are checked
     first, so a missing role or file fails before any backend call or file
     write; a stage failure halts before the next stage and leaves its
-    checkpoint."""
+    results caches and its record for a resume."""
     if stage != "run-all" and stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}")
     stages = list(STAGES) if stage == "run-all" else [stage]

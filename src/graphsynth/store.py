@@ -1,19 +1,20 @@
 """Persistent data model: corpus records, knowledge-base records, synthesized
-items, and stage checkpoints.
+items, and stage records.
 
 Everything on disk is line-delimited JSON (one entity per line) so stages can
 stream large corpora instead of loading them whole. Records without an id get
 a content-addressed one, which keeps deduplication stable across runs.
 
-A stage checkpoint on disk is a header: the stage name, the fingerprint of
-the configuration its cached results were computed under and the digests of
-the input files they were computed from. It is written
-atomically whenever a stage starts with work pending; which items are done is
-read from the stage's append-only results cache, not from the checkpoint.
+A stage record is one JSON object: the fingerprint of the configuration the
+stage runs under, the digests of its input files, and the digests of its
+outputs (null until the stage finishes). It is written atomically; which
+items are done is read from the stage's append-only results caches, not
+from the record.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Iterable, Sequence
@@ -50,6 +51,8 @@ _ITEM_NEXT = {
 }
 
 DIFFICULTY_LEVELS = ("low", "medium", "high")
+
+_RECORD_KEYS = {"fingerprint", "inputs", "outputs"}
 
 
 def seed_id_for(question: str, solution: str) -> str:
@@ -246,38 +249,6 @@ class SynthesizedItem:
         return item
 
 
-@dataclass
-class StageCheckpoint:
-    """Header of one pipeline stage's results cache: the stage name, the
-    fingerprint of the configuration the cached results were computed under,
-    and the sha256 of each input file the stage read, by role.
-
-    Which items are done is read from the cache, never from here; a
-    list of done ids left by older versions is ignored.
-    """
-
-    stage_name: str
-    config_fingerprint: str = ""
-    inputs: dict[str, str | None] | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "stage_name": self.stage_name,
-            "config_fingerprint": self.config_fingerprint,
-            "inputs": self.inputs,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "StageCheckpoint":
-        if not isinstance(rec.get("stage_name"), str):
-            raise CheckpointError("checkpoint missing 'stage_name'")
-        return cls(
-            stage_name=rec["stage_name"],
-            config_fingerprint=rec.get("config_fingerprint", ""),
-            inputs=rec.get("inputs"),
-        )
-
-
 def _require_fields(rec: dict, fields: dict[str, type], line: int | None) -> None:
     if not isinstance(rec, dict):
         raise CorpusError(f"line {line}: record must be a JSON object", line)
@@ -326,43 +297,34 @@ def load_items(path: str | Path) -> list[SynthesizedItem]:
     return [SynthesizedItem.from_record(rec, line=lineno) for lineno, rec in read_jsonl(path)]
 
 
-def write_checkpoint(checkpoint: StageCheckpoint, path: str | Path) -> None:
-    """Durably persist a checkpoint; the write is atomic (temp then rename)."""
-    write_atomic(path, canonical_json(checkpoint.to_record()) + "\n")
+def write_checkpoint(record: dict, path: str | Path) -> None:
+    """Durably persist a stage record; the write is atomic (temp then rename)."""
+    write_atomic(path, canonical_json(record) + "\n")
 
 
-def read_checkpoint(path: str | Path) -> StageCheckpoint | None:
-    """Read a checkpoint file; returns None when no checkpoint exists."""
+def read_checkpoint(path: str | Path) -> dict | None:
+    """Read a stage record; None when the file does not exist.
+
+    A file that is not a JSON object holding ``fingerprint``, ``inputs`` and
+    ``outputs`` raises CheckpointError naming it: a resume must not guess
+    what an unreadable record vouched for.
+    """
     path = Path(path)
-    if not path.exists():
-        return None
-    import json
-
     try:
         rec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is corrupt: {exc}") from exc
-    return StageCheckpoint.from_record(rec)
-
-
-def select_resumable_work(
-    all_ids: Iterable[str],
-    checkpoint: StageCheckpoint | None,
-    current_fingerprint: str,
-    done: Container[str],
-) -> list[str]:
-    """Work ids not in ``done`` (the ids in the stage's results cache), in
-    input order.
-
-    A checkpoint written under a different configuration is refused: stale
-    partial results cannot be mixed with new parameters, so the caller must
-    restart the stage from scratch (delete the run's checkpoints directory
-    or use a fresh run directory).
-    """
-    if checkpoint is not None and checkpoint.config_fingerprint != current_fingerprint:
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise CheckpointError(f"stage record {path} is unreadable: {exc}") from exc
+    if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
         raise CheckpointError(
-            f"checkpoint for stage {checkpoint.stage_name!r} was written under a "
-            "different configuration; resumption refused. Start a full restart "
-            "(remove the stage checkpoint or use a new run directory)."
+            f"stage record {path} is unreadable: expected an object with keys "
+            f"{sorted(_RECORD_KEYS)}"
         )
+    return rec
+
+
+def select_resumable_work(all_ids: Iterable[str], done: Container[str]) -> list[str]:
+    """Work ids not in ``done`` (the ids in the stage's results cache), in
+    input order."""
     return [i for i in all_ids if i not in done]

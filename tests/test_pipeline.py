@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from graphsynth.pipeline import (
     run_stage,
 )
 from graphsynth.store import concept_id_for, load_concepts, load_items, load_seed_corpus
+from graphsynth.synthesis import DEFAULT_TEMPLATE_BODIES
 
 G0_SEEDS = [
     {"id": "P1", "question": "Relate [Alpha], [Beta] and [Gamma] in one problem.",
@@ -109,7 +111,7 @@ class TestExtractStage:
             run_stage(config, "run-all", client=BackendClient(mock=CountingMock(seed=7)))
         assert CountingMock.requests == 0
         assert not (config.run_dir / "cache").exists()
-        assert not (config.run_dir / "checkpoints").exists()
+        assert not (config.run_dir / "manifests").exists()
 
     def test_rejected_concepts_never_reach_seeds(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
@@ -537,8 +539,11 @@ class TestDeterminismAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_stage(interrupted, "run-all")
         monkeypatch.delenv(FAULT_ABORT_ENV)
-        # Checkpoint survived the interrupt.
-        assert any((interrupted.run_dir / "checkpoints").iterdir())
+        # The interrupted stage's record survived, vouching for its cache
+        # but for no outputs.
+        record = json.loads((interrupted.run_dir / "manifests" / "extract.json").read_text())
+        assert record["outputs"] is None
+        assert any((interrupted.run_dir / "cache").iterdir())
         run_stage(load_config(interrupted_path), "run-all")
 
         assert read_outputs(baseline.run_dir) == read_outputs(interrupted.run_dir)
@@ -707,30 +712,15 @@ class TestDeterminismAndResume:
         with pytest.raises(KeyboardInterrupt):
             run_stage(load_config(config_path), "run-all")
         monkeypatch.delenv(FAULT_ABORT_ENV)
-        # A record no header vouches for: trusting it would change the outputs.
+        # A cache line no stage record vouches for: trusting it would
+        # change the outputs.
         cache = run_dir / "cache" / "extract.concepts.jsonl"
         bogus = {"id": sorted(cached_ids(cache))[0], "result": {"phrases": ["bogus"]}}
         cache.write_text(json.dumps(bogus) + "\n", encoding="utf-8")
-        (run_dir / "checkpoints" / "extract.concepts.json").unlink()
+        (run_dir / "manifests" / "extract.json").unlink()
         run_stage(load_config(config_path), "run-all")
         assert read_outputs(baseline.run_dir) == read_outputs(run_dir)
         assert "bogus" not in cache.read_text(encoding="utf-8")
-
-    def test_legacy_checkpoint_rewritten_as_header(self, tmp_path, monkeypatch):
-        # Older versions kept a done list in the checkpoint. The list is
-        # ignored, and a resumed stage rewrites the file as a bare header.
-        seeds = toy_corpus_seeds(8, 1, 3)
-        config_path, config_dict = make_run(tmp_path, seeds=seeds, max_in_flight=1)
-        monkeypatch.setenv(FAULT_ABORT_ENV, "2")
-        with pytest.raises(KeyboardInterrupt):
-            run_stage(load_config(config_path), "run-all")
-        monkeypatch.delenv(FAULT_ABORT_ENV)
-        checkpoint = Path(config_dict["run_dir"]) / "checkpoints" / "extract.concepts.json"
-        header = json.loads(checkpoint.read_text())
-        stale = sorted(s["id"] for s in seeds)[:1]
-        checkpoint.write_text(json.dumps({**header, "completed_item_ids": stale}))
-        run_stage(load_config(config_path), "run-all")
-        assert json.loads(checkpoint.read_text()) == header
 
     def test_two_processes_byte_identical(self, tmp_path):
         # Fresh interpreters: determinism must not lean on per-process state.
@@ -838,6 +828,52 @@ class TestStageManifests:
         assert mock.requests == 0
         assert read_outputs(copied) == read_outputs(run_dirs[0])
 
+    def test_moved_project_with_relative_input_paths_resumes(self, tmp_path, monkeypatch, caplog):
+        # parse_config stores templates_dir and the decontamination reference
+        # as absolute paths. A copied project must still resume: the stage
+        # records hash what those files hold, not where they are.
+        project = tmp_path / "project"
+        write_corpus(project / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
+        (project / "templates").mkdir()
+        (project / "templates" / "pair.txt").write_text(DEFAULT_TEMPLATE_BODIES[2])
+        (project / "reference.jsonl").write_text(json.dumps(
+            {"question": "Relate [Concept 01] with [Concept 02] in a single derivation."}) + "\n")
+        config_dict = base_config(tmp_path, Path("corpus.jsonl"), templates_dir="templates")
+        config_dict["run_dir"] = "run"
+        config_dict["analytics"]["decontamination_reference"] = "reference.jsonl"
+        write_config(project / "config.json", config_dict)
+        fresh = tmp_path / "fresh"
+        shutil.copytree(project, fresh)
+        run_stage(load_config(fresh / "config.json"), "run-all")
+
+        config = load_config(project / "config.json")
+        run_stage(config, "extract")
+        run_stage(config, "graph")
+        monkeypatch.setenv(FAULT_ABORT_ENV, "3")
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(config, "synthesize")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        moved = tmp_path / "moved"
+        shutil.copytree(project, moved)
+        with caplog.at_level(logging.INFO, logger="graphsynth.pipeline"):
+            run_stage(load_config(moved / "config.json"), "run-all")
+        assert skipped_stages(caplog) == ["extract"]
+        assert read_outputs(moved / "run") == read_outputs(fresh / "run")
+        report = json.loads((moved / "run" / "report.json").read_text())
+        assert "decontamination" in report
+
+    def test_unreadable_record_refused_before_any_request(self, tmp_path):
+        config_path, _ = make_run(tmp_path)
+        config = load_config(config_path)
+        run_stage(config, "extract")
+        record = config.run_dir / "manifests" / "extract.json"
+        record.write_text("{torn", encoding="utf-8")
+        mock = RequestCountingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        with pytest.raises(CheckpointError, match=re.escape(str(record))):
+            run_stage(config, "run-all", client=BackendClient(mock=mock))
+        assert mock.requests == 0
+        assert record.read_text(encoding="utf-8") == "{torn"
+
     @pytest.mark.parametrize("change", ["edit-output", "edit-seed-line", "delete-manifest"])
     def test_changed_stage_reruns_to_a_fresh_runs_bytes(self, tmp_path, caplog, change):
         seeds = toy_corpus_seeds(8, 1, 3)
@@ -853,12 +889,18 @@ class TestStageManifests:
         else:
             (config.run_dir / "manifests" / "extract.json").unlink()
 
+        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
         with caplog.at_level(logging.INFO, logger="graphsynth.pipeline"):
-            run_stage(config, "run-all")
+            run_stage(config, "run-all", client=BackendClient(mock=mock))
         # Extract's outputs do not change unless its input does, so the
         # stages after it stay skipped.
         assert skipped_stages(caplog) == (
             [] if change == "edit-seed-line" else ["synthesize", "analyze"])
+        if change == "edit-output":
+            # The record still vouches for extract's caches, so no per-item
+            # request is sent again; only the uncached similarity tail runs.
+            per_item = ("TASK: extract-concepts", "TASK: quality-check")
+            assert [p for p in mock.prompts if p.startswith(per_item)] == []
         fresh = load_config(write_config(
             tmp_path / "fresh.json", base_config(tmp_path, corpus, run_name="fresh")))
         run_stage(fresh, "run-all")
@@ -880,28 +922,6 @@ class TestStageManifests:
         write_config(config_path, config_dict)
         with pytest.raises(CheckpointError, match="restart"):
             run_stage(load_config(config_path), "run-all")
-
-    def test_header_without_input_digests_keeps_its_cache(self, tmp_path, monkeypatch):
-        # Headers written before input digests were recorded are trusted.
-        seeds = toy_corpus_seeds(8, 1, 3)
-        config_path, config_dict = make_run(tmp_path, seeds=seeds, max_in_flight=1)
-        monkeypatch.setenv(FAULT_ABORT_ENV, "4")
-        with pytest.raises(KeyboardInterrupt):
-            run_stage(load_config(config_path), "run-all")
-        monkeypatch.delenv(FAULT_ABORT_ENV)
-        run_dir = Path(config_dict["run_dir"])
-        checkpoint = run_dir / "checkpoints" / "extract.concepts.json"
-        header = json.loads(checkpoint.read_text())
-        checkpoint.write_text(json.dumps({k: v for k, v in header.items() if k != "inputs"}))
-        done = cached_ids(run_dir / "cache" / "extract.concepts.jsonl")
-
-        config = load_config(config_path)
-        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
-        run_stage(config, "run-all", client=BackendClient(mock=mock))
-        asked = {s["id"] for s in seeds for p in mock.prompts
-                 if p.startswith("TASK: extract-concepts") and s["question"] in p}
-        assert asked == {s["id"] for s in seeds} - done
-        assert json.loads(checkpoint.read_text()) == header
 
     def test_verbose_cli_names_the_skipped_stage(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
@@ -1195,7 +1215,12 @@ class TestConfigParsing:
         fp2 = parse_config(dict(base, run_dir="b")).fingerprint()
         fp3 = parse_config(dict(base, random_seed=5)).fingerprint()
         fp4 = parse_config(dict(base, max_in_flight=1)).fingerprint()
-        assert fp1 == fp2 == fp4
+        # Input paths: the stage records hash the files' contents instead.
+        fp5 = parse_config(dict(base, seed_corpus="elsewhere/c.jsonl")).fingerprint()
+        fp6 = parse_config(dict(base, templates_dir="t"), base_dir=tmp_path).fingerprint()
+        fp7 = parse_config(dict(base, analytics={"decontamination_reference": "r.jsonl"}),
+                           base_dir=tmp_path).fingerprint()
+        assert fp1 == fp2 == fp4 == fp5 == fp6 == fp7
         assert fp1 != fp3
 
     def test_bad_threshold_rejected(self, tmp_path):
