@@ -6,12 +6,7 @@ never co-occurred are still reachable through intermediate nodes, which is
 what the multi-hop machinery exploits.
 """
 
-from graphsynth.graph import (
-    bottleneck_weight,
-    build_graph,
-    hop_distance,
-    identify_hubs,
-)
+from graphsynth.graph import build_graph, identify_hubs, pairs_at_distance
 
 # Each entry: (seed problem id, the concepts it uses).
 corpus = [
@@ -27,19 +22,27 @@ print("edges (a, b, co-occurrence count):")
 for a, b, w in g.edges():
     print(f"  {a} -- {b}  (weight {w})")
 
-# "Square roots" and "Perimeter of a triangle" co-occurred twice:
-print("\nweight(Square roots, Perimeter):",
-      g.weight("Square roots", "Perimeter of a triangle"))
+# "Perimeter of a triangle" and "Square roots" co-occurred twice:
+weights = {(a, b): w for a, b, w in g.edges()}
+print("\nweight(Perimeter, Square roots):",
+      weights[("Perimeter of a triangle", "Square roots")])
 
-# Distances: 1 = explicit co-occurrence, >1 = implicit relationship.
+# pairs_at_distance(g, d) lists every pair exactly d hops apart, as
+# (a, b, bottleneck weight, witness path) with a < b. Distance 1 is an
+# explicit co-occurrence, more than 1 an implicit relationship.
+reach = {}
+for d in (1, 2, 3):
+    for a, b, width, path in pairs_at_distance(g, d):
+        reach[(a, b)] = (d, width, path)
+
 pairs = [
-    ("Pythagorean theorem", "Perimeter of a triangle"),
-    ("Pythagorean theorem", "Linear equations"),
+    ("Perimeter of a triangle", "Pythagorean theorem"),
+    ("Linear equations", "Pythagorean theorem"),
     ("Pythagorean theorem", "Systems of equations"),
 ]
 print("\nhop distances:")
 for a, b in pairs:
-    print(f"  D({a!r}, {b!r}) = {hop_distance(g, a, b)}")
+    print(f"  D({a!r}, {b!r}) = {reach[(a, b)][0]}")
 
 # Hubs are the highest-degree nodes; ties break on the concept id.
 hubs = identify_hubs(g, fraction=0.4)
@@ -48,5 +51,6 @@ print("minimum hub degree:", hubs.min_degree_achieved)
 
 # The bottleneck weight of a pair is the widest shortest path: the best
 # guaranteed co-occurrence strength along some minimum-hop route.
-print("\nbottleneck(Pythagorean theorem, Linear equations):",
-      bottleneck_weight(g, "Pythagorean theorem", "Linear equations"))
+_, width, path = reach[("Linear equations", "Pythagorean theorem")]
+print("\nbottleneck(Linear equations, Pythagorean theorem):", width,
+      "via", " -> ".join(path))

@@ -6,16 +6,8 @@ material. Communities are cliques: tightly coupled concept groups suited
 to integrative problems.
 """
 
-from graphsynth.graph import (
-    build_graph,
-    enumerate_communities,
-    enumerate_one_hop,
-    enumerate_three_hop,
-    enumerate_two_hop,
-    identify_hubs,
-    is_novel,
-    sample_combinations,
-)
+from graphsynth.analytics import NoveltyCounter
+from graphsynth.graph import build_graph, identify_hubs, select_combinations
 
 corpus = [
     ("p1", {"A", "B", "C"}),
@@ -28,27 +20,23 @@ seed_sets = [concepts for _, concepts in corpus]
 g = build_graph(corpus)
 hubs = identify_hubs(g, fraction=1.0)  # treat every node as a hub for the demo
 
-one = enumerate_one_hop(g)
-two = enumerate_two_hop(g)
-three = enumerate_three_hop(g, hubs, min_weight=1)
-communities = enumerate_communities(g)
-
-for label, combos in [("one-hop", one), ("two-hop", two),
-                      ("three-hop", three), ("community", communities)]:
-    print(f"{label}: {len(combos)} combinations")
-    for combo in combos:
-        novel = is_novel(combo, seed_sets)
-        path = f" via {'-'.join(combo.witness)}" if combo.witness else ""
-        print(f"  {'+'.join(combo.concept_ids):12s} weight={combo.weight}"
-              f" novel={novel}{path}")
+# With no budget, select_combinations keeps every combination of every kind,
+# in combination order (kind, then concept ids), and counts each kind.
+combos, enumerated, _ = select_combinations(g, hubs, min_weight=1)
+print("combinations per kind:", enumerated)
+novelty = {kind: NoveltyCounter(seed_sets) for kind in enumerated}
+for combo in combos:
+    novelty[combo.kind].add(combo.concept_ids)
+    path = f" via {'-'.join(combo.witness)}" if combo.witness else ""
+    print(f"  {combo.kind:9s} {'+'.join(combo.concept_ids):8s} weight={combo.weight}{path}")
 
 # Every multi-hop pair is novel by construction; one-hop pairs never are.
-assert all(not is_novel(c, seed_sets) for c in one)
-assert all(is_novel(c, seed_sets) for c in two + three)
+print("\nnovelty rate per kind:", {kind: c.rate() for kind, c in novelty.items()})
+assert novelty["one_hop"].rate() == 0.0
+assert novelty["two_hop"].rate() == novelty["three_hop"].rate() == 1.0
 
 # Sampling to a generation budget is uniform and reproducible.
-everything = one + two + three + communities
-budgeted = sample_combinations(everything, budget=4, seed=123)
+budgeted, _, _ = select_combinations(g, hubs, min_weight=1, budget=4, seed=123)
 print("\nbudgeted sample of 4 (stable under the same seed):")
 for combo in budgeted:
     print(" ", combo.combo_id)

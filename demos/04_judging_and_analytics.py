@@ -5,7 +5,7 @@ solution gate, per-sample cost under token and GPU pricing, and the
 directional n-gram contamination check.
 """
 
-from graphsynth.analytics import CostModel, cost_report, expansion_ratio, ngram_overlap
+from graphsynth.analytics import CostModel, NgramOverlap, cost_report, expansion_ratio
 from graphsynth.backends import BackendDescriptor
 from graphsynth.evaluation import (
     JudgePanel,
@@ -42,12 +42,13 @@ cluster = CostModel(mode="gpu_hourly", gpu_rate=0.42, gpu_count=8, hours=36,
 print("GPU-priced sample:", f"{cost_report(cluster):.2e}", "USD")
 
 # Contamination: which fraction of synthesized n-grams appears verbatim in a
-# reference set (denominator is the synthesized side).
-synth = [
-    "What is the smallest possible value of the sum of two squares",
-    "Compute the area of a triangle with integer sides",
-]
+# reference set (denominator is the synthesized side). The analyze stage
+# feeds its synthesized questions to the accumulator one at a time.
 reference = ["What is the smallest possible value of the product instead"]
-report = ngram_overlap(synth, reference, ns=[5, 8])
+overlap = NgramOverlap(reference, ns=[5, 8])
+for question in ("What is the smallest possible value of the sum of two squares",
+                 "Compute the area of a triangle with integer sides"):
+    overlap.add(question)
+report = overlap.report()
 print("\nn-gram overlap:", report.per_n)
 print("most frequent shared n-grams:", report.top_overlapping)

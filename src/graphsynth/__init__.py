@@ -39,10 +39,7 @@ from .backends import (
 )
 from .config import RunConfig, load_config, parse_config
 from .evaluation import (
-    GoldLabel,
     JudgePanel,
-    ensemble_accuracy,
-    ensemble_qualified,
     score_problem,
     veto_decision,
     vote_solution,
@@ -63,15 +60,12 @@ from .graph import (
     ConceptCombination,
     ConceptGraph,
     HubSet,
-    bottleneck_weight,
     build_graph,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_three_hop,
     enumerate_two_hop,
-    hop_distance,
     identify_hubs,
-    is_novel,
     pairs_at_distance,
     sample_combinations,
     select_combinations,

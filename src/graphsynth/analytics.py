@@ -37,9 +37,6 @@ logger = logging.getLogger(__name__)
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_NGRAM_SIZES = (8, 10, 13, 15)
 EMBED_BATCH_SIZE = 128
-# Most synthesized rows per block of the item x seed cosine matrix, so memory
-# stays bounded by the seed count rather than the item count.
-SIMILARITY_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -159,14 +156,12 @@ class SeedSimilarity:
         self._pending = []
 
     def _fold(self, vectors: np.ndarray) -> None:
-        """Fold embedded rows in, ``SIMILARITY_BLOCK_ROWS`` at a time."""
-        for start in range(0, len(vectors), SIMILARITY_BLOCK_ROWS):
-            block = vectors[start:start + SIMILARITY_BLOCK_ROWS] @ self._seed_vecs.T
-            row_max = np.clip(block.max(axis=1), -1.0, 1.0)
-            counts, _ = np.histogram(np.clip(row_max, 0.0, 1.0), bins=self._edges)
-            self._counts += counts
-            self._total = sum(row_max.tolist(), self._total)
-            self._count += len(row_max)
+        """Fold one embedded chunk (at most ``EMBED_BATCH_SIZE`` rows) in."""
+        row_max = np.clip((vectors @ self._seed_vecs.T).max(axis=1), -1.0, 1.0)
+        counts, _ = np.histogram(np.clip(row_max, 0.0, 1.0), bins=self._edges)
+        self._counts += counts
+        self._total = sum(row_max.tolist(), self._total)
+        self._count += len(row_max)
 
     def report(self) -> SimilarityReport:
         self._flush()
@@ -227,10 +222,10 @@ def _embed_batched(
 class NoveltyCounter:
     """Counts the concept sets that appear in no seed example.
 
-    Counts what :func:`graph.is_novel` would for each set, through an
-    inverted index built once (concept id -> positions of the seeds holding
-    it): a set is covered by a seed iff the posting lists of its concepts
-    intersect. Empty sets are not novel.
+    Counts what the brute-force reference ``tests/oracles.py::is_novel``
+    would for each set, through an inverted index built once (concept id ->
+    positions of the seeds holding it): a set is covered by a seed iff the
+    posting lists of its concepts intersect. Empty sets are not novel.
     """
 
     def __init__(self, seed_concept_sets: Iterable[Iterable[str]]):

@@ -63,8 +63,10 @@ class RequestParams:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RequestParams":
-        """Parse ``request_params``. An unknown key, or a value that is not a
-        number (an integer where the default is one), raises
+        """Parse ``request_params``. An unknown key, a value that is not a
+        number (an integer where the default is one), or a timing value out
+        of range (``timeout > 0``, ``backoff_base >= 0``,
+        ``backoff_factor >= 0``, ``0 <= backoff_jitter <= 1``) raises
         ConfigurationError."""
         if not isinstance(rec, dict):
             raise ConfigurationError("request_params must be an object")
@@ -77,7 +79,16 @@ class RequestParams:
             if not (is_int(value) if integral else is_number(value)):
                 expected = "an integer" if integral else "a number"
                 raise ConfigurationError(f"request_params.{key} must be {expected}")
-        return cls(**rec)
+        params = cls(**rec)
+        for key, ok, bound in (
+            ("timeout", params.timeout > 0, "> 0"),
+            ("backoff_base", params.backoff_base >= 0, ">= 0"),
+            ("backoff_factor", params.backoff_factor >= 0, ">= 0"),
+            ("backoff_jitter", 0 <= params.backoff_jitter <= 1, "within [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"request_params.{key} must be {bound}")
+        return params
 
 
 @dataclass

@@ -13,6 +13,7 @@ fingerprint refuse to resume.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,7 +162,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
-    merged = _merge_defaults(DEFAULTS, {k: v for k, v in data.items()})
+    merged = _merge_defaults(copy.deepcopy(DEFAULTS), data)
     for key in ("run_dir", "seed_corpus"):
         if not merged.get(key):
             raise ConfigurationError(f"config key {key!r} is required")
@@ -245,8 +246,15 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError("mock.seed must be an integer")
     mock_behaviors = MockBehaviors.from_record(mock_cfg.get("behaviors") or {})
 
+    backend_recs = {} if merged.get("backends") is None else merged["backends"]
+    if not isinstance(backend_recs, dict):
+        raise ConfigurationError("backends must be null or an object")
+    judge_recs = [] if merged.get("judges") is None else merged["judges"]
+    if not (isinstance(judge_recs, list) and all(isinstance(r, dict) for r in judge_recs)):
+        raise ConfigurationError("judges must be null or a list of objects")
+
     backends: dict[str, BackendDescriptor] = {}
-    for key, rec in (merged.get("backends") or {}).items():
+    for key, rec in backend_recs.items():
         if key not in SINGLETON_ROLES:
             raise ConfigurationError(
                 f"unknown backend key {key!r}; expected one of {sorted(SINGLETON_ROLES)}"
@@ -255,7 +263,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
 
     judges = []
     seen_ids = set()
-    for idx, rec in enumerate(merged.get("judges") or []):
+    for idx, rec in enumerate(judge_recs):
         rec = dict(rec)
         rec.setdefault("backend_id", f"judge-{idx}")
         descriptor = _parse_descriptor(rec["backend_id"], "judge", rec)

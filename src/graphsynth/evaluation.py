@@ -80,14 +80,6 @@ class JudgePanel:
         return {j.backend_id: j.judge_weight / total for j in self.judges}
 
 
-@dataclass
-class GoldLabel:
-    """External human verdict for one item (qualified or not)."""
-
-    item_id: str
-    qualified: bool
-
-
 def parse_score(raw: str) -> float | None:
     """Last parseable number in the reply, clamped into [0, 1]."""
     matches = _NUMBER_RE.findall(raw)
@@ -178,54 +170,3 @@ def veto_decision(votes: Mapping[str, int] | Sequence[int]) -> bool:
     if not values:
         raise ValidationError("veto_decision requires at least one vote")
     return all(v == 1 for v in values)
-
-
-def ensemble_qualified(
-    weighted_score: float,
-    votes: Mapping[str, int] | Sequence[int],
-    threshold: float = PROBLEM_ACCEPT_THRESHOLD,
-) -> bool:
-    """Overall item verdict: problem score reaches the threshold and the
-    solution survives the veto."""
-    return weighted_score >= threshold and veto_decision(votes)
-
-
-def ensemble_accuracy(
-    verdicts: Mapping[str, bool],
-    gold: Sequence[GoldLabel],
-) -> float:
-    """Agreement rate between ensemble verdicts and human gold labels."""
-    if not gold:
-        raise ValidationError("gold label set is empty")
-    seen = set()
-    for label in gold:
-        if label.item_id in seen:
-            raise ValidationError(f"duplicate gold label for item {label.item_id!r}")
-        seen.add(label.item_id)
-    missing = sorted(l.item_id for l in gold if l.item_id not in verdicts)
-    if missing:
-        raise ValidationError(f"verdicts missing for gold items: {missing}")
-    matches = sum(1 for l in gold if verdicts[l.item_id] == l.qualified)
-    return matches / len(gold)
-
-
-def load_gold_labels(path) -> list[GoldLabel]:
-    """Read a gold-label file: one {item_id, qualified} object per line."""
-    from ._util import read_jsonl
-
-    labels = []
-    seen: dict[str, int] = {}
-    for lineno, rec in read_jsonl(path):
-        item_id = rec.get("item_id")
-        qualified = rec.get("qualified")
-        if not isinstance(item_id, str) or not isinstance(qualified, bool):
-            raise ValidationError(
-                f"line {lineno}: gold record needs string 'item_id' and boolean 'qualified'"
-            )
-        if item_id in seen:
-            raise ValidationError(
-                f"duplicate gold label for {item_id!r} on lines {seen[item_id]} and {lineno}"
-            )
-        seen[item_id] = lineno
-        labels.append(GoldLabel(item_id=item_id, qualified=qualified))
-    return labels

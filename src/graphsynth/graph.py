@@ -47,7 +47,9 @@ and always built. A budget of None draws every rank.
 
 ``pairs_at_distance`` keeps the breadth-first search: it serves three-hop
 pairs and any distance, and it is the reference the two-hop expansion is
-tested against.
+tested against. It also answers distance and bottleneck queries: a pair is
+at distance d exactly when ``pairs_at_distance(g, d)`` lists it, and the
+third field of its entry is its bottleneck weight.
 """
 
 from __future__ import annotations
@@ -160,11 +162,6 @@ class ConceptGraph:
         self._require(node)
         return len(self._adj[node])
 
-    def weight(self, a: str, b: str) -> int | None:
-        self._require(a)
-        self._require(b)
-        return self._adj[a].get(b)
-
     def edges(self) -> list[tuple[str, str, int]]:
         """All edges as (a, b, weight) with a < b, sorted."""
         out = []
@@ -182,11 +179,12 @@ class ConceptGraph:
     # -- distance machinery ----------------------------------------------------
 
     def _layered_search(
-        self, source: str, max_dist: int | None = None, target: str | None = None
+        self, source: str, max_dist: int
     ) -> tuple[dict[str, int], dict[str, float], dict[str, str | None]]:
-        """BFS from ``source`` tracking, per reached node, the shortest-path
-        distance, the bottleneck width over all shortest paths (widest
-        shortest path), and one predecessor achieving that width.
+        """BFS from ``source`` out to ``max_dist`` hops tracking, per reached
+        node, the shortest-path distance, the bottleneck width over all
+        shortest paths (widest shortest path), and one predecessor achieving
+        that width.
 
         Width is computed by dynamic programming over the BFS layer DAG:
         width(v) = max over predecessors u in the previous layer of
@@ -199,9 +197,7 @@ class ConceptGraph:
         parent: dict[str, str | None] = {source: None}
         frontier = [source]
         d = 0
-        while frontier and (max_dist is None or d < max_dist):
-            if target is not None and target in dist:
-                break
+        while frontier and d < max_dist:
             d += 1
             candidates: dict[str, tuple[float, str]] = {}
             for u in frontier:
@@ -255,27 +251,6 @@ def build_graph(
             adj[a][b] = adj[a].get(b, 0) + 1
             adj[b][a] = adj[b].get(a, 0) + 1
     return ConceptGraph(adj)
-
-
-def hop_distance(g: ConceptGraph, a: str, b: str) -> int | None:
-    """Shortest-path length in edges between ``a`` and ``b``; None when
-    unreachable; 0 for a node and itself."""
-    g._require(a)
-    g._require(b)
-    dist, _, _ = g._layered_search(a, target=b)
-    return dist.get(b)
-
-
-def bottleneck_weight(g: ConceptGraph, a: str, b: str) -> float:
-    """Maximum over all minimum-hop paths of the smallest edge weight along
-    the path. For adjacent pairs this is the edge weight itself; for a == b
-    it is +inf (empty path)."""
-    g._require(a)
-    g._require(b)
-    dist, width, _ = g._layered_search(a, target=b)
-    if b not in dist:
-        raise ValidationError(f"no path between {a!r} and {b!r}")
-    return width[b]
 
 
 def enumerate_one_hop(g: ConceptGraph) -> list[ConceptCombination]:
@@ -494,18 +469,6 @@ def _clique_weight(view: _IndexedView, members: tuple[int, ...]) -> int:
             )
         weights.append(w)
     return min(weights)
-
-
-def is_novel(
-    combination: ConceptCombination,
-    seed_concept_sets: Iterable[Iterable[str]],
-) -> bool:
-    """True when the combination's concept set is not contained in any seed
-    example's concept set. Empty combinations are not novel by convention."""
-    concepts = set(combination.concept_ids)
-    if not concepts:
-        return False
-    return not any(concepts <= set(s) for s in seed_concept_sets)
 
 
 # The one combination order: kind in this order, then the concept-id tuple.

@@ -854,7 +854,7 @@ def _iter_reference_texts(path: Path) -> Iterator[str]:
         yield from (line for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
         return
     for lineno, rec in iter_jsonl(path):
-        value = rec.get("question", rec.get("text"))
+        value = rec.get("question", rec.get("text")) if isinstance(rec, dict) else None
         if not isinstance(value, str):
             raise ValidationError(
                 f"{path}:{lineno}: reference record needs a 'question' or 'text' field"

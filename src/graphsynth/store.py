@@ -293,10 +293,6 @@ def save_concepts(path: str | Path, concepts: Sequence[KeyConcept]) -> None:
     write_jsonl_atomic(path, [c.to_record() for c in concepts])
 
 
-def load_items(path: str | Path) -> list[SynthesizedItem]:
-    return [SynthesizedItem.from_record(rec, line=lineno) for lineno, rec in read_jsonl(path)]
-
-
 def write_checkpoint(record: dict, path: str | Path) -> None:
     """Durably persist a stage record; the write is atomic (temp then rename)."""
     write_atomic(path, canonical_json(record) + "\n")

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from graphsynth.backends import BackendClient, BackendDescriptor, MockServer
+from graphsynth.graph import ConceptGraph, pairs_at_distance
 
 
 @pytest.fixture
@@ -48,6 +49,19 @@ def wire_usage(mock: MockServer, descriptor: BackendDescriptor, prompt: str) -> 
     request = {"model": descriptor.model_name,
                "messages": [{"role": "user", "content": prompt}]}
     return mock.chat_completion(request)["usage"]
+
+
+def reachable_pairs(g: ConceptGraph, sources=None) -> dict[tuple[str, str], tuple[int, float]]:
+    """Every pair reachable from ``sources`` (all nodes by default), as
+    {(a, b): (hop distance, bottleneck width)} with a < b, read off
+    ``pairs_at_distance`` one distance at a time. It stops at the first
+    distance that lists no pair: a pair at d + 1 has one at d on its path."""
+    out = {}
+    d = 1
+    while pairs := pairs_at_distance(g, d, sources=sources):
+        out.update({(a, b): (d, w) for a, b, w, _ in pairs})
+        d += 1
+    return out
 
 
 def toy_corpus_seeds(n_chain: int = 12, copies: int = 2, n_triples: int = 6) -> list[dict]:

@@ -97,6 +97,15 @@ def widest_shortest_path_weight(
     return best
 
 
+def is_novel(concept_ids: list[str], seed_concept_sets: list[set[str]]) -> bool:
+    """True when the concept set is contained in no seed example's concept
+    set, by testing every seed. An empty set is not novel by convention."""
+    concepts = set(concept_ids)
+    if not concepts:
+        return False
+    return not any(concepts <= set(s) for s in seed_concept_sets)
+
+
 def cliques_of_size(adj: dict[str, set[str]], size: int) -> set[tuple[str, ...]]:
     """All node subsets of the given size that induce a complete subgraph."""
     out = set()

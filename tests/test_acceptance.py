@@ -15,28 +15,27 @@ import time
 import pytest
 
 import oracles
-from conftest import base_config, toy_corpus_seeds, write_config, write_corpus
+from conftest import base_config, reachable_pairs, toy_corpus_seeds, write_config, write_corpus
 from graphsynth.analytics import (
     CostModel,
+    NoveltyCounter,
     adherence_report,
     cost_report,
     expansion_ratio,
     ngram_overlap,
     normalize_for_ngrams,
-    novelty_rate,
 )
 from graphsynth.config import load_config
 from graphsynth.evaluation import JudgePanel, veto_decision, weighted_problem_verdict
 from graphsynth.extraction import SimilarityVerdict, band_for_cosine, build_clusters
 from graphsynth.graph import (
-    ConceptCombination,
     build_graph,
-    bottleneck_weight,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_two_hop,
-    is_novel,
+    identify_hubs,
     pairs_at_distance,
+    select_combinations,
 )
 from graphsynth.pipeline import FAULT_ABORT_ENV, OUTPUT_FILES, run_stage
 from graphsynth.store import KeyConcept, concept_id_for
@@ -126,37 +125,37 @@ def test_graph_oracle_equivalence_on_random_corpora():
         assert got4 == oracles.cliques_of_size(adj, 4)
 
         if len(adj) <= 12:
-            nodes = sorted(adj)
-            for a, b in itertools.combinations(nodes, 2):
-                if oracles.bfs_distance(adj, a, b) is None:
-                    continue
-                expected = oracles.widest_shortest_path_weight(adj, weights, a, b)
-                assert bottleneck_weight(g, a, b) == expected
-                bottleneck_checked += 1
+            expected = {
+                (a, b): oracles.widest_shortest_path_weight(adj, weights, a, b)
+                for a, b in itertools.combinations(sorted(adj), 2)
+                if oracles.bfs_distance(adj, a, b) is not None
+            }
+            assert {pair: w for pair, (_, w) in reachable_pairs(g).items()} == expected
+            bottleneck_checked += len(expected)
+            combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0, budget=None)
+            for combo in combos:
+                if combo.kind != "community":
+                    assert combo.weight == expected[tuple(combo.concept_ids)]
     assert bottleneck_checked > 1000
     assert time.monotonic() - started < 60.0
 
 
 def test_novelty_theorems_hold_everywhere():
     rng = random.Random(77)
+    hop_kinds = ("one_hop", "two_hop", "three_hop")
     for _ in range(50):
         _, seeds = random_corpus(rng, max_seeds=60, max_concepts=12)
         seed_sets = [cs for _, cs in seeds]
         g = build_graph(seeds)
-        one_hop = enumerate_one_hop(g)
-        two_hop = enumerate_two_hop(g)
-        three_hop = [
-            ConceptCombination("three_hop", [a, b], w, path)
-            for a, b, w, path in pairs_at_distance(g, 3)
-        ]
-        for combo in one_hop:
-            assert is_novel(combo, seed_sets) is False
-        for combo in two_hop + three_hop:
-            assert is_novel(combo, seed_sets) is True
-        if one_hop:
-            assert novelty_rate(one_hop, seed_sets) == 0.0
-        if two_hop:
-            assert novelty_rate(two_hop, seed_sets) == 1.0
+        combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0)
+        counters = {kind: NoveltyCounter(seed_sets) for kind in hop_kinds}
+        for combo in combos:
+            if combo.kind in counters:
+                counters[combo.kind].add(combo.concept_ids)
+                assert oracles.is_novel(combo.concept_ids, seed_sets) is (combo.kind != "one_hop")
+        assert counters["one_hop"].rate() == 0.0
+        for kind in ("two_hop", "three_hop"):
+            assert counters[kind].rate() == (1.0 if counters[kind].count else 0.0)
 
 
 def test_evaluation_logic_on_ten_thousand_draws():

@@ -22,7 +22,7 @@ from graphsynth.analytics import (
 )
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
 from graphsynth.errors import ValidationError
-from graphsynth.graph import ConceptCombination, is_novel
+from graphsynth.graph import ConceptCombination
 
 
 class TestExpansionRatio:
@@ -100,11 +100,12 @@ class TestSimilarityDistribution:
             similarity_distribution([], ["x"], self.embedder(), client)
 
     def test_small_blocks_match_one_block(self, monkeypatch):
+        # Chunks of 7 texts are embedded and folded one at a time.
         synth = [f"synth text {i}" for i in range(40)]
         seeds = [f"seed text {i}" for i in range(12)]
         whole = similarity_distribution(synth, seeds, self.embedder(),
                                         BackendClient(mock=MockServer(seed=5)))
-        monkeypatch.setattr(analytics, "SIMILARITY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(analytics, "EMBED_BATCH_SIZE", 7)
         blocked = similarity_distribution(synth, seeds, self.embedder(),
                                           BackendClient(mock=MockServer(seed=5)))
         assert blocked.histogram == whole.histogram
@@ -159,7 +160,7 @@ class TestNoveltyRate:
                     size = 2
                 kind = "community" if size > 2 else rng.choice(["one_hop", "two_hop"])
                 combos.append(ConceptCombination(kind, rng.sample(concepts, size), weight=1))
-            expected = sum(is_novel(c, seeds) for c in combos) / len(combos)
+            expected = sum(oracles.is_novel(c.concept_ids, seeds) for c in combos) / len(combos)
             assert novelty_rate(combos, seeds) == expected
 
     def test_empty_combination_not_novel(self):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +10,7 @@ from conftest import make_descriptor
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
 from graphsynth.errors import ValidationError
 from graphsynth.evaluation import (
-    GoldLabel,
     JudgePanel,
-    ensemble_accuracy,
-    ensemble_qualified,
-    load_gold_labels,
     parse_score,
     parse_vote,
     score_problem,
@@ -211,53 +206,6 @@ class TestVetoDecision:
                 expected = min(votes) == 1
                 assert veto_decision(list(votes)) == expected
                 assert veto_decision(list(votes)) == (sum(votes) == len(votes))
-
-
-class TestEnsembleAccuracy:
-    def gold(self, labels):
-        return [GoldLabel(item_id=k, qualified=v) for k, v in labels.items()]
-
-    def test_perfect_agreement(self):
-        labels = {f"i{n}": bool(n % 2) for n in range(10)}
-        assert ensemble_accuracy(dict(labels), self.gold(labels)) == 1.0
-
-    def test_nine_of_ten(self):
-        labels = {f"i{n}": True for n in range(10)}
-        verdicts = dict(labels)
-        verdicts["i3"] = False
-        assert ensemble_accuracy(verdicts, self.gold(labels)) == pytest.approx(0.9)
-
-    def test_all_inverted(self):
-        labels = {f"i{n}": bool(n % 2) for n in range(8)}
-        verdicts = {k: not v for k, v in labels.items()}
-        assert ensemble_accuracy(verdicts, self.gold(labels)) == 0.0
-
-    def test_missing_verdicts_listed(self):
-        labels = {"a": True, "b": False, "c": True}
-        with pytest.raises(ValidationError, match=r"\['b', 'c'\]"):
-            ensemble_accuracy({"a": True}, self.gold(labels))
-
-    def test_qualified_needs_both_gates(self):
-        assert ensemble_qualified(0.9, [1, 1]) is True
-        assert ensemble_qualified(0.9, [1, 0]) is False
-        assert ensemble_qualified(0.8, [1, 1]) is False
-        assert ensemble_qualified(0.85, [1]) is True
-
-    def test_gold_file_round_trip(self, tmp_path):
-        path = tmp_path / "gold.jsonl"
-        path.write_text(
-            json.dumps({"item_id": "a", "qualified": True}) + "\n"
-            + json.dumps({"item_id": "b", "qualified": False}) + "\n"
-        )
-        labels = load_gold_labels(path)
-        assert [(l.item_id, l.qualified) for l in labels] == [("a", True), ("b", False)]
-
-    def test_gold_file_duplicate_rejected(self, tmp_path):
-        path = tmp_path / "gold.jsonl"
-        rec = json.dumps({"item_id": "a", "qualified": True})
-        path.write_text(rec + "\n" + rec + "\n")
-        with pytest.raises(ValidationError, match="duplicate"):
-            load_gold_labels(path)
 
 
 class TestScoreByKind:

@@ -8,18 +8,17 @@ import graphsynth.graph as graph_module
 import pytest
 
 import oracles
+from conftest import reachable_pairs
+from graphsynth.analytics import NoveltyCounter
 from graphsynth.errors import ValidationError
 from graphsynth.graph import (
     ConceptCombination,
     build_graph,
-    bottleneck_weight,
     enumerate_communities,
     enumerate_one_hop,
     enumerate_three_hop,
     enumerate_two_hop,
-    hop_distance,
     identify_hubs,
-    is_novel,
     pairs_at_distance,
     sample_combinations,
     select_combinations,
@@ -88,28 +87,35 @@ class TestBuildGraph:
 
 
 class TestHopDistance:
+    """A pair is at distance d exactly when ``pairs_at_distance(g, d)`` lists it."""
+
     @pytest.mark.parametrize("a,b,d", [("A", "B", 1), ("A", "D", 2), ("A", "E", 3)])
     def test_toy_distances(self, g0, a, b, d):
-        assert hop_distance(g0, a, b) == d
+        assert reachable_pairs(g0)[(a, b)][0] == d
 
     def test_self_distance_zero(self, g0):
-        assert hop_distance(g0, "A", "A") == 0
+        # Distance 0 is no query; no positive distance lists a node with itself.
+        with pytest.raises(ValidationError):
+            pairs_at_distance(g0, 0)
+        assert all(a != b for a, b in reachable_pairs(g0))
 
     def test_unreachable_is_none(self):
         g = build_graph([("P1", {"A", "B"})], all_concept_ids={"A", "B", "Z"})
-        assert hop_distance(g, "A", "Z") is None
+        assert reachable_pairs(g) == {("A", "B"): (1, 1)}
+        assert reachable_pairs(g, sources=["Z"]) == {}
 
     def test_unknown_node_rejected(self, g0):
         with pytest.raises(ValidationError):
-            hop_distance(g0, "A", "nope")
+            pairs_at_distance(g0, 1, sources=["A", "nope"])
 
     def test_matches_bfs_oracle_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(25):
             g, adj, _ = random_graph(rng)
-            nodes = sorted(adj)
-            for a, b in itertools.combinations(nodes, 2):
-                assert hop_distance(g, a, b) == oracles.bfs_distance(adj, a, b)
+            found = reachable_pairs(g)
+            for a, b in itertools.combinations(sorted(adj), 2):
+                got = found[(a, b)][0] if (a, b) in found else None
+                assert got == oracles.bfs_distance(adj, a, b)
 
 
 class TestOneHop:
@@ -285,11 +291,14 @@ class TestCommunities:
 
 
 class TestBottleneckWeight:
+    """A pair's bottleneck weight is the third field of its
+    ``pairs_at_distance`` entry."""
+
     def test_adjacent_pair_is_edge_weight(self, g0):
-        assert bottleneck_weight(g0, "B", "C") == 2
+        assert reachable_pairs(g0)[("B", "C")] == (1, 2)
 
     def test_toy_b_to_e(self, g0):
-        assert bottleneck_weight(g0, "B", "E") == 1
+        assert reachable_pairs(g0)[("B", "E")] == (2, 1)
 
     def test_parallel_paths_take_widest(self):
         # a-b-d has bottleneck 1; a-c-d has bottleneck 3 (edges repeated 3x).
@@ -297,23 +306,26 @@ class TestBottleneckWeight:
         seeds += [(f"s3{i}", {"a", "c"}) for i in range(3)]
         seeds += [(f"s4{i}", {"c", "d"}) for i in range(3)]
         g = build_graph(seeds)
-        assert bottleneck_weight(g, "a", "d") == 3
+        assert reachable_pairs(g)[("a", "d")] == (2, 3)
+        assert pairs_at_distance(g, 2, sources=["a"])[0][3] == ["a", "c", "d"]
 
     def test_unreachable_pair_rejected(self):
+        # No distance lists an unreachable pair, so it has no weight.
         g = build_graph([("P1", {"a", "b"})], all_concept_ids={"a", "b", "z"})
-        with pytest.raises(ValidationError):
-            bottleneck_weight(g, "a", "z")
+        assert ("a", "z") not in reachable_pairs(g)
+        assert reachable_pairs(g, sources=["a"]) == {("a", "b"): (1, 1)}
 
     def test_matches_all_paths_oracle(self):
         rng = random.Random(31)
         for _ in range(25):
             g, adj, weights = random_graph(rng, max_nodes=10)
-            nodes = sorted(adj)
-            for a, b in itertools.combinations(nodes, 2):
-                if oracles.bfs_distance(adj, a, b) is None:
-                    continue
-                expected = oracles.widest_shortest_path_weight(adj, weights, a, b)
-                assert bottleneck_weight(g, a, b) == expected
+            found = reachable_pairs(g)
+            expected = {
+                (a, b): oracles.widest_shortest_path_weight(adj, weights, a, b)
+                for a, b in itertools.combinations(sorted(adj), 2)
+                if oracles.bfs_distance(adj, a, b) is not None
+            }
+            assert {pair: w for pair, (_, w) in found.items()} == expected
 
 
 class TestDistancePartition:
@@ -344,25 +356,27 @@ class TestDistancePartition:
             assert got == oracles.all_pairs_at_distance(adj, 4)
 
 
+def counted_novel(concept_ids, seed_sets) -> bool:
+    """Novelty as the analyze stage counts it, for one concept set."""
+    counter = NoveltyCounter(seed_sets)
+    counter.add(concept_ids)
+    return counter.rate() == 1.0
+
+
 class TestNovelty:
     SEED_SETS = [{"A", "B", "C"}, {"B", "C", "D"}, {"D", "E"}]
 
-    def combo(self, kind, ids):
-        return ConceptCombination(kind=kind, concept_ids=ids, weight=1)
-
     def test_two_hop_pair_is_novel(self):
-        assert is_novel(self.combo("two_hop", ["A", "D"]), self.SEED_SETS) is True
+        assert counted_novel(["A", "D"], self.SEED_SETS) is True
+        assert oracles.is_novel(["A", "D"], self.SEED_SETS) is True
 
     def test_subset_of_seed_not_novel(self):
-        assert is_novel(self.combo("one_hop", ["B", "C"]), self.SEED_SETS) is False
+        assert counted_novel(["B", "C"], self.SEED_SETS) is False
+        assert oracles.is_novel(["B", "C"], self.SEED_SETS) is False
 
     def test_empty_combination_not_novel(self):
-        combo = ConceptCombination.__new__(ConceptCombination)
-        combo.kind = "community"
-        combo.concept_ids = []
-        combo.weight = 0
-        combo.witness = None
-        assert is_novel(combo, self.SEED_SETS) is False
+        assert counted_novel([], self.SEED_SETS) is False
+        assert oracles.is_novel([], self.SEED_SETS) is False
 
     def test_one_hop_never_novel_multi_hop_always(self):
         rng = random.Random(41)
@@ -373,13 +387,13 @@ class TestNovelty:
                 size = rng.randint(2, min(5, len(concepts)))
                 seeds.append(set(rng.sample(concepts, size)))
             g = build_graph([(f"s{i}", cs) for i, cs in enumerate(seeds)])
-            for combo in enumerate_one_hop(g):
-                assert is_novel(combo, seeds) is False
-            for combo in enumerate_two_hop(g):
-                assert is_novel(combo, seeds) is True
-            for a, b, w, path in pairs_at_distance(g, 3):
-                combo = ConceptCombination("three_hop", [a, b], w, path)
-                assert is_novel(combo, seeds) is True
+            combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0)
+            for combo in combos:
+                if combo.kind == "community":
+                    continue
+                novel = combo.kind != "one_hop"
+                assert oracles.is_novel(combo.concept_ids, seeds) is novel
+                assert counted_novel(combo.concept_ids, seeds) is novel
 
 
 class TestSampling:

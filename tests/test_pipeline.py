@@ -30,10 +30,12 @@ from graphsynth.pipeline import (
     STAGES,
     PipelineRun,
     RunLock,
+    _iter_reference_texts,
     _read_cache_tolerant,
     run_stage,
 )
-from graphsynth.store import concept_id_for, load_concepts, load_items, load_seed_corpus
+from graphsynth._util import iter_jsonl
+from graphsynth.store import SynthesizedItem, concept_id_for, load_concepts, load_seed_corpus
 from graphsynth.synthesis import DEFAULT_TEMPLATE_BODIES
 
 G0_SEEDS = [
@@ -51,6 +53,12 @@ def make_run(tmp_path, seeds=None, run_name="run", **config_extra):
     config_dict = base_config(tmp_path, corpus, run_name=run_name, **config_extra)
     config_path = write_config(tmp_path / f"{run_name}.json", config_dict)
     return config_path, config_dict
+
+
+def read_items(run_dir: Path) -> list[SynthesizedItem]:
+    """``items.jsonl`` read the way the analyze stage reads it, one line at a time."""
+    return [SynthesizedItem.from_record(rec, line=lineno)
+            for lineno, rec in iter_jsonl(run_dir / "items.jsonl")]
 
 
 def read_outputs(run_dir: Path) -> dict[str, bytes]:
@@ -251,7 +259,7 @@ class TestSynthesizeStage:
             judges_scores_by_kind={"one_hop": 0.94, "two_hop": 0.72,
                                    "three_hop": 0.62, "community": 0.88},
         )
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         assert items
         for item in items:
             kind = item.combination["kind"]
@@ -271,7 +279,7 @@ class TestSynthesizeStage:
         run_stage(config, "extract")
         run_stage(config, "graph")
         run_stage(config, "synthesize")
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         assert items
         assert all(i.status == "problem_rejected" for i in items)
 
@@ -283,7 +291,7 @@ class TestSynthesizeStage:
         run_stage(config, "extract")
         run_stage(config, "graph")
         run_stage(config, "synthesize")
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         assert items
         assert all(i.status == "solution_accepted" for i in items)
         assert all(i.weighted_score == 1.0 for i in items)
@@ -297,7 +305,7 @@ class TestSynthesizeStage:
         run_stage(config, "extract")
         run_stage(config, "graph")
         run_stage(config, "synthesize")
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         assert items
         assert all(i.status == "solution_rejected" for i in items)
         assert all(i.solution_votes["judge-b"] == 0 for i in items)
@@ -311,7 +319,7 @@ class TestSynthesizeStage:
         run_stage(config, "extract")
         run_stage(config, "graph")
         run_stage(config, "synthesize")
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         assert all(i.difficulty == "high" for i in items)
 
     def test_missing_judges_is_preflight_error(self, tmp_path):
@@ -328,7 +336,7 @@ class TestSynthesizeStage:
         from graphsynth.synthesis import QuestionDeduper
 
         config = self.run_through_synthesize(tmp_path)
-        items = load_items(config.run_dir / "items.jsonl")
+        items = read_items(config.run_dir)
         hashes = [QuestionDeduper.canonical_hash(i.question) for i in items]
         assert len(set(hashes)) == len(hashes)
 
@@ -424,6 +432,13 @@ class TestAnalyzeStage:
             run_stage(config, stage, client=BackendClient(mock=mock))
         assert mock.requests == 0
         assert not config.run_dir.exists()
+
+    @pytest.mark.parametrize("bad", [{"title": "x"}, "a string", [1, 2], 5, None])
+    def test_bad_reference_record_names_its_line(self, tmp_path, bad):
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps({"text": "fine"}) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValidationError, match=r"reference\.jsonl:2: reference record"):
+            list(_iter_reference_texts(reference))
 
     def test_a_stage_without_analyze_ignores_the_reference(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
@@ -799,7 +814,7 @@ class TestStageManifests:
         assert after == before
         assert mock.requests["mock-embedder"] == mock.requests["mock-kb_judge"] == 0
         assert mock.requests["mock-judge-a"] > 0  # the pending evaluate items ran
-        assert len(load_items(config.run_dir / "items.jsonl")) > 1
+        assert len(read_items(config.run_dir)) > 1
 
     def test_manifests_name_no_path_and_a_copied_run_skips(self, tmp_path, caplog):
         corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
@@ -1323,6 +1338,28 @@ class TestConfigParsing:
         ({"analytics": {"adherence_tolerance": True}}, "adherence_tolerance"),
         ({"analytics": {"decontamination_reference": 5}}, "decontamination_reference"),
         ({"analytics": {"decontamination_reference": ""}}, "decontamination_reference"),
+        ({"judges": [{"endpoint": "mock", "request_params": {"timeout": 0}}]}, "timeout"),
+        ({"judges": [{"endpoint": "mock", "request_params": {"timeout": float("nan")}}]},
+         "timeout"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"backoff_base": -1}}}},
+         "backoff_base"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"backoff_factor": -0.5}}}},
+         "backoff_factor"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"backoff_jitter": 3}}}},
+         "backoff_jitter"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"backoff_jitter": -0.1}}}},
+         "backoff_jitter"),
+        ({"backends": [{"endpoint": "mock"}]}, "backends"),
+        ({"backends": []}, "backends"),
+        ({"backends": "mock"}, "backends"),
+        ({"judges": ["mock"]}, "judges"),
+        ({"judges": ""}, "judges"),
+        ({"judges": [{"endpoint": "mock"}, 5]}, "judges"),
+        ({"judges": {"judge-a": {"endpoint": "mock"}}}, "judges"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -1335,6 +1372,18 @@ class TestConfigParsing:
         config = parse_config({"run_dir": "r", "seed_corpus": "c", "backends": {
             "generator": {"endpoint": "mock", "request_params": params}}})
         assert vars(config.backends["generator"].request_params) == params
+        edges = {"backoff_base": 0, "backoff_factor": 0, "backoff_jitter": 1}
+        config = parse_config({"run_dir": "r", "seed_corpus": "c", "backends": {
+            "generator": {"endpoint": "mock", "request_params": edges}}})
+        assert config.backends["generator"].request_params.backoff_jitter == 1
+
+    def test_parsed_sections_do_not_share_the_defaults(self):
+        first = parse_config({"run_dir": "r", "seed_corpus": "c"})
+        first.graph_params["combination_budget"] = 7
+        first.raw["mock"]["behaviors"]["problem_score"] = 0.1
+        second = parse_config({"run_dir": "r", "seed_corpus": "c"})
+        assert second.graph_params["combination_budget"] is None
+        assert second.raw["mock"] == {"seed": 0, "behaviors": {}}
 
     def test_every_mock_behavior_key_parses(self):
         behaviors = {
@@ -1365,6 +1414,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("override", [
         "max_in_flight=0", "random_seed=\"x\"", "analytics.similarity_bin_width=0",
         "analytics.adherence_sample=\"x\"", "mock.seed=\"x\"",
+        "backends=[\"mock\"]", "judges=[\"judge-a\"]",
+        "backends.generator.request_params.timeout=0",
     ])
     def test_run_settings_checked_before_extract(self, tmp_path, override):
         config_path, config_dict = make_run(tmp_path)
