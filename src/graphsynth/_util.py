@@ -10,7 +10,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import CorpusError
 
@@ -93,19 +93,25 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
 
-def write_atomic(path: str | Path, data: str) -> None:
+def write_atomic(path: str | Path, data: str | Iterable[str]) -> None:
     """Write a file atomically: temp file in the same directory, then rename.
 
-    Readers observe either the old content or the new content, never a
-    partial write. The directory is fsynced after the rename, so the new
-    name survives a power loss once this returns.
+    ``data`` is one string or any iterable of strings, written piece by
+    piece, so a caller can stream a file it never holds whole. Readers
+    observe either the old content or the new content, never a partial
+    write: an iterable that raises partway leaves the old file and no temp
+    file. The directory is fsynced after the rename, so the new name
+    survives a power loss once this returns.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", buffering=1 << 16) as handle:
+            if isinstance(data, str):
+                handle.write(data)
+            else:
+                handle.writelines(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -122,10 +128,10 @@ def write_atomic(path: str | Path, data: str) -> None:
         os.close(dir_fd)
 
 
-def write_jsonl_atomic(path: str | Path, records: list[dict]) -> None:
-    """Atomically write one canonical-JSON object per line."""
-    body = "".join(canonical_json(rec) + "\n" for rec in records)
-    write_atomic(path, body)
+def write_jsonl_atomic(path: str | Path, records: Iterable[dict]) -> None:
+    """Atomically write one canonical-JSON object per line, one record at a
+    time."""
+    write_atomic(path, (canonical_json(rec) + "\n" for rec in records))
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

@@ -310,7 +310,14 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
 
 def apply_override(data: dict, assignment: str) -> dict:
     """Apply one ``dotted.key=value`` override; values parse as JSON with a
-    plain-string fallback."""
+    plain-string fallback.
+
+    A part after a list is an integer index into it, so
+    ``judges.0.judge_weight=2`` sets the first judge's weight. A missing
+    object key on the way becomes a new object. An index out of range, or a
+    path that runs through a scalar (null included), raises
+    ``ConfigurationError`` naming the override.
+    """
     if "=" not in assignment:
         raise ConfigurationError(f"override {assignment!r} must look like key=value")
     key, _, raw_value = assignment.partition("=")
@@ -319,12 +326,23 @@ def apply_override(data: dict, assignment: str) -> dict:
     except json.JSONDecodeError:
         value = raw_value
     parts = key.strip().split(".")
-    node = data
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    node: Any = data
+    for depth, part in enumerate(parts):
+        where = ".".join(parts[:depth])
+        if isinstance(node, list):
+            if not part.isdigit() or int(part) >= len(node):
+                raise ConfigurationError(
+                    f"override {assignment!r}: {where} is a list of {len(node)}, "
+                    f"and {part!r} is not an index into it"
+                )
+            part = int(part)
+        elif not isinstance(node, dict):
+            raise ConfigurationError(
+                f"override {assignment!r}: {where} is {json.dumps(node)}, "
+                "not an object or a list"
+            )
+        if depth == len(parts) - 1:
+            node[part] = value
+        else:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
     return data

@@ -59,7 +59,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -500,6 +500,37 @@ def sample_combinations(
     return [ordered[i] for i in chosen]
 
 
+class Selection:
+    """The combinations ``select_combinations`` keeps, built on demand.
+
+    ``enumerated`` counts the combinations of each kind, ``cap_truncated``
+    the cliques the community cap dropped, and ``sampled_by_kind`` the kept
+    combinations of each kind that keeps any. Iterating builds the kept
+    records kind by kind, in combination order; between iterations only
+    their ranks are held.
+    """
+
+    def __init__(
+        self,
+        enumerated: dict[str, int],
+        cap_truncated: int,
+        ranks: dict[str, np.ndarray],
+        builders: dict[str, Callable[[np.ndarray], Iterable[ConceptCombination]]],
+    ) -> None:
+        self.enumerated = enumerated
+        self.cap_truncated = cap_truncated
+        self.sampled_by_kind = {kind: len(r) for kind, r in ranks.items() if len(r)}
+        self._ranks = ranks
+        self._builders = builders
+
+    def __len__(self) -> int:
+        return sum(self.sampled_by_kind.values())
+
+    def __iter__(self) -> Iterator[ConceptCombination]:
+        for kind in _KIND_ORDER:
+            yield from self._builders[kind](self._ranks[kind])
+
+
 def select_combinations(
     g: ConceptGraph,
     hubs: HubSet,
@@ -509,21 +540,21 @@ def select_combinations(
     cap: int | None = None,
     budget: int | None = None,
     seed: int = 0,
-) -> tuple[list[ConceptCombination], dict[str, int], int]:
+) -> Selection:
     """``sample_combinations`` over every kind, building only what it keeps.
 
-    Returns ``(sampled, enumerated_by_kind, cap_truncated)``: the records
+    Iterating the returned ``Selection`` yields the records
     ``sample_combinations(one_hop + two_hop + three_hop + communities,
     budget, seed)`` returns for the enumerators above (``min_weight`` for
-    three-hop pairs, ``sizes`` and ``cap`` for communities), the number of
-    combinations of each kind, and the number of cliques the cap dropped.
+    three-hop pairs, ``sizes`` and ``cap`` for communities); it also counts
+    the combinations of each kind and the cliques the cap dropped.
 
     The enumerators produce each kind in combination order, so the sampled
     ranks are drawn from the counts alone, with the same
     ``random.Random(seed)`` draw, and only the drawn two-hop rows and the
-    cliques up to the last drawn one are walked again. One-hop and three-hop
-    pairs are always built. A budget of None, or one at least the total,
-    draws every rank.
+    cliques up to the last drawn one are walked again, as the records are
+    iterated. One-hop and three-hop pairs are always built. A budget of
+    None, or one at least the total, draws every rank.
     """
     sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
@@ -544,50 +575,49 @@ def select_combinations(
     }
     total = sum(enumerated.values())
     if budget is None or budget >= total:
-        ranks: Sequence[int] = range(total)
+        ranks = np.arange(total, dtype=np.int64)
     else:
-        ranks = sorted(random.Random(seed).sample(range(total), budget))
-    builders = {
-        "community": lambda within: _cliques_at(view, within, sizes, cap),
-        "one_hop": lambda within: [one_hop[r] for r in within],
-        "three_hop": lambda within: [three_hop[r] for r in within],
-        "two_hop": lambda within: _two_hop_at(view, within, row_counts),
-    }
-    sampled: list[ConceptCombination] = []
-    start = lo = 0
+        ranks = np.array(random.Random(seed).sample(range(total), budget), dtype=np.int64)
+        ranks.sort()
+    # Each kind's drawn ranks, counted from the kind's first combination.
+    within: dict[str, np.ndarray] = {}
+    start = 0
     for kind in _KIND_ORDER:
         end = start + enumerated[kind]
-        hi = bisect.bisect_left(ranks, end, lo)
-        sampled.extend(builders[kind]([r - start for r in ranks[lo:hi]]))
-        start, lo = end, hi
-    return sampled, enumerated, sum(cliques.values()) - kept
+        lo, hi = np.searchsorted(ranks, [start, end])
+        within[kind] = ranks[lo:hi] - start
+        start = end
+    builders = {
+        "community": lambda drawn: _cliques_at(view, drawn, sizes, cap),
+        "one_hop": lambda drawn: (one_hop[r] for r in drawn.tolist()),
+        "three_hop": lambda drawn: (three_hop[r] for r in drawn.tolist()),
+        "two_hop": lambda drawn: _two_hop_at(view, drawn, row_counts),
+    }
+    return Selection(enumerated, sum(cliques.values()) - kept, within, builders)
 
 
 def _cliques_at(
-    view: _IndexedView, within: list[int], sizes: Sequence[int], cap: int | None
-) -> list[ConceptCombination]:
+    view: _IndexedView, within: np.ndarray, sizes: Sequence[int], cap: int | None
+) -> Iterator[ConceptCombination]:
     """The capped cliques at ascending ranks ``within``, walking the lister
     only up to the last of them."""
     cliques, position = _capped_cliques(view, sizes, cap), 0
-    out = []
-    for rank in within:
-        out.append(_community_combo(view, next(itertools.islice(cliques, rank - position, None))))
+    for rank in within.tolist():
+        yield _community_combo(view, next(itertools.islice(cliques, rank - position, None)))
         position = rank + 1
-    return out
 
 
 def _two_hop_at(
-    view: _IndexedView, within: list[int], row_counts: np.ndarray
-) -> list[ConceptCombination]:
+    view: _IndexedView, within: np.ndarray, row_counts: np.ndarray
+) -> Iterator[ConceptCombination]:
     """The two-hop pairs at ascending ranks ``within``, given the pairs per
     source row: only the rows holding a rank are expanded again."""
-    ranks = np.array(within, dtype=np.int64)
     row_ends = np.cumsum(row_counts)
-    rows = np.searchsorted(row_ends, ranks, side="right")
-    offsets = ranks - (row_ends[rows] - row_counts[rows])
+    rows = np.searchsorted(row_ends, within, side="right")
+    offsets = within - (row_ends[rows] - row_counts[rows])
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # where each row's ranks start
     adjacent = np.zeros(len(view.ids), dtype=bool)
-    out: list[ConceptCombination] = []
-    for a, group in itertools.groupby(zip(rows.tolist(), offsets.tolist()), key=lambda x: x[0]):
+    for a, ks in zip(rows[firsts].tolist(), np.split(offsets, firsts[1:])):
         ends, via, width = _two_hop_row(view, a, adjacent)
-        out.extend(_two_hop_combo(view.ids, a, ends[k], via[k], width[k]) for _, k in group)
-    return out
+        for k in ks.tolist():
+            yield _two_hop_combo(view.ids, a, ends[k], via[k], width[k])

@@ -4,16 +4,20 @@ once in ``STAGES`` and run by one engine that writes each stage's stats.
 Expensive per-item work (model calls) runs through a checkpointed runner:
 one pool per stage keeps up to ``max_in_flight`` items in flight, and results
 are appended, in input order, to a per-stage cache file that is the only
-record of which items are done. Each per-item task receives a scoped client,
-so its record keeps the backend usage of exactly its own calls, failed items
-included; the runner is the one place a task exception becomes a failed
-record. The engine sums a stage's ``usage`` stat over those records, cached
-or fresh, plus the stage's own ``stage_client``, so a resumed run reports
-the same totals as an uninterrupted one. The stage's final output file is
-rebuilt wholesale (atomically) from the cache. Interrupting a run at any
-point and resuming therefore lands on the same final bytes as an
-uninterrupted run, because every mock-backed computation is a pure function
-of its inputs.
+record of which items are done. The runner draws its work lazily and keeps
+no record in memory, only where each one starts in the cache (the key
+directory of a log-structured store: Sheehy & Smith, "Bitcask", 2010); the
+stage reads the results back from the cache in work order. Each per-item
+task receives a scoped client, so its record keeps the backend usage of
+exactly its own calls, failed items included; the runner is the one place a
+task exception becomes a failed record. The engine sums a stage's ``usage``
+stat over those records, cached or fresh, plus the stage's own
+``stage_client``, so a resumed run reports the same totals as an
+uninterrupted one. The stage's final output file is rewritten atomically,
+streamed from the cache. From the graph stage to ``items.jsonl`` no stage
+holds a record per item. Interrupting a run at any point and resuming
+therefore lands on the same final bytes as an uninterrupted run, because
+every mock-backed computation is a pure function of its inputs.
 
 Each ``STAGES`` entry also names the files its stage reads and writes, by
 role. ``manifests/<stage>.json`` is the stage's one resume record: the
@@ -34,9 +38,12 @@ a crashed run never leaves a lock behind.
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
 import logging
 import os
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -48,7 +55,6 @@ from ._util import (
     canonicalize,
     file_sha256,
     iter_jsonl,
-    read_jsonl,
     write_atomic,
     write_jsonl_atomic,
 )
@@ -292,65 +298,87 @@ class PipelineRun:
     def _run_checkpointed(
         self,
         name: str,
-        work: Sequence[tuple[str, Any]],
+        work: Iterable[tuple[str, Any]],
         task_fn: Callable[[Any, BackendClient], dict],
-    ) -> dict[str, dict]:
-        """Run ``task_fn(payload, client)`` per work item with resumable progress.
+    ) -> CacheReader:
+        """Run ``task_fn(payload, client)`` per (id, payload) work item with
+        resumable progress.
 
-        Returns one JSON-able result record per work id. Each task gets its
-        own scoped client, and its record carries the task's backend usage
-        under "usage"; the usage of every returned record, cached or fresh,
-        is added to the stage's total. A task exception becomes a
-        {"failed": message} record (with the usage of the calls made before
-        it), so one bad item never aborts the stage.
+        Returns a reader of one JSON-able result record per work item, read
+        back from the results cache in work order. ``work`` is drawn once
+        and lazily: a payload is held only from the time it is drawn until
+        its task is done, and each work item's record is known only by its
+        byte offset in the cache. Each task gets its own scoped client, and
+        its record carries the task's backend usage under "usage"; the
+        usage of every record, cached or fresh, is added to the stage's
+        total, cached records as the cache is scanned and fresh ones as
+        they commit. A task exception becomes a {"failed": message} record
+        (with the usage of the calls made before it), so one bad item never
+        aborts the stage.
 
         The results cache ``cache/<name>.jsonl`` is the only progress
         record: an id with a complete line there is done and never runs
         again. ``_run_stage`` has already deleted a cache its stage record
-        does not vouch for.
+        does not vouch for, so every id in it is this stage's work.
         """
         cache_path = self.paths.cache(name)
-        results, intact_bytes = _read_cache_tolerant(cache_path, {wid for wid, _ in work})
-        self._count_usage(results.values())
-        pending = select_resumable_work((wid for wid, _ in work), results)
-        if not pending:
-            return results
+        index, intact_bytes, usage = _read_cache_tolerant(cache_path)
+        self._count_usage([usage])
+        # The cache offset of each work item's record, in work order; -1
+        # until a fresh record commits.
+        offsets = array("q")
+        drawn: dict[str, tuple[int, Any]] = {}  # (position, payload) of drawn pending ids
+        in_flight: deque[tuple[str, int]] = deque()  # (id, position) of uncommitted tasks
 
-        payloads = dict(work)
+        def work_ids() -> Iterator[str]:
+            for wid, payload in work:
+                offset = index.get(wid, -1)
+                if offset < 0:
+                    drawn[wid] = (len(offsets), payload)
+                offsets.append(offset)
+                yield wid
+
+        def tasks() -> Iterator[Callable[[], dict]]:
+            for wid in select_resumable_work(work_ids(), index):
+                position, payload = drawn.pop(wid)
+                in_flight.append((wid, position))
+                yield self._wrap_task(task_fn, payload)
+
+        pending = tasks()
+        first = next(pending, None)
+        if first is None:
+            return CacheReader(cache_path, offsets)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(cache_path, "a", encoding="utf-8") as handle:
+        with open(cache_path, "ab") as handle:
             # Cut a torn final line before appending, so the next record
             # starts on a line of its own.
             if os.fstat(handle.fileno()).st_size > intact_bytes:
                 handle.truncate(intact_bytes)
                 os.fsync(handle.fileno())
-            committed = 0
+            end = intact_bytes
 
             def commit(outcomes: list[Any]) -> None:
-                nonlocal committed
+                nonlocal end
                 # Under a fault-injection limit, commit exactly up to it.
                 outcomes = outcomes[:self._abort.admit(len(outcomes))]
-                batch = pending[committed:committed + len(outcomes)]
-                committed += len(outcomes)
-                for wid, outcome in zip(batch, outcomes):
-                    results[wid] = outcome
-                    handle.write(canonical_json({"id": wid, "result": outcome}) + "\n")
+                for outcome in outcomes:
+                    wid, position = in_flight.popleft()
+                    line = (canonical_json({"id": wid, "result": outcome}) + "\n").encode("utf-8")
+                    offsets[position] = end
+                    end += len(line)
+                    handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
-                self._count_usage(outcomes)
+                self._count_usage(outcome["usage"] for outcome in outcomes)
                 self._abort.on_commit(len(outcomes))
 
             run_bounded(
-                (self._wrap_task(task_fn, payloads[wid]) for wid in pending),
-                self.config.max_in_flight,
-                on_ready=commit,
+                itertools.chain([first], pending), self.config.max_in_flight, on_ready=commit
             )
-        return results
+        return CacheReader(cache_path, offsets)
 
-    def _count_usage(self, records: Iterable[dict]) -> None:
-        self._record_usage = sum_usage([
-            self._record_usage, *(rec.get("usage") or {} for rec in records)
-        ])
+    def _count_usage(self, usages: Iterable[dict]) -> None:
+        self._record_usage = sum_usage([self._record_usage, *usages])
 
     def _wrap_task(
         self, task_fn: Callable[[Any, BackendClient], dict], payload: Any
@@ -381,14 +409,13 @@ class PipelineRun:
             return {"phrases": extraction.extract_concepts(seed, extractor, client)}
 
         extract_results = self._run_checkpointed(
-            "extract.concepts", [(s.id, s) for s in seeds], extract_task
+            "extract.concepts", ((s.id, s) for s in seeds), extract_task
         )
 
         raw_phrases_per_seed: dict[str, list[str]] = {}
         concepts: dict[str, KeyConcept] = {}
         extraction_failures = 0
-        for seed in seeds:
-            result = extract_results[seed.id]
+        for seed, result in zip(seeds, extract_results, strict=True):
             if "failed" in result:
                 extraction_failures += 1
                 continue
@@ -415,12 +442,11 @@ class PipelineRun:
             }
 
         quality_results = self._run_checkpointed(
-            "extract.quality", [(c.id, c) for c in raw_concepts], quality_task
+            "extract.quality", ((c.id, c) for c in raw_concepts), quality_task
         )
         quality: dict[str, extraction.QualityVerdict] = {}
         filtered_records = []
-        for concept in raw_concepts:
-            rec = quality_results[concept.id]
+        for concept, rec in zip(raw_concepts, quality_results, strict=True):
             if "failed" in rec:
                 # Transport-level failure: keep the concept, flag for review.
                 verdict = extraction.QualityVerdict(concept.id, True, "ok", review=True)
@@ -489,7 +515,8 @@ class PipelineRun:
 
     def cmd_graph(self) -> dict:
         """Build the co-occurrence graph, count every combination kind, draw
-        the sampled ranks and build only those combinations."""
+        the sampled ranks and build only those combinations, each written
+        out as it is built."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         concepts = load_concepts(self.paths.file("knowledge_base"))
@@ -502,14 +529,14 @@ class PipelineRun:
         )
         write_jsonl_atomic(
             self.paths.file("graph_edges"),
-            [{"a": a, "b": b, "weight": w} for a, b, w in g.edges()],
+            ({"a": a, "b": b, "weight": w} for a, b, w in g.edges()),
         )
 
         params = config.graph_params
         hubs = graphmod.identify_hubs(g, float(params["hub_fraction"]))
         cap = params.get("community_cap")
         budget = params.get("combination_budget")
-        sampled, enumerated, capped = graphmod.select_combinations(
+        selection = graphmod.select_combinations(
             g, hubs,
             min_weight=float(params["three_hop_min_weight"]),
             sizes=params.get("community_sizes", (3, 4)),
@@ -518,37 +545,33 @@ class PipelineRun:
             seed=config.random_seed,
         )
         write_jsonl_atomic(
-            self.paths.file("combinations"), [c.to_record() for c in sampled]
+            self.paths.file("combinations"), (c.to_record() for c in selection)
         )
-
-        kind_counts: dict[str, int] = {}
-        for combo in sampled:
-            kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
         return {
             "nodes": g.node_count(),
             "edges": g.edge_count(),
             "hubs": sorted(hubs.hub_ids),
             "hub_min_degree": hubs.min_degree_achieved,
-            "enumerated": enumerated,
-            "community_cap_truncated": capped,
-            "sampled_total": len(sampled),
-            "sampled_by_kind": kind_counts,
+            "enumerated": selection.enumerated,
+            "community_cap_truncated": selection.cap_truncated,
+            "sampled_total": len(selection),
+            "sampled_by_kind": selection.sampled_by_kind,
         }
 
     # -- stage: synthesize -------------------------------------------------------
 
     def cmd_synthesize(self) -> dict:
         """Generate questions, gate them through the judge panel, route
-        accepted ones to a solver, and apply the unanimous-vote rule."""
+        accepted ones to a solver, and apply the unanimous-vote rule.
+
+        Records stream from ``combinations.jsonl`` through the generate and
+        evaluate caches to ``items.jsonl``; the stage holds the question
+        digests for dedup, not the records."""
         config = self.config
         panel = JudgePanel(judges=config.judges)
         templates = synthesis.load_templates(config.templates_dir)
         concepts = load_concepts(self.paths.file("knowledge_base"))
         concept_texts = {c.id: c.text for c in concepts}
-        combos = [
-            graphmod.ConceptCombination.from_record(rec)
-            for _, rec in read_jsonl(self.paths.file("combinations"))
-        ]
         generator = config.backends["generator"]
         rater = config.backends["rater"]
         solvers = {
@@ -557,33 +580,37 @@ class PipelineRun:
         }
         threshold = float(config.thresholds["problem_accept"])
 
+        def combinations() -> Iterator[graphmod.ConceptCombination]:
+            for _, rec in iter_jsonl(self.paths.file("combinations")):
+                yield graphmod.ConceptCombination.from_record(rec)
+
         def generate_task(combo: graphmod.ConceptCombination, client: BackendClient) -> dict:
             question = synthesis.generate_problem(
                 combo, generator, client, templates, concept_texts
             )
             return {"question": question}
 
-        combo_work = [(c.combo_id, c) for c in combos]
-        generated = self._run_checkpointed("synthesize.generate", combo_work, generate_task)
+        generated = self._run_checkpointed(
+            "synthesize.generate", ((c.combo_id, c) for c in combinations()), generate_task
+        )
 
         # Serialized dedup reduction in combination order: a question's first
         # occurrence wins, later exact duplicates are dropped.
         deduper = synthesis.QuestionDeduper()
-        survivors: list[graphmod.ConceptCombination] = []
-        questions: dict[str, str] = {}
         generation_failures = 0
-        for combo in combos:
-            rec = generated[combo.combo_id]
-            if "failed" in rec:
-                generation_failures += 1
-                continue
-            if not deduper.admit(rec["question"]):
-                continue
-            survivors.append(combo)
-            questions[combo.combo_id] = rec["question"]
 
-        def evaluate_task(combo: graphmod.ConceptCombination, client: BackendClient) -> dict:
-            question = questions[combo.combo_id]
+        def survivors() -> Iterator[tuple[str, tuple[graphmod.ConceptCombination, str]]]:
+            nonlocal generation_failures
+            for combo, rec in zip(combinations(), generated, strict=True):
+                if "failed" in rec:
+                    generation_failures += 1
+                elif deduper.admit(rec["question"]):
+                    yield combo.combo_id, (combo, rec["question"])
+
+        def evaluate_task(
+            survivor: tuple[graphmod.ConceptCombination, str], client: BackendClient
+        ) -> dict:
+            combo, question = survivor
             item = SynthesizedItem(
                 id="item-" + synthesis.QuestionDeduper.canonical_hash(
                     combo.combo_id + "\x1f" + question
@@ -630,28 +657,29 @@ class PipelineRun:
             item.validate()
             return {"item": item.to_record()}
 
-        evaluated = self._run_checkpointed(
-            "synthesize.evaluate", [(c.combo_id, c) for c in survivors], evaluate_task
-        )
-        items = []
-        evaluation_failures = 0
-        for combo in survivors:
-            rec = evaluated[combo.combo_id]
-            if "failed" in rec:
-                evaluation_failures += 1
-                continue
-            items.append(rec["item"])
-        write_jsonl_atomic(self.paths.file("items"), items)
+        evaluated = self._run_checkpointed("synthesize.evaluate", survivors(), evaluate_task)
 
+        # items.jsonl in survivor order, counted as it is written.
         status_counts: dict[str, int] = {}
-        for item in items:
-            status_counts[item["status"]] = status_counts.get(item["status"], 0) + 1
+        evaluation_failures = 0
+
+        def items() -> Iterator[dict]:
+            nonlocal evaluation_failures
+            for rec in evaluated:
+                if "failed" in rec:
+                    evaluation_failures += 1
+                    continue
+                status = rec["item"]["status"]
+                status_counts[status] = status_counts.get(status, 0) + 1
+                yield rec["item"]
+
+        write_jsonl_atomic(self.paths.file("items"), items())
         return {
-            "combinations": len(combos),
+            "combinations": len(generated),
             "generation_failures": generation_failures,
             "duplicates_dropped": deduper.dropped,
             "evaluation_failures": evaluation_failures,
-            "items": len(items),
+            "items": sum(status_counts.values()),
             "status_counts": status_counts,
         }
 
@@ -807,36 +835,77 @@ class PipelineRun:
         )
 
 
-def _read_cache_tolerant(path: Path, wanted: set[str]) -> tuple[dict[str, dict], int]:
-    """Read a results cache: (results of the ``wanted`` ids, intact bytes).
+class CacheReader:
+    """The results of one ``_run_checkpointed`` call, in work order, read
+    back from its results cache: only each record's byte offset is held.
 
-    Streams the file and keeps only the wanted ids; the first record for an
-    id wins. A line counts only once its newline is written, so a hard kill
-    that truncates the final append leaves a torn tail that is dropped: the
-    second value is the byte length up to the end of the last complete line.
-    A complete line that does not parse is skipped with a warning.
+    Iterating yields each work item's result record. The file is read
+    forward through one buffer and seeks only where the cache is out of
+    work order: a record appended by a later resume, after a line that did
+    not parse. No work items means no file is opened.
     """
-    results: dict[str, dict] = {}
+
+    def __init__(self, path: Path, offsets: Sequence[int]) -> None:
+        self.path = path
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __iter__(self) -> Iterator[dict]:
+        if not self._offsets:
+            return
+        with open(self.path, "rb", buffering=1 << 16) as handle:
+            position = 0
+            for offset in self._offsets:
+                if offset != position:
+                    handle.seek(offset)
+                line = handle.readline()
+                position = offset + len(line)
+                yield json.loads(line.decode("utf-8"))["result"]
+
+
+def _read_cache_tolerant(path: Path) -> tuple[dict[str, int], int, dict[str, int]]:
+    """Scan a results cache: (byte offset of each id's first record, intact
+    bytes, the usage summed over those records).
+
+    Streams the file and keeps no record; the first record for an id wins.
+    A line counts only once its newline is written, so a hard kill that
+    truncates the final append leaves a torn tail that is dropped: the
+    second value is the byte length up to the end of the last complete line.
+    A complete line that does not parse is skipped with a warning, so its
+    id runs again.
+    """
+    index: dict[str, int] = {}
     intact_bytes = 0
-    if not path.exists():
-        return results, intact_bytes
-    with open(path, "rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                logger.warning("dropping torn cache tail in %s", path)
-                break
-            intact_bytes += len(line)
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                logger.warning("skipping unreadable cache line in %s", path)
-                continue
-            wid = rec.get("id")
-            if wid in wanted and wid not in results:
-                results[wid] = rec["result"]
-    return results, intact_bytes
+
+    def first_record_usages() -> Iterator[dict]:
+        nonlocal intact_bytes
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    logger.warning("dropping torn cache tail in %s", path)
+                    break
+                offset = intact_bytes
+                intact_bytes += len(line)
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line.decode("utf-8"))
+                    wid, result = rec["id"], rec["result"]
+                except (ValueError, KeyError, TypeError):
+                    logger.warning("skipping unreadable cache line in %s", path)
+                    continue
+                if wid not in index:
+                    index[wid] = offset
+                    yield result.get("usage") or {}
+
+    usage = sum_usage(first_record_usages())
+    return index, intact_bytes, usage
 
 
 def _load_stats(path: Path) -> dict | None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from ._util import (
     canonical_json,
@@ -282,7 +282,7 @@ def load_seed_corpus(path: str | Path) -> list[SeedExample]:
 
 
 def save_seed_corpus(path: str | Path, seeds: Sequence[SeedExample]) -> None:
-    write_jsonl_atomic(path, [s.to_record() for s in seeds])
+    write_jsonl_atomic(path, (s.to_record() for s in seeds))
 
 
 def load_concepts(path: str | Path) -> list[KeyConcept]:
@@ -290,7 +290,7 @@ def load_concepts(path: str | Path) -> list[KeyConcept]:
 
 
 def save_concepts(path: str | Path, concepts: Sequence[KeyConcept]) -> None:
-    write_jsonl_atomic(path, [c.to_record() for c in concepts])
+    write_jsonl_atomic(path, (c.to_record() for c in concepts))
 
 
 def write_checkpoint(record: dict, path: str | Path) -> None:
@@ -320,7 +320,7 @@ def read_checkpoint(path: str | Path) -> dict | None:
     return rec
 
 
-def select_resumable_work(all_ids: Iterable[str], done: Container[str]) -> list[str]:
+def select_resumable_work(all_ids: Iterable[str], done: Container[str]) -> Iterator[str]:
     """Work ids not in ``done`` (the ids in the stage's results cache), in
-    input order."""
-    return [i for i in all_ids if i not in done]
+    input order, drawn lazily from ``all_ids``."""
+    return (i for i in all_ids if i not in done)

@@ -132,7 +132,7 @@ def test_graph_oracle_equivalence_on_random_corpora():
             }
             assert {pair: w for pair, (_, w) in reachable_pairs(g).items()} == expected
             bottleneck_checked += len(expected)
-            combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0, budget=None)
+            combos = list(select_combinations(g, identify_hubs(g, 1.0), min_weight=0, budget=None))
             for combo in combos:
                 if combo.kind != "community":
                     assert combo.weight == expected[tuple(combo.concept_ids)]
@@ -147,7 +147,7 @@ def test_novelty_theorems_hold_everywhere():
         _, seeds = random_corpus(rng, max_seeds=60, max_concepts=12)
         seed_sets = [cs for _, cs in seeds]
         g = build_graph(seeds)
-        combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0)
+        combos = list(select_combinations(g, identify_hubs(g, 1.0), min_weight=0))
         counters = {kind: NoveltyCounter(seed_sets) for kind in hop_kinds}
         for combo in combos:
             if combo.kind in counters:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import graphsynth.graph as graph_module
 
@@ -276,10 +277,9 @@ class TestCommunities:
         rng = random.Random(59)
         for _ in range(20):
             g, _, _ = random_graph(rng, max_nodes=10, density=0.6)
-            _, enumerated, truncated = select_combinations(
-                g, identify_hubs(g, 1.0), sizes=sizes, budget=0)
-            assert enumerated["community"] == len(enumerate_communities(g, sizes, cap=None))
-            assert truncated == 0
+            selection = select_combinations(g, identify_hubs(g, 1.0), sizes=sizes, budget=0)
+            assert selection.enumerated["community"] == len(enumerate_communities(g, sizes, cap=None))
+            assert selection.cap_truncated == 0
 
     def test_cap_truncates_deterministically(self):
         g = build_graph([("P", {"a", "b", "c", "d", "e"})])  # K5
@@ -387,7 +387,7 @@ class TestNovelty:
                 size = rng.randint(2, min(5, len(concepts)))
                 seeds.append(set(rng.sample(concepts, size)))
             g = build_graph([(f"s{i}", cs) for i, cs in enumerate(seeds)])
-            combos, _, _ = select_combinations(g, identify_hubs(g, 1.0), min_weight=0)
+            combos = list(select_combinations(g, identify_hubs(g, 1.0), min_weight=0))
             for combo in combos:
                 if combo.kind == "community":
                     continue
@@ -448,10 +448,14 @@ class TestSelectCombinations:
             0 if cap is None else len(enumerate_communities(g, sizes)) - len(communities),
         )
         for budget in budgets(n):
-            sampled, *stats = select_combinations(
+            selection = select_combinations(
                 g, hubs, min_weight=2, sizes=sizes, cap=cap, budget=budget, seed=seed)
-            assert sampled == sample_combinations(everything, budget, seed)
-            assert tuple(stats) == expected_stats
+            expected = sample_combinations(everything, budget, seed)
+            assert list(selection) == expected
+            assert list(selection) == expected  # iterating again rebuilds the same records
+            assert (selection.enumerated, selection.cap_truncated) == expected_stats
+            assert len(selection) == len(expected)
+            assert selection.sampled_by_kind == dict(Counter(c.kind for c in expected))
 
     def test_matches_sample_combinations_on_random_graphs(self):
         rng = random.Random(17)
@@ -482,7 +486,11 @@ class TestSelectCombinations:
         monkeypatch.setattr(graph_module, "enumerate_two_hop", None)
         monkeypatch.setattr(graph_module, "enumerate_communities", None)
         budget = len(everything) // 3
-        sampled, enumerated, _ = select_combinations(g, hubs, budget=budget, seed=5)
+        selection = select_combinations(g, hubs, budget=budget, seed=5)
+        enumerated = selection.enumerated
+        # Drawn two-hop pairs and cliques are built only as the selection is iterated.
+        assert len(built) == enumerated["one_hop"] + enumerated["three_hop"]
+        sampled = list(selection)
         drawn = sum(c.kind in ("two_hop", "community") for c in sampled)
         assert len(sampled) == budget and drawn > 0
         assert sampled == sample_combinations(everything, budget, 5)
@@ -507,8 +515,10 @@ class TestSelectCombinations:
         g = build_graph([("s", {"a"})], all_concept_ids={"a", "b"})
         hubs = identify_hubs(g, 1.0)
         for budget in (0, 1, None):
-            assert select_combinations(g, hubs, budget=budget) == (
-                [], {"one_hop": 0, "two_hop": 0, "three_hop": 0, "community": 0}, 0)
+            selection = select_combinations(g, hubs, budget=budget)
+            assert list(selection) == [] and len(selection) == 0
+            assert selection.enumerated == {"one_hop": 0, "two_hop": 0, "three_hop": 0, "community": 0}
+            assert selection.cap_truncated == 0 and selection.sampled_by_kind == {}
 
     def test_negative_budget_and_cap_rejected(self):
         g, _, _ = random_graph(random.Random(1), max_nodes=8, density=0.7)

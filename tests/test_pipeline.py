@@ -29,6 +29,7 @@ from graphsynth.pipeline import (
     OUTPUT_FILES,
     STAGES,
     PipelineRun,
+    CacheReader,
     RunLock,
     _iter_reference_texts,
     _read_cache_tolerant,
@@ -678,9 +679,39 @@ class TestDeterminismAndResume:
                  '{"id":"b","res', '{"id":"a","result":{"v":2}}', '{"id":"b","result":{"v":3}}']
         intact = "".join(line + "\n" for line in lines)
         cache.write_text(intact + '{"id":"c","result":{"v"', encoding="utf-8")
-        results, intact_bytes = _read_cache_tolerant(cache, {"a", "b", "c"})
-        assert results == {"a": {"v": 1}, "b": {"v": 3}}
+        index, intact_bytes, usage = _read_cache_tolerant(cache)
+        starts = [sum(len(line) + 1 for line in lines[:i]) for i in range(len(lines))]
+        assert index == {"a": starts[0], "x": starts[1], "b": starts[4]}
         assert intact_bytes == len(intact.encode())
+        assert usage == {"input_tokens": 0, "output_tokens": 0, "calls": 0}
+        assert list(CacheReader(cache, [index["b"], index["a"]])) == [{"v": 3}, {"v": 1}]
+
+    def test_unreadable_middle_line_reruns_at_the_end_and_reads_in_work_order(
+        self, tmp_path, caplog
+    ):
+        seeds = toy_corpus_seeds(8, 1, 3)
+        baseline_path, _ = make_run(tmp_path, seeds=seeds, run_name="baseline")
+        baseline = load_config(baseline_path)
+        run_stage(baseline, "run-all")
+        config_path, _ = make_run(tmp_path, seeds=seeds, run_name="run")
+        config = load_config(config_path)
+        run_stage(config, "run-all")
+        cache = config.run_dir / "cache" / "synthesize.evaluate.jsonl"
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 5
+        middle = len(lines) // 2
+        rerun_id = json.loads(lines[middle])["id"]
+        lines[middle] = b'{"id": "' + rerun_id.encode() + b'", "result": {\n'
+        cache.write_bytes(b"".join(lines))
+        (config.run_dir / "items.jsonl").unlink()
+
+        with caplog.at_level(logging.WARNING, logger="graphsynth.pipeline"):
+            run_stage(config, "run-all")
+        assert "skipping unreadable cache line" in caplog.text
+        after = cache.read_bytes().splitlines(keepends=True)
+        assert after[:len(lines)] == lines
+        assert [json.loads(line)["id"] for line in after[len(lines):]] == [rerun_id]
+        assert read_outputs(config.run_dir) == read_outputs(baseline.run_dir)
 
     def test_cached_ids_only_grow(self, tmp_path, monkeypatch):
         config_path, config_dict = make_run(tmp_path)
@@ -1184,6 +1215,51 @@ class TestCli:
         assert data == {"run_dir": run_dir, "seed_corpus": corpus, "random_seed": 3,
                         "graph": {"hub_fraction": 0.5}}
 
+    @pytest.mark.parametrize("override,path,value", [
+        ("judges.0.judge_weight=2", ("judges", 0, "judge_weight"), 2),
+        ("judges.2.endpoint=mock", ("judges", 2, "endpoint"), "mock"),
+        ("judges.1={\"backend_id\": \"j\", \"endpoint\": \"mock\"}", ("judges", 1),
+         {"backend_id": "j", "endpoint": "mock"}),
+        ("graph.combination_budget=2", ("graph", "combination_budget"), 2),
+        ("graph.new.key=1", ("graph", "new", "key"), 1),
+    ])
+    def test_set_override_indexes_lists(self, tmp_path, override, path, value):
+        from graphsynth.config import apply_override
+
+        _, config_dict = make_run(tmp_path)
+        data = apply_override(json.loads(json.dumps(config_dict)), override)
+        node = data
+        for part in path:
+            node = node[part]
+        assert node == value
+        assert len(data["judges"]) == 3
+        parse_config(data)
+
+    @pytest.mark.parametrize("override,match", [
+        ("judges.3.judge_weight=2", r"judges is a list of 3.*'3' is not an index"),
+        ("judges.x.judge_weight=2", r"judges is a list of 3.*'x' is not an index"),
+        ("judges.-1.judge_weight=2", r"'-1' is not an index"),
+        ("judges.0.judge_weight.x=2", r"judges\.0\.judge_weight is 0\.5, not an object"),
+        ("graph.hub_fraction.x=2", r"graph\.hub_fraction is 1\.0, not an object"),
+        ("graph.combination_budget.x=2", r"graph\.combination_budget is null, not an object"),
+        ("random_seed.x=2", r"random_seed is 7, not an object"),
+    ])
+    def test_set_override_through_a_scalar_or_past_a_list_rejected(
+        self, tmp_path, override, match
+    ):
+        from graphsynth.config import apply_override
+
+        _, config_dict = make_run(tmp_path)
+        with pytest.raises(ConfigurationError, match=match) as raised:
+            apply_override(config_dict, override)
+        assert str(raised.value).startswith(f"override {override!r}: ")
+
+    def test_set_override_into_a_judge_runs(self, tmp_path):
+        config_path, config_dict = make_run(tmp_path)
+        assert cli_main(["run-all", "--config", str(config_path),
+                         "--set", "judges.0.judge_weight=0.6"]) == 0
+        assert load_config(config_path, ["judges.0.judge_weight=0.6"]).judges[0].judge_weight == 0.6
+
     @pytest.mark.parametrize("earlier,stage,missing", [
         ((), "extract", "corpus.jsonl"),
         ((), "graph", "seeds_enriched.jsonl"),
@@ -1416,6 +1492,7 @@ class TestConfigParsing:
         "analytics.adherence_sample=\"x\"", "mock.seed=\"x\"",
         "backends=[\"mock\"]", "judges=[\"judge-a\"]",
         "backends.generator.request_params.timeout=0",
+        "judges.3.judge_weight=2", "graph.combination_budget.x=2",
     ])
     def test_run_settings_checked_before_extract(self, tmp_path, override):
         config_path, config_dict = make_run(tmp_path)

@@ -143,17 +143,30 @@ class TestCheckpoints:
 
 class TestSelectResumableWork:
     def test_set_difference(self):
-        assert select_resumable_work(["a", "b", "c"], {"b"}) == ["a", "c"]
+        assert list(select_resumable_work(["a", "b", "c"], {"b"})) == ["a", "c"]
 
     def test_empty_done_returns_all(self):
-        assert select_resumable_work(["a", "b"], set()) == ["a", "b"]
+        assert list(select_resumable_work(["a", "b"], set())) == ["a", "b"]
 
     def test_all_done_returns_empty(self):
-        assert select_resumable_work(["a", "b"], {"a", "b"}) == []
+        assert list(select_resumable_work(["a", "b"], {"a", "b"})) == []
 
     def test_order_is_deterministic(self):
         ids = ["z", "m", "a", "q"]
-        assert select_resumable_work(ids, {"m"}) == ["z", "a", "q"]
+        assert list(select_resumable_work(ids, {"m"})) == ["z", "a", "q"]
+
+    def test_ids_are_drawn_only_as_consumed(self):
+        drawn = []
+
+        def ids():
+            for wid in ["a", "b", "c", "d"]:
+                drawn.append(wid)
+                yield wid
+
+        pending = select_resumable_work(ids(), {"b"})
+        assert drawn == []
+        assert next(pending) == "a" and drawn == ["a"]
+        assert next(pending) == "c" and drawn == ["a", "b", "c"]
 
 
 class TestStatusTransitions:
@@ -265,6 +278,33 @@ class TestAtomicWriteDurability:
         assert [entry[0] for entry in synced] == [False, True]
         assert synced[0][2] == "old"
         assert synced[1][1:] == (tmp_path.stat().st_ino, "new")
+
+
+    def test_streamed_write_that_raises_keeps_the_old_file(self, tmp_path):
+        from graphsynth._util import canonical_json, write_jsonl_atomic
+
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"old":1}\n')
+        temp_sizes = []
+
+        def records(fail_at):
+            for i in range(3000):
+                if i == fail_at:
+                    # Earlier records already sit in the temp file, not in memory.
+                    temp_sizes.extend(p.stat().st_size for p in tmp_path.glob("out.jsonl.*.tmp"))
+                    raise RuntimeError("source failed")
+                yield {"i": i, "pad": "x" * 60}
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_jsonl_atomic(path, records(fail_at=2500))
+        assert len(temp_sizes) == 1 and temp_sizes[0] > 0
+        assert path.read_bytes() == b'{"old":1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+        write_jsonl_atomic(path, records(fail_at=None))
+        assert path.read_text(encoding="utf-8") == "".join(
+            canonical_json({"i": i, "pad": "x" * 60}) + "\n" for i in range(3000))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestIterJsonl:
