@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .errors import CorpusError
+from .errors import ConfigurationError, CorpusError
 
 
 def canonicalize(text: str) -> str:
@@ -37,6 +37,17 @@ def is_int(value: Any) -> bool:
 
 def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def reject_unknown_keys(section: str, record: dict, allowed: Iterable[str]) -> None:
+    """Raise ConfigurationError naming ``section`` and every key of
+    ``record`` outside ``allowed``, so a misspelt setting fails instead of
+    silently meaning its default."""
+    unknown = sorted(set(record) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {section} key(s) {unknown}; expected some of {sorted(allowed)}"
+        )
 
 
 def parse_yes_no(raw: str) -> bool | None:

@@ -9,13 +9,16 @@ and ``embed`` unit row vectors; token counts go only to the client's
 A descriptor whose endpoint is the marker string ``"mock"`` goes to an
 in-process :class:`MockServer` that speaks the same request/response
 shapes, so the whole pipeline runs offline and reproducibly; any other
-endpoint goes over HTTP with retries. ``requests`` is imported on the
-first HTTP call, so a mock run never loads an HTTP stack.
+endpoint goes over HTTP with retries, through one keep-alive
+``http.client`` connection per calling thread and host. ``http.client`` and
+``ssl`` are imported on the first HTTP call, so a mock run never loads an
+HTTP stack.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import math
 import os
 import random
@@ -24,15 +27,13 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+from urllib.parse import SplitResult, urlsplit
 
 import numpy as np
 
-from ._util import canonicalize, is_int, is_number, stable_int
+from ._util import canonicalize, is_int, is_number, reject_unknown_keys, stable_int
 from .errors import ConfigurationError, ProtocolError, TransportError
-
-if TYPE_CHECKING:
-    import requests
 
 ROLES = (
     "extractor",
@@ -64,20 +65,18 @@ class RequestParams:
     @classmethod
     def from_record(cls, rec: dict) -> "RequestParams":
         """Parse ``request_params``. An unknown key, a value that is not a
-        number (an integer where the default is one), or a timing value out
-        of range (``timeout > 0``, ``backoff_base >= 0``,
+        finite number (an integer where the default is one), or a timing
+        value out of range (``timeout > 0``, ``backoff_base >= 0``,
         ``backoff_factor >= 0``, ``0 <= backoff_jitter <= 1``) raises
         ConfigurationError."""
         if not isinstance(rec, dict):
             raise ConfigurationError("request_params must be an object")
         fields = cls.__dataclass_fields__
-        unknown = sorted(set(rec) - set(fields))
-        if unknown:
-            raise ConfigurationError(f"unknown request_params keys: {unknown}")
+        reject_unknown_keys("request_params", rec, fields)
         for key, value in rec.items():
             integral = is_int(fields[key].default)
-            if not (is_int(value) if integral else is_number(value)):
-                expected = "an integer" if integral else "a number"
+            if not (is_int(value) if integral else (is_number(value) and math.isfinite(value))):
+                expected = "an integer" if integral else "a finite number"
                 raise ConfigurationError(f"request_params.{key} must be {expected}")
         params = cls(**rec)
         for key, ok, bound in (
@@ -120,10 +119,26 @@ class BackendDescriptor:
                     f"backend {self.backend_id!r}: judge_weight must be a finite "
                     "nonnegative number"
                 )
+        if not (self.is_mock or _is_http_url(self.endpoint)):
+            raise ConfigurationError(
+                f"backend {self.backend_id!r}: endpoint {self.endpoint!r} must be "
+                f"{MOCK_ENDPOINT!r} or an http:// or https:// URL with a host"
+            )
 
     @property
     def is_mock(self) -> bool:
         return self.endpoint == MOCK_ENDPOINT
+
+
+def _is_http_url(endpoint: Any) -> bool:
+    if not isinstance(endpoint, str):
+        return False
+    parts = urlsplit(endpoint)
+    try:
+        parts.port  # raises for a port that is not a number in [0, 65535]
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def sum_usage(records: Iterable[dict]) -> dict[str, int]:
@@ -178,6 +193,30 @@ def _reported_or(usage: dict, key: str, estimate: Callable[[], int]) -> int:
     return int(usage[key]) if key in usage else estimate()
 
 
+def _send(conn, path: str, body: bytes, headers: dict[str, str], timeout: float):
+    """POST ``body`` over ``conn``; return the response and its whole body.
+
+    ``timeout`` covers the connect and each read. A kept-alive connection
+    that the server closed since its last reply is reopened once; on any
+    other error the connection is closed, so the next attempt opens a new one.
+    """
+    for may_be_stale in (conn.sock is not None, False):
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request("POST", path, body, headers)
+            resp = conn.getresponse()
+            return resp, resp.read()
+        except ConnectionError:
+            conn.close()
+            if not may_be_stale:
+                raise
+        except BaseException:
+            conn.close()
+            raise
+
+
 class BackendClient:
     """Shared, thread-safe client for all configured backends.
 
@@ -191,7 +230,7 @@ class BackendClient:
         self.usage = UsageTracker()
 
     def scoped(self) -> "BackendClient":
-        """A client on the same transport (same mock, same sessions) whose
+        """A client on the same transport (same mock, same connections) whose
         usage tracker records only its own calls and forwards each to this
         client's tracker.
 
@@ -202,15 +241,23 @@ class BackendClient:
         view.usage = UsageTracker(parent=self.usage)
         return view
 
-    def _http(self) -> requests.Session:
-        # requests.Session is not thread-safe; keep one per calling thread.
-        import requests
+    def _connection(self, parts: SplitResult):
+        """This thread's keep-alive connection to the URL's scheme, host and
+        port, opened on first use."""
+        import http.client
 
-        session = getattr(self._thread_state, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._thread_state.session = session
-        return session
+        https = parts.scheme == "https"
+        key = (parts.scheme, parts.hostname, parts.port or (443 if https else 80))
+        connections = vars(self._thread_state).setdefault("connections", {})
+        if key not in connections:
+            if https:
+                import ssl
+
+                context = ssl.create_default_context()
+                connections[key] = http.client.HTTPSConnection(*key[1:], context=context)
+            else:
+                connections[key] = http.client.HTTPConnection(*key[1:])
+        return connections[key]
 
     def _headers(self, descriptor: BackendDescriptor) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -232,39 +279,50 @@ class BackendClient:
     def _post_with_retries(
         self, descriptor: BackendDescriptor, url: str, payload: dict
     ) -> dict:
-        import requests
+        import http.client
 
         params = descriptor.request_params
+        parts = urlsplit(url)
+        conn = self._connection(parts)
+        body = json.dumps(payload, allow_nan=False).encode()
+        headers = self._headers(descriptor)
         attempts = 0
         delay = params.backoff_base
         last_error: Exception | None = None
         while attempts < max(1, params.max_attempts):
             attempts += 1
+            retry_after = 0
             try:
-                resp = self._http().post(
-                    url, json=payload, headers=self._headers(descriptor),
-                    timeout=params.timeout,
-                )
-                if resp.status_code in _RETRYABLE_STATUS:
+                resp, data = _send(conn, parts.path, body, headers, params.timeout)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+            else:
+                if resp.status in _RETRYABLE_STATUS:
                     last_error = TransportError(
-                        f"{url} returned HTTP {resp.status_code}", attempts=attempts
+                        f"{url} returned HTTP {resp.status}", attempts=attempts
                     )
-                elif resp.status_code >= 400:
+                    # Only the delta-seconds form; an HTTP-date is ignored.
+                    value = (resp.getheader("Retry-After") or "").strip()
+                    if resp.status in (429, 503) and value.isascii() and value.isdigit():
+                        retry_after = int(value)
+                elif 300 <= resp.status < 400:
                     raise ProtocolError(
-                        f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}"
+                        f"{url} returned HTTP {resp.status} (Location: "
+                        f"{resp.getheader('Location')}); redirects are not followed"
+                    )
+                elif resp.status >= 400:
+                    raise ProtocolError(
+                        f"{url} returned HTTP {resp.status}: "
+                        f"{data.decode(errors='replace')[:200]}"
                     )
                 else:
                     try:
-                        return resp.json()
+                        return json.loads(data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url}: response body is not JSON") from exc
-            except ProtocolError:
-                raise
-            except requests.RequestException as exc:
-                last_error = exc
             if attempts < params.max_attempts:
                 jitter = 1.0 + random.uniform(-params.backoff_jitter, params.backoff_jitter)
-                time.sleep(delay * jitter)
+                time.sleep(max(delay * jitter, min(retry_after, params.timeout)))
                 delay *= params.backoff_factor
         raise TransportError(
             f"{url} unreachable after {attempts} attempts: {last_error}",
@@ -443,9 +501,7 @@ class MockBehaviors:
     def from_record(cls, rec: dict) -> "MockBehaviors":
         """Parse ``mock.behaviors``. An unknown key, or a value whose type
         differs from what the mock reads, raises ConfigurationError."""
-        unknown = sorted(set(rec) - set(_BEHAVIOR_TYPES))
-        if unknown:
-            raise ConfigurationError(f"unknown mock.behaviors keys: {unknown}")
+        reject_unknown_keys("mock.behaviors", rec, _BEHAVIOR_TYPES)
         for key, value in rec.items():
             valid, expected = _BEHAVIOR_TYPES[key]
             if not valid(value):

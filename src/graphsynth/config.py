@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ._util import canonical_json, content_hash, is_int, is_number
+from ._util import canonical_json, content_hash, is_int, is_number, reject_unknown_keys
 from .analytics import CostModel, _bin_edges
 from .backends import BackendDescriptor, MockBehaviors, RequestParams
 from .errors import ConfigurationError, ValidationError
@@ -60,6 +60,12 @@ DEFAULTS: dict[str, Any] = {
     "templates_dir": None,
     "mock": {"seed": 0, "behaviors": {}},
 }
+
+_TOP_LEVEL_KEYS = (*DEFAULTS, "run_dir", "seed_corpus", "backends", "judges")
+# The keys of one backend or judge record.
+_DESCRIPTOR_KEYS = (
+    "endpoint", "model_name", "backend_id", "judge_weight", "request_params", "api_key_env",
+)
 
 
 def _merge_defaults(base: Any, override: Any) -> Any:
@@ -133,6 +139,7 @@ class RunConfig:
 def _parse_descriptor(key: str, role: str, rec: dict) -> BackendDescriptor:
     if not isinstance(rec, dict):
         raise ConfigurationError(f"backend {key!r} must be an object")
+    reject_unknown_keys(f"backend {key!r}", rec, _DESCRIPTOR_KEYS)
     endpoint = rec.get("endpoint")
     if not endpoint:
         raise ConfigurationError(f"backend {key!r}: 'endpoint' is required")
@@ -162,6 +169,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
+    reject_unknown_keys("config", data, _TOP_LEVEL_KEYS)
     merged = _merge_defaults(copy.deepcopy(DEFAULTS), data)
     for key in ("run_dir", "seed_corpus"):
         if not merged.get(key):
@@ -172,6 +180,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     for section in ("thresholds", "graph", "analytics"):
         if not isinstance(merged[section], dict):
             raise ConfigurationError(f"{section} must be an object")
+        reject_unknown_keys(section, merged[section], DEFAULTS[section])
     if not is_int(merged["random_seed"]):
         raise ConfigurationError("random_seed must be an integer")
     if not (is_int(merged["max_in_flight"]) and merged["max_in_flight"] >= 1):
@@ -198,11 +207,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError("graph.three_hop_min_weight must be a number")
 
     analytics = merged["analytics"]
-    unknown = sorted(set(analytics) - set(DEFAULTS["analytics"]))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown analytics key(s) {unknown}; expected some of {sorted(DEFAULTS['analytics'])}"
-        )
     if not (is_int(analytics["adherence_sample"]) and analytics["adherence_sample"] >= 0):
         raise ConfigurationError("analytics.adherence_sample must be an integer >= 0")
     ngram_sizes = analytics["ngram_sizes"]
@@ -232,16 +236,19 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     if cost:
         if not isinstance(cost, dict):
             raise ConfigurationError("cost must be null or an object")
+        per_sample = ("tokens_in_per_sample", "tokens_out_per_sample")
+        reject_unknown_keys("cost", cost, [*CostModel.__dataclass_fields__, *per_sample])
         try:
             CostModel(**{k: v for k, v in cost.items() if k in CostModel.__dataclass_fields__})
         except (TypeError, ValidationError) as exc:
             raise ConfigurationError(f"cost: {exc}") from exc
-        for key in ("tokens_in_per_sample", "tokens_out_per_sample"):
+        for key in per_sample:
             if not is_number(cost.get(key, 0)):
                 raise ConfigurationError(f"cost.{key} must be a number")
     mock_cfg = merged["mock"] or {}
     if not isinstance(mock_cfg, dict) or not isinstance(mock_cfg.get("behaviors") or {}, dict):
         raise ConfigurationError("mock and mock.behaviors must each be null or an object")
+    reject_unknown_keys("mock", mock_cfg, DEFAULTS["mock"])
     if not is_int(mock_cfg.get("seed", 0)):
         raise ConfigurationError("mock.seed must be an integer")
     mock_behaviors = MockBehaviors.from_record(mock_cfg.get("behaviors") or {})

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import wire_usage
+from conftest import src_env, wire_usage
 from graphsynth import backends
 from graphsynth.backends import (
     BackendClient,
@@ -32,6 +35,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     lock = threading.Lock()
     requests_seen: list[dict] = []
     chat_usage: dict = {"prompt_tokens": 4, "completion_tokens": 1}
+    error_headers: dict = {}  # sent with every scripted non-200 reply
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -41,6 +45,9 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             status = type(self).script.pop(0) if type(self).script else 200
         if status != 200:
             self.send_response(status)
+            for name, value in type(self).error_headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if self.path.endswith("/embeddings"):
@@ -73,10 +80,12 @@ def http_endpoint():
     ScriptedHandler.script = []
     ScriptedHandler.requests_seen = []
     ScriptedHandler.chat_usage = {"prompt_tokens": 4, "completion_tokens": 1}
+    ScriptedHandler.error_headers = {}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 def live_descriptor(endpoint, role="generator", **params):
@@ -242,6 +251,124 @@ class TestLiveHttp:
         BackendClient().complete(d, "ping")
         server.shutdown()
         assert captured["auth"] == "Bearer sekret"
+
+
+class KeepAliveHandler(ScriptedHandler):
+    """HTTP/1.1 with Content-Length replies, so a connection serves many
+    requests; counts the TCP connections it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0
+
+    def setup(self):
+        type(self).connections += 1
+        super().setup()
+
+
+class ClosesIdleHandler(KeepAliveHandler):
+    """Answers one request per connection and then closes it, without the
+    ``Connection: close`` header that would warn the client."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+def serve(handler):
+    """Serve ``handler`` on a localhost port, one daemon thread per
+    connection, so ``shutdown`` does not wait for a kept-alive one; returns
+    the server and its ``/v1`` endpoint."""
+    handler.connections = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_port}/v1"
+
+
+class TestHttpTransport:
+    def test_sequential_calls_share_one_connection(self, http_endpoint):
+        server, endpoint = serve(KeepAliveHandler)
+        try:
+            client = BackendClient()
+            for _ in range(5):
+                assert client.complete(live_descriptor(endpoint), "ping") == "pong"
+            client.scoped().embed(live_descriptor(endpoint, role="embedder"), ["a"])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert KeepAliveHandler.connections == 1
+
+    def test_connection_closed_by_the_server_is_reopened_free(self, http_endpoint):
+        server, endpoint = serve(ClosesIdleHandler)
+        try:
+            client = BackendClient()
+            d = live_descriptor(endpoint, max_attempts=1)
+            assert client.complete(d, "ping") == "pong"
+            assert client.complete(d, "ping") == "pong"
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert ClosesIdleHandler.connections == 2
+
+    def test_redirect_is_a_protocol_error(self, http_endpoint):
+        ScriptedHandler.script = [302]
+        ScriptedHandler.error_headers = {"Location": "/v2/chat/completions"}
+        with pytest.raises(ProtocolError, match="HTTP 302.*/v2/chat/completions"):
+            BackendClient().complete(live_descriptor(http_endpoint), "ping")
+        assert len(ScriptedHandler.requests_seen) == 1
+
+    def test_https_endpoint_tries_tls(self, http_endpoint):
+        d = live_descriptor(http_endpoint.replace("http://", "https://"),
+                            max_attempts=2, timeout=5)
+        with pytest.raises(TransportError) as excinfo:
+            BackendClient().complete(d, "ping")
+        assert excinfo.value.attempts == 2
+        assert ScriptedHandler.requests_seen == []
+
+    @pytest.mark.parametrize("endpoint", [
+        "ftp://127.0.0.1/v1", "http://127.0.0.1:abc/v1", "http://127.0.0.1:70000/v1", "http:///v1",
+    ])
+    def test_endpoint_that_is_not_an_http_url_is_a_configuration_error(self, endpoint):
+        with pytest.raises(ConfigurationError, match=f"'live'.*{re.escape(endpoint)}"):
+            live_descriptor(endpoint)
+
+    def test_unencodable_payload_fails_before_sending(self, http_endpoint, monkeypatch):
+        monkeypatch.setattr(backends.time, "sleep", pytest.fail)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            BackendClient().complete(live_descriptor(http_endpoint), "ping",
+                                     {"top_p": float("nan")})
+        assert ScriptedHandler.requests_seen == []
+
+    @pytest.mark.parametrize("status,retry_after,timeout,delays", [
+        (429, "3", 60, [3, 3]),
+        (503, "3", 60, [3, 3]),
+        (429, "120", 5, [5, 5]),
+        (429, "0", 60, [0.01, 0.02]),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 60, [0.01, 0.02]),
+        (500, "3", 60, [0.01, 0.02]),
+    ], ids=["429", "503", "capped-at-timeout", "zero", "http-date", "not-on-500"])
+    def test_retry_after(self, http_endpoint, monkeypatch, status, retry_after, timeout, delays):
+        slept = []
+        monkeypatch.setattr(backends.time, "sleep", slept.append)
+        ScriptedHandler.script = [status, status]
+        ScriptedHandler.error_headers = {"Retry-After": retry_after}
+        d = live_descriptor(http_endpoint, timeout=timeout)
+        assert BackendClient().complete(d, "ping") == "pong"
+        assert slept == pytest.approx(delays)
+
+    def test_live_calls_need_no_requests_package(self, http_endpoint):
+        script = (
+            "import sys\n"
+            "sys.modules['requests'] = None\n"
+            "from graphsynth.backends import BackendClient, BackendDescriptor\n"
+            "client = BackendClient()\n"
+            "reply = client.complete(BackendDescriptor('g', 'generator', sys.argv[1], 'm'), 'hi')\n"
+            "vectors = client.embed(BackendDescriptor('e', 'embedder', sys.argv[1], 'm'), ['a'])\n"
+            "print(reply, vectors.shape)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, http_endpoint],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["pong", "(1,", "3)"]
 
 
 class TestMockEmbeddings:

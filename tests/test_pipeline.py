@@ -1233,7 +1233,12 @@ class TestCli:
             node = node[part]
         assert node == value
         assert len(data["judges"]) == 3
-        parse_config(data)
+        if path[:2] == ("graph", "new"):
+            # The override makes the object; graph has a fixed key set.
+            with pytest.raises(ConfigurationError, match="'new'"):
+                parse_config(data)
+        else:
+            parse_config(data)
 
     @pytest.mark.parametrize("override,match", [
         ("judges.3.judge_weight=2", r"judges is a list of 3.*'3' is not an index"),
@@ -1436,6 +1441,20 @@ class TestConfigParsing:
         ({"judges": ""}, "judges"),
         ({"judges": [{"endpoint": "mock"}, 5]}, "judges"),
         ({"judges": {"judge-a": {"endpoint": "mock"}}}, "judges"),
+        ({"max_inflight": 4}, "max_inflight"),
+        ({"thresholds": {"problem_acept": 0.9}}, "problem_acept"),
+        ({"graph": {"combination_budjet": 5}}, "combination_budjet"),
+        ({"mock": {"sead": 3}}, "sead"),
+        ({"cost": {"mode": "gpu_hourly", "tokens_in_per_sampl": 5}}, "tokens_in_per_sampl"),
+        ({"backends": {"generator": {"endpoint": "mock", "api_key_evn": "KEY"}}}, "api_key_evn"),
+        ({"judges": [{"endpoint": "mock", "judge_wieght": 2}]}, "judge_wieght"),
+        ({"judges": [{"endpoint": "mock", "request_params": {"temperature": float("nan")}}]},
+         "temperature"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"backoff_base": float("inf")}}}},
+         "backoff_base"),
+        ({"backends": {"generator": {"endpoint": "ftp://h/v1", "model_name": "g"}}}, "ftp://"),
+        ({"judges": [{"endpoint": "localhost:8000/v1", "model_name": "j"}]}, "localhost:8000"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -1493,6 +1512,7 @@ class TestConfigParsing:
         "backends=[\"mock\"]", "judges=[\"judge-a\"]",
         "backends.generator.request_params.timeout=0",
         "judges.3.judge_weight=2", "graph.combination_budget.x=2",
+        "backends.generator.endpoint=ftp://h/v1",
     ])
     def test_run_settings_checked_before_extract(self, tmp_path, override):
         config_path, config_dict = make_run(tmp_path)
