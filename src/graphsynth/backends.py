@@ -9,14 +9,15 @@ and ``embed`` unit row vectors; token counts go only to the client's
 A descriptor whose endpoint is the marker string ``"mock"`` goes to an
 in-process :class:`MockServer` that speaks the same request/response
 shapes, so the whole pipeline runs offline and reproducibly; any other
-endpoint goes over HTTP with retries, through one keep-alive
-``http.client`` connection per calling thread and host. ``http.client`` and
-``ssl`` are imported on the first HTTP call, so a mock run never loads an
-HTTP stack.
+endpoint goes over HTTP with retries, over keep-alive ``http.client``
+connections that the client keeps idle between calls, per scheme, host and
+port, until ``close()``. ``http.client`` and ``ssl`` are imported on the
+first HTTP call, so a mock run never loads an HTTP stack.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -27,7 +28,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
 
 import numpy as np
@@ -62,13 +63,24 @@ class RequestParams:
     backoff_jitter: float = 0.2
     timeout: float = 60.0
 
+    def __post_init__(self) -> None:
+        for key, ok, bound in (
+            ("temperature", self.temperature >= 0, ">= 0"),
+            ("max_output_tokens", self.max_output_tokens >= 1, ">= 1"),
+            ("max_attempts", self.max_attempts >= 1, ">= 1"),
+            ("timeout", self.timeout > 0, "> 0"),
+            ("backoff_base", self.backoff_base >= 0, ">= 0"),
+            ("backoff_factor", self.backoff_factor >= 0, ">= 0"),
+            ("backoff_jitter", 0 <= self.backoff_jitter <= 1, "within [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"request_params.{key} must be {bound}")
+
     @classmethod
     def from_record(cls, rec: dict) -> "RequestParams":
         """Parse ``request_params``. An unknown key, a value that is not a
-        finite number (an integer where the default is one), or a timing
-        value out of range (``timeout > 0``, ``backoff_base >= 0``,
-        ``backoff_factor >= 0``, ``0 <= backoff_jitter <= 1``) raises
-        ConfigurationError."""
+        finite number (an integer where the default is one), or a value out
+        of range raises ConfigurationError."""
         if not isinstance(rec, dict):
             raise ConfigurationError("request_params must be an object")
         fields = cls.__dataclass_fields__
@@ -78,16 +90,7 @@ class RequestParams:
             if not (is_int(value) if integral else (is_number(value) and math.isfinite(value))):
                 expected = "an integer" if integral else "a finite number"
                 raise ConfigurationError(f"request_params.{key} must be {expected}")
-        params = cls(**rec)
-        for key, ok, bound in (
-            ("timeout", params.timeout > 0, "> 0"),
-            ("backoff_base", params.backoff_base >= 0, ">= 0"),
-            ("backoff_factor", params.backoff_factor >= 0, ">= 0"),
-            ("backoff_jitter", 0 <= params.backoff_jitter <= 1, "within [0, 1]"),
-        ):
-            if not ok:
-                raise ConfigurationError(f"request_params.{key} must be {bound}")
-        return params
+        return cls(**rec)
 
 
 @dataclass
@@ -221,12 +224,14 @@ class BackendClient:
     """Shared, thread-safe client for all configured backends.
 
     One instance serves every role; per-request state is kept on the stack,
-    so concurrent callers are safe.
+    so concurrent callers are safe. Its idle keep-alive connections, shared
+    with ``scoped()`` views, outlive the threads that used them.
     """
 
     def __init__(self, mock: "MockServer | None" = None):
         self._mock = mock if mock is not None else MockServer()
-        self._thread_state = threading.local()
+        self._idle: dict[tuple[str, str, int], list] = {}
+        self._idle_lock = threading.Lock()
         self.usage = UsageTracker()
 
     def scoped(self) -> "BackendClient":
@@ -241,23 +246,38 @@ class BackendClient:
         view.usage = UsageTracker(parent=self.usage)
         return view
 
-    def _connection(self, parts: SplitResult):
-        """This thread's keep-alive connection to the URL's scheme, host and
-        port, opened on first use."""
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        with self._idle_lock:
+            idle = [conn for conns in self._idle.values() for conn in conns]
+            self._idle.clear()
+        for conn in idle:
+            conn.close()
+
+    @contextlib.contextmanager
+    def _connection(self, parts: SplitResult) -> Iterator[Any]:
+        """An idle keep-alive connection to the URL's scheme, host and port,
+        or a new one when none is idle; it is put back after use."""
         import http.client
 
         https = parts.scheme == "https"
         key = (parts.scheme, parts.hostname, parts.port or (443 if https else 80))
-        connections = vars(self._thread_state).setdefault("connections", {})
-        if key not in connections:
+        with self._idle_lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        if conn is None:
             if https:
                 import ssl
 
                 context = ssl.create_default_context()
-                connections[key] = http.client.HTTPSConnection(*key[1:], context=context)
+                conn = http.client.HTTPSConnection(*key[1:], context=context)
             else:
-                connections[key] = http.client.HTTPConnection(*key[1:])
-        return connections[key]
+                conn = http.client.HTTPConnection(*key[1:])
+        try:
+            yield conn
+        finally:
+            with self._idle_lock:
+                self._idle.setdefault(key, []).append(conn)
 
     def _headers(self, descriptor: BackendDescriptor) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -283,17 +303,17 @@ class BackendClient:
 
         params = descriptor.request_params
         parts = urlsplit(url)
-        conn = self._connection(parts)
         body = json.dumps(payload, allow_nan=False).encode()
         headers = self._headers(descriptor)
         attempts = 0
         delay = params.backoff_base
         last_error: Exception | None = None
-        while attempts < max(1, params.max_attempts):
+        while attempts < params.max_attempts:
             attempts += 1
             retry_after = 0
             try:
-                resp, data = _send(conn, parts.path, body, headers, params.timeout)
+                with self._connection(parts) as conn:
+                    resp, data = _send(conn, parts.path, body, headers, params.timeout)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
             else:

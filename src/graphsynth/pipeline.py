@@ -4,10 +4,10 @@ once in ``STAGES`` and run by one engine that writes each stage's stats.
 Expensive per-item work (model calls) runs through a checkpointed runner:
 one pool per stage keeps up to ``max_in_flight`` items in flight, and results
 are appended, in input order, to a per-stage cache file that is the only
-record of which items are done. The runner draws its work lazily and keeps
-no record in memory, only where each one starts in the cache (the key
-directory of a log-structured store: Sheehy & Smith, "Bitcask", 2010); the
-stage reads the results back from the cache in work order. Each per-item
+record of which items are done. Since commits follow work order, a cache
+is always a prefix of its work: the runner matches it against the work in
+lockstep, draws the rest of the work lazily, and keeps nothing per item;
+the stage reads the results back from the cache in work order. Each per-item
 task receives a scoped client, so its record keeps the backend usage of
 exactly its own calls, failed items included; the runner is the one place a
 task exception becomes a failed record. The engine sums a stage's ``usage``
@@ -42,11 +42,9 @@ import itertools
 import json
 import logging
 import os
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
@@ -63,10 +61,12 @@ from .config import RunConfig
 from .errors import CheckpointError, ConfigurationError, ValidationError
 from .evaluation import JudgePanel
 from .store import (
+    CacheReader,
     KeyConcept,
     SeedExample,
     SynthesizedItem,
     concept_id_for,
+    encode_cache_line,
     load_concepts,
     load_seed_corpus,
     read_checkpoint,
@@ -307,90 +307,66 @@ class PipelineRun:
         Returns a reader of one JSON-able result record per work item, read
         back from the results cache in work order. ``work`` is drawn once
         and lazily: a payload is held only from the time it is drawn until
-        its task is done, and each work item's record is known only by its
-        byte offset in the cache. Each task gets its own scoped client, and
-        its record carries the task's backend usage under "usage"; the
-        usage of every record, cached or fresh, is added to the stage's
-        total, cached records as the cache is scanned and fresh ones as
-        they commit. A task exception becomes a {"failed": message} record
-        (with the usage of the calls made before it), so one bad item never
-        aborts the stage.
+        its task is done. Each task gets its own scoped client, and its
+        record carries the task's backend usage under "usage"; the usage of
+        every record, cached or fresh, is added to the stage's total, cached
+        records as the cache is matched and fresh ones as they commit. A
+        task exception becomes a {"failed": message} record (with the usage
+        of the calls made before it), so one bad item never aborts the
+        stage.
 
         The results cache ``cache/<name>.jsonl`` is the only progress
-        record: an id with a complete line there is done and never runs
-        again. ``_run_stage`` has already deleted a cache its stage record
-        does not vouch for, so every id in it is this stage's work.
+        record. It is a prefix of the work: the file is cut after the
+        records ``select_resumable_work`` matches, and the rest of the work
+        is run and appended in work order. ``_run_stage`` has already
+        deleted a cache its stage record does not vouch for.
         """
         cache_path = self.paths.cache(name)
-        index, intact_bytes, usage = _read_cache_tolerant(cache_path)
+        count, size, usage, rest = select_resumable_work(cache_path, work)
         self._count_usage([usage])
-        # The cache offset of each work item's record, in work order; -1
-        # until a fresh record commits.
-        offsets = array("q")
-        drawn: dict[str, tuple[int, Any]] = {}  # (position, payload) of drawn pending ids
-        in_flight: deque[tuple[str, int]] = deque()  # (id, position) of uncommitted tasks
-
-        def work_ids() -> Iterator[str]:
-            for wid, payload in work:
-                offset = index.get(wid, -1)
-                if offset < 0:
-                    drawn[wid] = (len(offsets), payload)
-                offsets.append(offset)
-                yield wid
-
-        def tasks() -> Iterator[Callable[[], dict]]:
-            for wid in select_resumable_work(work_ids(), index):
-                position, payload = drawn.pop(wid)
-                in_flight.append((wid, position))
-                yield self._wrap_task(task_fn, payload)
-
-        pending = tasks()
+        pending = (self._wrap_task(task_fn, wid, payload) for wid, payload in rest)
         first = next(pending, None)
-        if first is None:
-            return CacheReader(cache_path, offsets)
+        if first is None and not cache_path.exists():
+            return CacheReader(cache_path, count)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         with open(cache_path, "ab") as handle:
-            # Cut a torn final line before appending, so the next record
-            # starts on a line of its own.
-            if os.fstat(handle.fileno()).st_size > intact_bytes:
-                handle.truncate(intact_bytes)
+            # Cut what follows the matched records (such as a torn tail), so
+            # the cache stays a prefix of the work.
+            if os.fstat(handle.fileno()).st_size > size:
+                handle.truncate(size)
                 os.fsync(handle.fileno())
-            end = intact_bytes
 
-            def commit(outcomes: list[Any]) -> None:
-                nonlocal end
+            def commit(outcomes: list[tuple[str, dict]]) -> None:
+                nonlocal count
                 # Under a fault-injection limit, commit exactly up to it.
                 outcomes = outcomes[:self._abort.admit(len(outcomes))]
-                for outcome in outcomes:
-                    wid, position = in_flight.popleft()
-                    line = (canonical_json({"id": wid, "result": outcome}) + "\n").encode("utf-8")
-                    offsets[position] = end
-                    end += len(line)
-                    handle.write(line)
+                handle.writelines(encode_cache_line(wid, record) for wid, record in outcomes)
                 handle.flush()
                 os.fsync(handle.fileno())
-                self._count_usage(outcome["usage"] for outcome in outcomes)
+                count += len(outcomes)
+                self._count_usage(record["usage"] for _, record in outcomes)
                 self._abort.on_commit(len(outcomes))
 
-            run_bounded(
-                itertools.chain([first], pending), self.config.max_in_flight, on_ready=commit
-            )
-        return CacheReader(cache_path, offsets)
+            if first is not None:
+                run_bounded(
+                    itertools.chain([first], pending), self.config.max_in_flight, on_ready=commit
+                )
+        return CacheReader(cache_path, count)
 
     def _count_usage(self, usages: Iterable[dict]) -> None:
         self._record_usage = sum_usage([self._record_usage, *usages])
 
     def _wrap_task(
-        self, task_fn: Callable[[Any, BackendClient], dict], payload: Any
-    ) -> Callable[[], dict]:
-        def run() -> dict:
+        self, task_fn: Callable[[Any, BackendClient], dict], wid: str, payload: Any
+    ) -> Callable[[], tuple[str, dict]]:
+        def run() -> tuple[str, dict]:
             client = self.client.scoped()
             try:
                 record = task_fn(payload, client)
             except Exception as exc:
                 record = {"failed": f"{type(exc).__name__}: {exc}"}
             record["usage"] = client.usage.total()
-            return record
+            return wid, record
 
         return run
 
@@ -835,79 +811,6 @@ class PipelineRun:
         )
 
 
-class CacheReader:
-    """The results of one ``_run_checkpointed`` call, in work order, read
-    back from its results cache: only each record's byte offset is held.
-
-    Iterating yields each work item's result record. The file is read
-    forward through one buffer and seeks only where the cache is out of
-    work order: a record appended by a later resume, after a line that did
-    not parse. No work items means no file is opened.
-    """
-
-    def __init__(self, path: Path, offsets: Sequence[int]) -> None:
-        self.path = path
-        self._offsets = offsets
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def __iter__(self) -> Iterator[dict]:
-        if not self._offsets:
-            return
-        with open(self.path, "rb", buffering=1 << 16) as handle:
-            position = 0
-            for offset in self._offsets:
-                if offset != position:
-                    handle.seek(offset)
-                line = handle.readline()
-                position = offset + len(line)
-                yield json.loads(line.decode("utf-8"))["result"]
-
-
-def _read_cache_tolerant(path: Path) -> tuple[dict[str, int], int, dict[str, int]]:
-    """Scan a results cache: (byte offset of each id's first record, intact
-    bytes, the usage summed over those records).
-
-    Streams the file and keeps no record; the first record for an id wins.
-    A line counts only once its newline is written, so a hard kill that
-    truncates the final append leaves a torn tail that is dropped: the
-    second value is the byte length up to the end of the last complete line.
-    A complete line that does not parse is skipped with a warning, so its
-    id runs again.
-    """
-    index: dict[str, int] = {}
-    intact_bytes = 0
-
-    def first_record_usages() -> Iterator[dict]:
-        nonlocal intact_bytes
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
-            return
-        with handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    logger.warning("dropping torn cache tail in %s", path)
-                    break
-                offset = intact_bytes
-                intact_bytes += len(line)
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line.decode("utf-8"))
-                    wid, result = rec["id"], rec["result"]
-                except (ValueError, KeyError, TypeError):
-                    logger.warning("skipping unreadable cache line in %s", path)
-                    continue
-                if wid not in index:
-                    index[wid] = offset
-                    yield result.get("usage") or {}
-
-    usage = sum_usage(first_record_usages())
-    return index, intact_bytes, usage
-
-
 def _load_stats(path: Path) -> dict | None:
     if not path.exists():
         return None
@@ -963,6 +866,9 @@ def run_stage(config: RunConfig, stage: str, client: BackendClient | None = None
             raise ConfigurationError(f"decontamination reference {reference} does not exist")
     run = PipelineRun(config, client=client)
     run.paths.run_dir.mkdir(parents=True, exist_ok=True)
-    with RunLock(run.paths.lock()):
-        for name in stages:
-            run._run_stage(name)
+    try:
+        with RunLock(run.paths.lock()):
+            for name in stages:
+                run._run_stage(name)
+    finally:
+        run.client.close()

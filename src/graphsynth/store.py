@@ -9,15 +9,18 @@ A stage record is one JSON object: the fingerprint of the configuration the
 stage runs under, the digests of its input files, and the digests of its
 outputs (null until the stage finishes). It is written atomically; which
 items are done is read from the stage's append-only results caches, not
-from the record.
+from the record. A results cache holds one ``{"id", "result"}`` line per
+work item, appended in work order, so it is always a prefix of its work.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ._util import (
     canonical_json,
@@ -27,7 +30,10 @@ from ._util import (
     write_atomic,
     write_jsonl_atomic,
 )
+from .backends import sum_usage
 from .errors import CheckpointError, CorpusError
+
+logger = logging.getLogger(__name__)
 
 MAX_CONCEPTS_PER_SEED = 5
 
@@ -320,7 +326,65 @@ def read_checkpoint(path: str | Path) -> dict | None:
     return rec
 
 
-def select_resumable_work(all_ids: Iterable[str], done: Container[str]) -> Iterator[str]:
-    """Work ids not in ``done`` (the ids in the stage's results cache), in
-    input order, drawn lazily from ``all_ids``."""
-    return (i for i in all_ids if i not in done)
+def encode_cache_line(wid: str, result: dict) -> bytes:
+    """One results-cache line: a work item's id and its result record."""
+    return (canonical_json({"id": wid, "result": result}) + "\n").encode("utf-8")
+
+
+def select_resumable_work(path: Path, work: Iterable[tuple[str, Any]]) -> tuple:
+    """Match the results cache at ``path`` against ``work``, (id, payload)
+    pairs, in lockstep: (count, size, usage, rest) are how many leading work
+    items have a complete line with their id, those lines' bytes, their
+    summed ``usage``, and the rest of the work. The match stops at a torn
+    tail (a kill during an append), an unreadable line, an id mismatch, or
+    the end of either; ``work`` is drawn at most one item past it."""
+    work = iter(work)
+    count = size = 0
+    usage = sum_usage([])
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return count, size, usage, work
+    with handle:
+        for line in handle:
+            item = next(work, None)
+            if item is None:
+                break
+            if not line.endswith(b"\n"):
+                problem = "is torn"
+            else:
+                try:
+                    rec = json.loads(line)
+                    wid, record_usage = rec["id"], rec["result"].get("usage") or {}
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    problem = "is unreadable"
+                else:
+                    problem = None if wid == item[0] else f"holds id {wid!r}, not {item[0]!r}"
+            if problem:
+                logger.warning("line %d of %s %s; the work runs again from there",
+                               count + 1, path, problem)
+                return count, size, usage, itertools.chain([item], work)
+            count += 1
+            size += len(line)
+            usage = sum_usage([usage, record_usage])
+    return count, size, usage, work
+
+
+class CacheReader:
+    """The first ``count`` records of a results cache, read forward: one
+    result record per work item, in work order. No records means no file
+    is opened."""
+
+    def __init__(self, path: Path, count: int) -> None:
+        self.path = path
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[dict]:
+        if not self.count:
+            return
+        with open(self.path, "rb", buffering=1 << 16) as handle:
+            for line in itertools.islice(handle, self.count):
+                yield json.loads(line)["result"]

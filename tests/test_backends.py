@@ -97,6 +97,13 @@ def live_descriptor(endpoint, role="generator", **params):
 
 
 class TestDescriptor:
+    @pytest.mark.parametrize("params", [
+        {"max_attempts": 0}, {"max_output_tokens": 0}, {"temperature": -0.5}, {"timeout": 0},
+    ])
+    def test_out_of_range_request_params_rejected_when_built(self, params):
+        with pytest.raises(ConfigurationError, match=next(iter(params))):
+            RequestParams(**params)
+
     def test_judge_weight_required_for_judges(self):
         with pytest.raises(ConfigurationError):
             BackendDescriptor("j", "judge", "mock", "m")
@@ -250,6 +257,7 @@ class TestLiveHttp:
         d.endpoint = f"http://127.0.0.1:{server.server_port}/v1"
         BackendClient().complete(d, "ping")
         server.shutdown()
+        server.server_close()
         assert captured["auth"] == "Bearer sekret"
 
 
@@ -292,10 +300,60 @@ class TestHttpTransport:
             for _ in range(5):
                 assert client.complete(live_descriptor(endpoint), "ping") == "pong"
             client.scoped().embed(live_descriptor(endpoint, role="embedder"), ["a"])
+            client.close()
         finally:
             server.shutdown()
             server.server_close()
         assert KeepAliveHandler.connections == 1
+
+    def test_connections_outlive_the_pool_that_opened_them(self):
+        server, endpoint = serve(KeepAliveHandler)
+        try:
+            client = BackendClient()
+            for _ in range(2):
+                replies = []
+                run_bounded([lambda: client.complete(live_descriptor(endpoint), "ping")], 1,
+                            on_ready=replies.extend)
+                assert replies == ["pong"]
+            client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert KeepAliveHandler.connections == 1
+
+    def test_threads_share_the_idle_connections_without_losing_one(self):
+        # More threads than cores and a short switch interval: a connection
+        # handed to two threads at once, or lost on its way back, breaks a
+        # reply or the count of idle connections.
+        server, endpoint = serve(KeepAliveHandler)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            client = BackendClient()
+            d = live_descriptor(endpoint)
+            replies = []
+            run_bounded([lambda: client.scoped().complete(d, "ping")] * 80, 8,
+                        on_ready=replies.extend)
+            idle = sum(len(conns) for conns in client._idle.values())
+            client.close()
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+        assert replies == ["pong"] * 80
+        assert idle == KeepAliveHandler.connections <= 8
+
+    def test_close_drops_idle_connections_and_a_later_call_reopens_one(self):
+        server, endpoint = serve(KeepAliveHandler)
+        try:
+            client = BackendClient()
+            for _ in range(2):
+                assert client.complete(live_descriptor(endpoint), "ping") == "pong"
+                client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert KeepAliveHandler.connections == 2
 
     def test_connection_closed_by_the_server_is_reopened_free(self, http_endpoint):
         server, endpoint = serve(ClosesIdleHandler)
@@ -304,6 +362,7 @@ class TestHttpTransport:
             d = live_descriptor(endpoint, max_attempts=1)
             assert client.complete(d, "ping") == "pong"
             assert client.complete(d, "ping") == "pong"
+            client.close()
         finally:
             server.shutdown()
             server.server_close()

@@ -29,10 +29,8 @@ from graphsynth.pipeline import (
     OUTPUT_FILES,
     STAGES,
     PipelineRun,
-    CacheReader,
     RunLock,
     _iter_reference_texts,
-    _read_cache_tolerant,
     run_stage,
 )
 from graphsynth._util import iter_jsonl
@@ -673,22 +671,10 @@ class TestDeterminismAndResume:
         assert read_outputs(baseline.run_dir) == read_outputs(Path(config_dict["run_dir"]))
         assert all(json.loads(line) for line in cache.read_text().splitlines())
 
-    def test_cache_read_keeps_first_record_and_drops_torn_tail(self, tmp_path):
-        cache = tmp_path / "stage.jsonl"
-        lines = ['{"id":"a","result":{"v":1}}', '{"id":"x","result":{"v":0}}',
-                 '{"id":"b","res', '{"id":"a","result":{"v":2}}', '{"id":"b","result":{"v":3}}']
-        intact = "".join(line + "\n" for line in lines)
-        cache.write_text(intact + '{"id":"c","result":{"v"', encoding="utf-8")
-        index, intact_bytes, usage = _read_cache_tolerant(cache)
-        starts = [sum(len(line) + 1 for line in lines[:i]) for i in range(len(lines))]
-        assert index == {"a": starts[0], "x": starts[1], "b": starts[4]}
-        assert intact_bytes == len(intact.encode())
-        assert usage == {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-        assert list(CacheReader(cache, [index["b"], index["a"]])) == [{"v": 3}, {"v": 1}]
-
-    def test_unreadable_middle_line_reruns_at_the_end_and_reads_in_work_order(
-        self, tmp_path, caplog
-    ):
+    def test_unreadable_middle_line_reruns_it_and_the_rest(self, tmp_path, caplog):
+        # The program never writes such a line (a kill tears only the
+        # tail); the cache is a prefix of the work, so the match stops
+        # there and everything after it runs again, in work order.
         seeds = toy_corpus_seeds(8, 1, 3)
         baseline_path, _ = make_run(tmp_path, seeds=seeds, run_name="baseline")
         baseline = load_config(baseline_path)
@@ -697,20 +683,22 @@ class TestDeterminismAndResume:
         config = load_config(config_path)
         run_stage(config, "run-all")
         cache = config.run_dir / "cache" / "synthesize.evaluate.jsonl"
-        lines = cache.read_bytes().splitlines(keepends=True)
+        fresh = cache.read_bytes()
+        lines = fresh.splitlines(keepends=True)
         assert len(lines) >= 5
         middle = len(lines) // 2
-        rerun_id = json.loads(lines[middle])["id"]
-        lines[middle] = b'{"id": "' + rerun_id.encode() + b'", "result": {\n'
+        questions = [json.loads(line)["result"]["item"]["question"] for line in lines]
+        lines[middle] = b'{"id": "' + json.loads(lines[middle])["id"].encode() + b'", "result": {\n'
         cache.write_bytes(b"".join(lines))
         (config.run_dir / "items.jsonl").unlink()
 
-        with caplog.at_level(logging.WARNING, logger="graphsynth.pipeline"):
-            run_stage(config, "run-all")
-        assert "skipping unreadable cache line" in caplog.text
-        after = cache.read_bytes().splitlines(keepends=True)
-        assert after[:len(lines)] == lines
-        assert [json.loads(line)["id"] for line in after[len(lines):]] == [rerun_id]
+        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        with caplog.at_level(logging.WARNING, logger="graphsynth.store"):
+            run_stage(config, "run-all", client=BackendClient(mock=mock))
+        assert f"line {middle + 1} of {cache} is unreadable" in caplog.text
+        scored = [p for p in mock.prompts if "TASK: score-problem" in p]
+        assert {q for q in questions if any(q in p for p in scored)} == set(questions[middle:])
+        assert cache.read_bytes() == fresh
         assert read_outputs(config.run_dir) == read_outputs(baseline.run_dir)
 
     def test_cached_ids_only_grow(self, tmp_path, monkeypatch):
@@ -1036,6 +1024,7 @@ class TestWireProtocolEquivalence:
             assert read_outputs(local.run_dir) == read_outputs(over_http.run_dir)
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestColdStart:
@@ -1455,6 +1444,14 @@ class TestConfigParsing:
          "backoff_base"),
         ({"backends": {"generator": {"endpoint": "ftp://h/v1", "model_name": "g"}}}, "ftp://"),
         ({"judges": [{"endpoint": "localhost:8000/v1", "model_name": "j"}]}, "localhost:8000"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"max_attempts": 0}}}},
+         "max_attempts"),
+        ({"backends": {"generator": {"endpoint": "mock",
+                                     "request_params": {"max_output_tokens": -5}}}},
+         "max_output_tokens"),
+        ({"judges": [{"endpoint": "mock", "request_params": {"temperature": -1}}]},
+         "temperature"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):

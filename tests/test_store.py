@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from graphsynth.errors import CheckpointError, CorpusError
 from graphsynth.store import (
+    CacheReader,
     KeyConcept,
     SeedExample,
     SynthesizedItem,
+    encode_cache_line,
     load_seed_corpus,
     read_checkpoint,
     select_resumable_work,
@@ -141,32 +143,110 @@ class TestCheckpoints:
         assert not errors
 
 
+def cache_lines(*ids: str) -> list[bytes]:
+    """One results-cache line per id; id ``n``'s record used n + 1 calls."""
+    return [encode_cache_line(wid, {"v": wid, "usage": {"calls": n + 1}})
+            for n, wid in enumerate(ids)]
+
+
+class DrawnWork:
+    """(id, payload) work items that record which ids were drawn."""
+
+    def __init__(self, *ids: str):
+        self.ids = ids
+        self.drawn: list[str] = []
+
+    def __iter__(self):
+        for wid in self.ids:
+            self.drawn.append(wid)
+            yield wid, f"payload-{wid}"
+
+
 class TestSelectResumableWork:
-    def test_set_difference(self):
-        assert list(select_resumable_work(["a", "b", "c"], {"b"})) == ["a", "c"]
+    """The results cache is a prefix of the work: the match keeps leading
+    lines while each id equals the next work item's, and stops at the
+    first line that does not."""
 
-    def test_empty_done_returns_all(self):
-        assert list(select_resumable_work(["a", "b"], set())) == ["a", "b"]
+    def match(self, path, work):
+        """(count, size, calls, ids drawn by the match, ids left to run)."""
+        count, size, usage, rest = select_resumable_work(path, work)
+        drawn = list(work.drawn)
+        return count, size, usage["calls"], drawn, [wid for wid, _ in rest]
 
-    def test_all_done_returns_empty(self):
-        assert list(select_resumable_work(["a", "b"], {"a", "b"})) == []
+    def write(self, path, *lines):
+        path.write_bytes(b"".join(lines))
+        return path
 
-    def test_order_is_deterministic(self):
-        ids = ["z", "m", "a", "q"]
-        assert list(select_resumable_work(ids, {"m"})) == ["z", "a", "q"]
+    def test_all_done_returns_empty(self, tmp_path):
+        # The whole cache matches, and no work is drawn past it.
+        path = self.write(tmp_path / "c.jsonl", *cache_lines("a", "b", "c"))
+        assert self.match(path, DrawnWork("a", "b", "c")) == (
+            3, path.stat().st_size, 1 + 2 + 3, ["a", "b", "c"], [])
 
-    def test_ids_are_drawn_only_as_consumed(self):
-        drawn = []
+    def test_order_is_deterministic(self, tmp_path):
+        # Work longer than the cache: the rest follows in work order.
+        z, m = cache_lines("z", "m")
+        path = self.write(tmp_path / "c.jsonl", z, m)
+        count, size, usage, rest = select_resumable_work(path, DrawnWork("z", "m", "a", "q"))
+        assert (count, size, usage["calls"]) == (2, len(z + m), 3)
+        assert list(rest) == [("a", "payload-a"), ("q", "payload-q")]
 
-        def ids():
-            for wid in ["a", "b", "c", "d"]:
-                drawn.append(wid)
-                yield wid
+    def test_ids_are_drawn_only_as_consumed(self, tmp_path):
+        path = self.write(tmp_path / "c.jsonl", *cache_lines("a", "x"))
+        work = DrawnWork("a", "b", "c", "d")
+        rest = select_resumable_work(path, work)[3]
+        assert work.drawn == ["a", "b"]
+        assert next(rest)[0] == "b" and work.drawn == ["a", "b"]
+        assert next(rest)[0] == "c" and work.drawn == ["a", "b", "c"]
 
-        pending = select_resumable_work(ids(), {"b"})
-        assert drawn == []
-        assert next(pending) == "a" and drawn == ["a"]
-        assert next(pending) == "c" and drawn == ["a", "b", "c"]
+    def test_work_shorter_than_the_cache(self, tmp_path):
+        a, b, c = cache_lines("a", "b", "c")
+        path = self.write(tmp_path / "c.jsonl", a, b, c)
+        assert self.match(path, DrawnWork("a", "b")) == (2, len(a + b), 3, ["a", "b"], [])
+
+    def test_torn_tail_ends_the_match(self, tmp_path, caplog):
+        a, b, c = cache_lines("a", "b", "c")
+        path = self.write(tmp_path / "c.jsonl", a, b, c[:-5])
+        assert self.match(path, DrawnWork("a", "b", "c", "d")) == (
+            2, len(a + b), 3, ["a", "b", "c"], ["c", "d"])
+        assert "line 3" in caplog.text and "is torn" in caplog.text
+
+    @pytest.mark.parametrize("bad", [
+        b'{"id": "b", "result": {\n', b"\n", b"[1, 2]\n", b'{"id": "b"}\n',
+        b'{"id": "b", "result": 5}\n', b'\xff{"id": "b", "result": {}}\n',
+    ])
+    def test_unreadable_line_ends_the_match(self, tmp_path, caplog, bad):
+        a, _, c = cache_lines("a", "b", "c")
+        path = self.write(tmp_path / "c.jsonl", a, bad, c)
+        assert self.match(path, DrawnWork("a", "b", "c")) == (
+            1, len(a), 1, ["a", "b"], ["b", "c"])
+        assert "line 2" in caplog.text and "is unreadable" in caplog.text
+
+    def test_id_mismatch_ends_the_match(self, tmp_path, caplog):
+        # "c" matches its work item again at line 3, but the match has
+        # stopped: every record after the mismatch runs again.
+        a, x, c = cache_lines("a", "x", "c")
+        path = self.write(tmp_path / "c.jsonl", a, x, c)
+        assert self.match(path, DrawnWork("a", "b", "c")) == (
+            1, len(a), 1, ["a", "b"], ["b", "c"])
+        assert "holds id 'x', not 'b'" in caplog.text
+
+    def test_empty_done_returns_all(self, tmp_path):
+        assert self.match(tmp_path / "none.jsonl", DrawnWork("a", "b")) == (
+            0, 0, 0, [], ["a", "b"])
+
+
+class TestCacheReader:
+    def test_reads_the_first_count_records_forward(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"".join(cache_lines("a", "b", "c")) + b'{"id": "d", "res')
+        reader = CacheReader(path, 2)
+        assert len(reader) == 2
+        assert [rec["v"] for rec in reader] == ["a", "b"]
+
+    def test_no_records_opens_no_file(self, tmp_path):
+        reader = CacheReader(tmp_path / "none.jsonl", 0)
+        assert (len(reader), list(reader)) == (0, [])
 
 
 class TestStatusTransitions:
