@@ -22,6 +22,7 @@ from .analytics import (
     CostModel,
     DecontaminationReport,
     SimilarityReport,
+    adherence_probe,
     adherence_report,
     cost_report,
     expansion_ratio,
@@ -54,6 +55,7 @@ from .extraction import (
     extract_concepts,
     filter_low_quality,
     pairwise_similarity,
+    pick_representative,
     select_representatives,
 )
 from .graph import (

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -36,7 +37,10 @@ def is_int(value: Any) -> bool:
 
 
 def is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float, not a bool. ``json.loads``, and so a config
+    file or a ``--set`` value, parses NaN and ±Infinity, which are not
+    numbers here."""
+    return is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def reject_unknown_keys(section: str, record: dict, allowed: Iterable[str]) -> None:

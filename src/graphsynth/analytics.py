@@ -23,14 +23,16 @@ from __future__ import annotations
 import logging
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import canonicalize
+from . import extraction
+from ._util import canonicalize, is_int, is_number
 from .backends import BackendClient, BackendDescriptor
 from .errors import ValidationError
 from .graph import ConceptCombination
+from .store import SeedExample
 
 logger = logging.getLogger(__name__)
 
@@ -64,11 +66,13 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.mode not in ("token_priced", "gpu_hourly"):
             raise ValidationError(f"unknown cost mode {self.mode!r}")
-        for name in ("input_price", "output_price", "gpu_rate", "gpu_count", "hours"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"cost model field {name!r} must be nonnegative")
-        if self.sample_count < 1:
-            raise ValidationError("sample_count must be >= 1")
+        for name in ("input_price", "output_price", "gpu_rate", "hours"):
+            if not (is_number(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValidationError(f"cost model field {name!r} must be a nonnegative number")
+        if not (is_int(self.gpu_count) and self.gpu_count >= 0):
+            raise ValidationError("cost model field 'gpu_count' must be an integer >= 0")
+        if not (is_int(self.sample_count) and self.sample_count >= 1):
+            raise ValidationError("cost model field 'sample_count' must be an integer >= 1")
 
 
 @dataclass
@@ -453,63 +457,46 @@ def ngram_overlap(
     return overlap.report()
 
 
-def adherence_report(
-    items: Sequence[tuple[Sequence[str], str]],
-    extract_fn: Callable[[str], Sequence[str]],
-    matcher_tolerance: float | None = None,
-    embed_fn: Callable[[Sequence[str]], np.ndarray] | None = None,
-) -> AdherenceReport:
-    """Re-extract concepts from each question and measure how many of the
-    original guiding concepts come back.
+def adherence_probe(
+    concept_texts: Sequence[str],
+    question: str,
+    extractor: BackendDescriptor,
+    client: BackendClient,
+    embedder: BackendDescriptor | None = None,
+    tolerance: float | None = None,
+) -> dict:
+    """Re-extract concepts from one question: ``{"full", "partial"}`` say
+    whether every, or at least one, of ``concept_texts`` came back, matched
+    on canonical text or, when ``tolerance`` is set, by an embedding cosine
+    at or above it."""
+    probe = SeedExample(id="adherence-probe", question=question, solution="")
+    # Looked up at call time, so a wrapper installed on the module is used.
+    candidates = extraction.extract_concepts(probe, extractor, client)
+    canon = {canonicalize(c) for c in candidates}
+    matched = []
+    for concept in concept_texts:
+        hit = canonicalize(concept) in canon
+        if not hit and tolerance is not None:
+            vectors = client.embed(embedder, [concept, *candidates])
+            hit = bool(np.any(vectors[1:] @ vectors[0] >= tolerance))
+        matched.append(hit)
+    return {"full": bool(matched) and all(matched), "partial": any(matched)}
 
-    ``items`` holds (input concept texts, question) pairs. Full match means
-    every input concept was re-extracted; partial means at least one.
-    Extraction failures exclude the item from both counts and are tallied.
-    """
-    full = 0
-    partial = 0
-    included = 0
-    excluded = 0
-    for concept_texts, question in items:
-        try:
-            re_extracted = list(extract_fn(question))
-        except Exception:
+
+def adherence_report(outcomes: Iterable[dict]) -> AdherenceReport:
+    """Fold per-item :func:`adherence_probe` outcomes. A failed outcome (a
+    record holding ``"failed"``) is excluded from both ratios and counted."""
+    full = partial = included = excluded = 0
+    for outcome in outcomes:
+        if "failed" in outcome:
             excluded += 1
             continue
         included += 1
-        matched = [
-            _concept_matched(c, re_extracted, matcher_tolerance, embed_fn)
-            for c in concept_texts
-        ]
-        if matched and all(matched):
-            full += 1
-        if any(matched):
-            partial += 1
-    if included == 0:
-        return AdherenceReport(0.0, 0.0, item_count=0, excluded_count=excluded)
-    return AdherenceReport(
-        full_match_ratio=full / included,
-        partial_match_ratio=partial / included,
-        item_count=included,
-        excluded_count=excluded,
-    )
-
-
-def _concept_matched(
-    concept: str,
-    candidates: Sequence[str],
-    tolerance: float | None,
-    embed_fn: Callable[[Sequence[str]], np.ndarray] | None,
-) -> bool:
-    canon = canonicalize(concept)
-    for cand in candidates:
-        if canonicalize(cand) == canon:
-            return True
-    if tolerance is not None and embed_fn is not None and candidates:
-        vectors = embed_fn([concept, *candidates])
-        sims = vectors[1:] @ vectors[0]
-        return bool(np.any(sims >= tolerance))
-    return False
+        full += outcome["full"]
+        partial += outcome["partial"]
+    # With no item included, both ratios are 0.0.
+    return AdherenceReport(full / max(included, 1), partial / max(included, 1),
+                           item_count=included, excluded_count=excluded)
 
 
 def run_report(sections: Mapping[str, object]) -> dict:

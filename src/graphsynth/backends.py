@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
-import math
 import os
 import random
 import re
@@ -87,7 +86,7 @@ class RequestParams:
         reject_unknown_keys("request_params", rec, fields)
         for key, value in rec.items():
             integral = is_int(fields[key].default)
-            if not (is_int(value) if integral else (is_number(value) and math.isfinite(value))):
+            if not (is_int(value) if integral else is_number(value)):
                 expected = "an integer" if integral else "a finite number"
                 raise ConfigurationError(f"request_params.{key} must be {expected}")
         return cls(**rec)
@@ -116,8 +115,7 @@ class BackendDescriptor:
                 "exactly for role 'judge'"
             )
         if self.judge_weight is not None:
-            if not (is_number(self.judge_weight) and math.isfinite(self.judge_weight)
-                    and self.judge_weight >= 0):
+            if not (is_number(self.judge_weight) and self.judge_weight >= 0):
                 raise ConfigurationError(
                     f"backend {self.backend_id!r}: judge_weight must be a finite "
                     "nonnegative number"
@@ -404,11 +402,17 @@ class BackendClient:
         data = self._post(descriptor, "embeddings", payload)
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
+            indices = [row["index"] for row in rows]
             vectors = np.asarray([row["embedding"] for row in rows], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: malformed embeddings response"
             ) from exc
+        if indices != list(range(len(texts))):
+            raise ProtocolError(
+                f"backend {descriptor.backend_id!r}: the reply's embedding indices are "
+                f"not 0..{len(texts) - 1}, each once"
+            )
         if vectors.ndim != 2 or vectors.shape[0] != len(texts):
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: expected {len(texts)} vectors, "

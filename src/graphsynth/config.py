@@ -214,7 +214,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             and all(is_int(n) and n >= 1 for n in ngram_sizes)):
         raise ConfigurationError("analytics.ngram_sizes must be a non-empty list of integers >= 1")
     tolerance = analytics["adherence_tolerance"]
-    # NaN and the infinities fail the range test too.
     if not (tolerance is None or (is_number(tolerance) and -1.0 <= tolerance <= 1.0)):
         raise ConfigurationError(
             "analytics.adherence_tolerance must be null or a finite number in [-1, 1]"

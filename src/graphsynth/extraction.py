@@ -12,7 +12,9 @@ the similarity tail holds the candidate pairs rather than all K(K-1)/2.
 Failure posture is asymmetric on purpose: a quality judge that cannot be
 parsed keeps the concept (losing one bad concept is cheaper than losing a
 good one), while a synonym judge that cannot be parsed refuses the merge
-(wrongly fusing two distinct concepts poisons the graph).
+(wrongly fusing two distinct concepts poisons the graph). A judge call
+that fails outright is treated the same way by the extract stage, and a
+representative pick that fails falls back to the cluster's shortest member.
 """
 
 from __future__ import annotations
@@ -180,29 +182,21 @@ def extract_concepts(
 
 
 def filter_low_quality(
-    concepts: Sequence[KeyConcept],
+    concept: KeyConcept,
     judge: BackendDescriptor,
     client: BackendClient,
-) -> list[QualityVerdict]:
-    """Label every concept kept/rejected with the judge's category.
+) -> QualityVerdict:
+    """Label one concept kept/rejected with the judge's category.
 
     Unparseable judge output keeps the concept and flags it for review
     (fail-open).
     """
-    if not concepts:
-        raise ValidationError("filter_low_quality requires at least one concept")
-    verdicts = []
-    for concept in concepts:
-        prompt = QUALITY_PROMPT.format(concept=concept.text)
-        category = _parse_category(client.complete(judge, prompt))
-        if category is None:
-            logger.warning("quality judge unparseable for %s; keeping with review flag",
-                           concept.id)
-            verdicts.append(QualityVerdict(concept.id, kept=True, category="ok", review=True))
-        else:
-            verdicts.append(QualityVerdict(concept.id, kept=(category == "ok"),
-                                           category=category))
-    return verdicts
+    reply = client.complete(judge, QUALITY_PROMPT.format(concept=concept.text))
+    category = _parse_category(reply)
+    if category is None:
+        logger.warning("quality judge unparseable for %s; keeping with review flag", concept.id)
+        return QualityVerdict(concept.id, kept=True, category="ok", review=True)
+    return QualityVerdict(concept.id, kept=(category == "ok"), category=category)
 
 
 def _parse_category(raw: str) -> str | None:
@@ -260,34 +254,24 @@ def pairwise_similarity(
 
 
 def confirm_synonyms(
-    verdicts: Sequence[SimilarityVerdict],
+    verdict: SimilarityVerdict,
     concepts_by_id: Mapping[str, KeyConcept],
     judge: BackendDescriptor,
     client: BackendClient,
-) -> list[SimilarityVerdict]:
-    """Fill judge_confirmed for borderline pairs; other bands are refused.
+) -> bool:
+    """Ask the judge whether one borderline pair names the same concept;
+    other bands are refused.
 
     A judge reply that parses to neither YES nor NO counts as NO: merging
     is only done on explicit confirmation.
     """
-    out = []
-    for verdict in verdicts:
-        if verdict.band != "judge_checked":
-            raise ValidationError(
-                f"confirm_synonyms only accepts judge_checked pairs, got {verdict.band!r}"
-            )
-        a = concepts_by_id[verdict.pair[0]].text
-        b = concepts_by_id[verdict.pair[1]].text
-        confirmed = parse_yes_no(client.complete(judge, SYNONYM_PROMPT.format(a=a, b=b)))
-        out.append(
-            SimilarityVerdict(
-                pair=verdict.pair,
-                cosine=verdict.cosine,
-                band=verdict.band,
-                judge_confirmed=bool(confirmed),
-            )
+    if verdict.band != "judge_checked":
+        raise ValidationError(
+            f"confirm_synonyms only accepts judge_checked pairs, got {verdict.band!r}"
         )
-    return out
+    a = concepts_by_id[verdict.pair[0]].text
+    b = concepts_by_id[verdict.pair[1]].text
+    return bool(parse_yes_no(client.complete(judge, SYNONYM_PROMPT.format(a=a, b=b))))
 
 
 def build_clusters(
@@ -341,19 +325,32 @@ def build_clusters(
     return clusters
 
 
+def pick_representative(
+    members: Sequence[KeyConcept],
+    judge: BackendDescriptor,
+    client: BackendClient,
+) -> str | None:
+    """The judge's phrase for one multi-member cluster, whose ``members``
+    are listed in the order given; None for an empty reply."""
+    listing = "\n".join(f"{i}. {m.text}" for i, m in enumerate(members, start=1))
+    reply = client.complete(judge, REPRESENTATIVE_PROMPT.format(members=listing))
+    return canonicalize(reply) or None
+
+
 def select_representatives(
     clusters: Sequence[ConceptCluster],
     concepts_by_id: Mapping[str, KeyConcept],
-    judge: BackendDescriptor,
-    client: BackendClient,
+    picks: Mapping[str, str | None],
 ) -> tuple[list[ConceptCluster], list[KeyConcept]]:
     """Pick exactly one representative per cluster.
 
-    Single-member clusters keep their member. For larger clusters the judge
-    picks a member (matched on canonicalized text); a reply matching no
-    member becomes a new synthetic concept whose provenance is the
-    synthetic-summary marker. If the judge call fails, the deterministic
-    fallback is the shortest member text, ties broken by id.
+    Single-member clusters keep their member. For larger clusters
+    ``picks`` maps the cluster id to the judge's reply from
+    :func:`pick_representative`: a reply matching a member (on
+    canonicalized text) picks it, and any other reply becomes a new
+    synthetic concept whose provenance is the synthetic-summary marker. A
+    cluster with no pick (the judge call failed or replied nothing) falls
+    back to the shortest member text, ties broken by id.
 
     Returns the filled clusters plus the final concept list with statuses
     updated (members -> clustered, representatives -> representative).
@@ -367,20 +364,18 @@ def select_representatives(
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
         member_ids = sorted(cluster.member_ids)
         members = [final_concepts[m] for m in member_ids]
-        rep_id: str
         if len(members) == 1:
             rep_id = members[0].id
         else:
-            choice = _judge_representative(members, judge, client)
-            if choice is None:
-                choice = _fallback_representative(members)
-            match = _match_member(members, choice)
+            shortest = min(members, key=lambda m: (len(m.text), m.id)).text
+            choice = canonicalize(picks.get(cluster.cluster_id) or shortest)
+            match = next((m for m in members if canonicalize(m.text) == choice), None)
             if match is not None:
                 rep_id = match.id
             else:
                 synthetic = KeyConcept(
-                    id="kc-syn-" + content_hash(cluster.cluster_id, canonicalize(choice))[:12],
-                    text=canonicalize(choice),
+                    id="kc-syn-" + content_hash(cluster.cluster_id, choice)[:12],
+                    text=choice,
                     status="representative",
                     cluster_id=cluster.cluster_id,
                     provenance=[SYNTHETIC_PROVENANCE],
@@ -404,34 +399,6 @@ def select_representatives(
             )
         )
     return filled, [final_concepts[k] for k in sorted(final_concepts)]
-
-
-def _judge_representative(
-    members: Sequence[KeyConcept],
-    judge: BackendDescriptor,
-    client: BackendClient,
-) -> str | None:
-    listing = "\n".join(f"{i}. {m.text}" for i, m in enumerate(members, start=1))
-    try:
-        reply = client.complete(judge, REPRESENTATIVE_PROMPT.format(members=listing))
-    except Exception:
-        logger.warning("representative judge failed for cluster of %d; using fallback",
-                       len(members))
-        return None
-    return canonicalize(reply) or None
-
-
-def _fallback_representative(members: Sequence[KeyConcept]) -> str:
-    best = min(members, key=lambda m: (len(m.text), m.id))
-    return best.text
-
-
-def _match_member(members: Sequence[KeyConcept], choice: str) -> KeyConcept | None:
-    canon = canonicalize(choice)
-    for member in members:
-        if canonicalize(member.text) == canon:
-            return member
-    return None
 
 
 def assign_seed_concept_ids(

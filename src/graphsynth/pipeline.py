@@ -10,14 +10,16 @@ lockstep, draws the rest of the work lazily, and keeps nothing per item;
 the stage reads the results back from the cache in work order. Each per-item
 task receives a scoped client, so its record keeps the backend usage of
 exactly its own calls, failed items included; the runner is the one place a
-task exception becomes a failed record. The engine sums a stage's ``usage``
-stat over those records, cached or fresh, plus the stage's own
-``stage_client``, so a resumed run reports the same totals as an
-uninterrupted one. The stage's final output file is rewritten atomically,
-streamed from the cache. From the graph stage to ``items.jsonl`` no stage
-holds a record per item. Interrupting a run at any point and resuming
-therefore lands on the same final bytes as an uninterrupted run, because
-every mock-backed computation is a pure function of its inputs.
+task exception becomes a failed record. Every chat request, judge calls
+included, is made by a per-item task; a stage's own ``stage_client`` makes
+only the whole-corpus embed requests. The engine sums a stage's ``usage``
+stat over the item records, cached or fresh, plus the ``stage_client``, so
+a resumed run reports the same totals as an uninterrupted one. The stage's
+final output file is rewritten atomically, streamed from the cache. From the
+graph stage to ``items.jsonl`` no stage holds a record per item.
+Interrupting a run at any point and resuming therefore lands on the same
+final bytes as an uninterrupted run, because every mock-backed computation
+is a pure function of its inputs.
 
 Each ``STAGES`` entry also names the files its stage reads and writes, by
 role. ``manifests/<stage>.json`` is the stage's one resume record: the
@@ -42,7 +44,7 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -195,11 +197,16 @@ class RunLock:
 
 
 class _AbortBudget:
-    """Counts committed work items; trips after the env-configured limit."""
+    """Counts committed work items; trips after the env-configured limit, a
+    non-negative integer when set, so a mistyped limit is an error."""
 
     def __init__(self) -> None:
         raw = os.environ.get(FAULT_ABORT_ENV, "")
-        self.limit = int(raw) if raw.isdigit() else None
+        if raw and not (raw.isascii() and raw.isdigit()):
+            raise ConfigurationError(
+                f"{FAULT_ABORT_ENV} must be a non-negative integer, not {raw!r}"
+            )
+        self.limit = int(raw) if raw else None
         self.committed = 0
 
     def admit(self, count: int) -> int:
@@ -230,8 +237,8 @@ class PipelineRun:
         self._abort = _AbortBudget()
 
     def _run_stage(self, stage: str) -> None:
-        """Run one stage body with a fresh ``stage_client`` for its calls
-        outside per-item tasks; write the counters it returns, plus the
+        """Run one stage body with a fresh ``stage_client`` for its
+        whole-corpus embed requests; write the counters it returns, plus the
         stage's usage, to ``stats/<stage>.json``.
 
         The stage record ``manifests/<stage>.json`` is read once and decides,
@@ -410,7 +417,7 @@ class PipelineRun:
         save_concepts(self.paths.file("concepts_raw"), raw_concepts)
 
         def quality_task(concept: KeyConcept, client: BackendClient) -> dict:
-            verdict = extraction.filter_low_quality([concept], kb_judge, client)[0]
+            verdict = extraction.filter_low_quality(concept, kb_judge, client)
             return {
                 "kept": verdict.kept,
                 "category": verdict.category,
@@ -441,30 +448,48 @@ class PipelineRun:
         write_jsonl_atomic(self.paths.file("concepts_filtered"), filtered_records)
 
         kept = [c for c in raw_concepts if quality[c.id].kept]
+        kept_by_id = {c.id: c for c in kept}
 
-        # Deterministic single-pass tail: similarity banding, synonym checks,
-        # clustering, representative selection.
+        # The similarity tail: one embed request, then a synonym check per
+        # borderline pair and a representative pick per multi-member cluster
+        # (its id names the members, so changed members are asked again).
+        # A failed check refuses the merge; a failed pick takes the shortest.
         thresholds = config.thresholds
+        verdicts = []
         if len(kept) >= 2:
             verdicts = extraction.pairwise_similarity(
                 kept, embedder, self.stage_client,
                 same_threshold=thresholds["same_band"],
                 judge_threshold=thresholds["judge_band"],
             )
-            # Only same and judge_checked pairs come back; every other
-            # pair is distinct and never reaches the judge.
-            same = [v for v in verdicts if v.band == "same"]
-            borderline = [v for v in verdicts if v.band == "judge_checked"]
-            confirmed = extraction.confirm_synonyms(
-                borderline, {c.id: c for c in kept}, kb_judge, self.stage_client
-            )
-            verdicts = same + confirmed
-        else:
-            verdicts = []
-        clusters = extraction.build_clusters(kept, verdicts)
-        clusters, final_concepts = extraction.select_representatives(
-            clusters, {c.id: c for c in kept}, kb_judge, self.stage_client
+        borderline = [v for v in verdicts if v.band == "judge_checked"]
+
+        def synonym_task(v: extraction.SimilarityVerdict, client: BackendClient) -> dict:
+            return {"confirmed": extraction.confirm_synonyms(v, kept_by_id, kb_judge, client)}
+
+        synonym_results = self._run_checkpointed(
+            "extract.synonyms", (("+".join(v.pair), v) for v in borderline), synonym_task
         )
+        confirmed = [
+            replace(v, judge_confirmed=rec.get("confirmed", False))
+            for v, rec in zip(borderline, synonym_results, strict=True)
+        ]
+        clusters = extraction.build_clusters(
+            kept, [v for v in verdicts if v.band == "same"] + confirmed
+        )
+        multi = [c for c in clusters if len(c.member_ids) > 1]
+
+        def pick_task(cluster: extraction.ConceptCluster, client: BackendClient) -> dict:
+            members = [kept_by_id[m] for m in sorted(cluster.member_ids)]
+            return {"pick": extraction.pick_representative(members, kb_judge, client)}
+
+        pick_results = self._run_checkpointed(
+            "extract.representatives",
+            (("+".join(sorted(c.member_ids)), c) for c in multi),
+            pick_task,
+        )
+        picks = {c.cluster_id: rec.get("pick") for c, rec in zip(multi, pick_results, strict=True)}
+        clusters, final_concepts = extraction.select_representatives(clusters, kept_by_id, picks)
 
         write_jsonl_atomic(
             self.paths.file("clusters"), [c.to_record() for c in clusters]
@@ -667,8 +692,8 @@ class PipelineRun:
 
         ``items.jsonl`` is read once, one item at a time. Each item feeds
         one small accumulator per report section; only the first
-        ``adherence_sample`` accepted (concept ids, question) pairs are
-        kept whole."""
+        ``adherence_sample`` accepted items' ids, concept ids and questions
+        are kept whole, for the adherence probes, one work item each."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         params = config.analytics_params
@@ -693,7 +718,7 @@ class PipelineRun:
         accepted = problem_accepted = scored = 0
         kind_counts: dict[str, int] = {}
         quality_by_kind: dict[str, dict[str, float]] = {}
-        adherence_pairs: list[tuple[list[str], str]] = []
+        adherence_work: list[tuple[str, tuple[list[str], str]]] = []
         for _, item in iter_jsonl(self.paths.file("items")):
             combo = graphmod.ConceptCombination.from_record(item["combination"])
             novelty.add(combo.concept_ids)
@@ -713,8 +738,8 @@ class PipelineRun:
                 similarity.add(question)
             if overlap is not None:
                 overlap.add(question)
-            if len(adherence_pairs) < sample_size:
-                adherence_pairs.append((combo.concept_ids, question))
+            if len(adherence_work) < sample_size:
+                adherence_work.append((item["id"], (combo.concept_ids, question)))
 
         sections: dict[str, Any] = {}
         sections["seed_count"] = len(seeds)
@@ -770,37 +795,29 @@ class PipelineRun:
         if overlap is not None and accepted:
             sections["decontamination"] = overlap.report().to_record()
 
-        if adherence_pairs:
+        if adherence_work:
             concepts = load_concepts(self.paths.file("knowledge_base"))
             texts_by_id = {c.id: c.text for c in concepts}
-            pairs = [
-                ([texts_by_id[c] for c in concept_ids], question)
-                for concept_ids, question in adherence_pairs
-            ]
 
-            def extract_fn(question: str) -> list[str]:
-                probe = SeedExample(id="adherence-probe", question=question, solution="")
-                return extraction.extract_concepts(probe, extractor, self.stage_client)
+            def probe_task(probe: tuple[list[str], str], client: BackendClient) -> dict:
+                concept_ids, question = probe
+                return analytics.adherence_probe(
+                    [texts_by_id[c] for c in concept_ids], question, extractor, client,
+                    embedder=embedder, tolerance=params["adherence_tolerance"],
+                )
 
-            tolerance = params.get("adherence_tolerance")
-            embed_fn = None
-            if tolerance is not None:
-                embed_fn = lambda texts: self.stage_client.embed(embedder, texts)
-            adherence = analytics.adherence_report(
-                pairs, extract_fn,
-                matcher_tolerance=float(tolerance) if tolerance is not None else None,
-                embed_fn=embed_fn,
-            )
-            sections["adherence"] = adherence.to_record()
+            outcomes = self._run_checkpointed("analyze.adherence", adherence_work, probe_task)
+            sections["adherence"] = analytics.adherence_report(outcomes).to_record()
 
         sections["stage_counters"] = {
             stage: _load_stats(self.paths.stats(stage))
             for stage in list(STAGES)[:list(STAGES).index("analyze")]
         }
-        # Analyze writes no stats: its own calls are counted here, on top
-        # of the earlier stages' usage.
+        # Analyze writes no stats: its own calls (the probes and the embed
+        # requests) are counted here, on top of the earlier stages' usage.
         sections["backend_usage"] = sum_usage([
             *((stats or {}).get("usage") or {} for stats in sections["stage_counters"].values()),
+            self._record_usage,
             self.stage_client.usage.total(),
         ])
 
@@ -823,7 +840,11 @@ def _iter_reference_texts(path: Path) -> Iterator[str]:
     if not path.exists():
         raise ValidationError(f"decontamination reference {path} does not exist")
     if path.suffix != ".jsonl":
-        yield from (line for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+        # Universal newlines end a line at \n, \r or \r\n, and splitlines()
+        # splits at the rarer boundaries, such as \u2028, as for the whole file.
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                yield from (text for text in line.splitlines() if text.strip())
         return
     for lineno, rec in iter_jsonl(path):
         value = rec.get("question", rec.get("text")) if isinstance(rec, dict) else None

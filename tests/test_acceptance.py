@@ -15,16 +15,20 @@ import time
 import pytest
 
 import oracles
-from conftest import base_config, reachable_pairs, toy_corpus_seeds, write_config, write_corpus
+from conftest import (
+    base_config, make_descriptor, reachable_pairs, toy_corpus_seeds, write_config, write_corpus,
+)
 from graphsynth.analytics import (
     CostModel,
     NoveltyCounter,
+    adherence_probe,
     adherence_report,
     cost_report,
     expansion_ratio,
     ngram_overlap,
     normalize_for_ngrams,
 )
+from graphsynth.backends import BackendClient, MockServer
 from graphsynth.config import load_config
 from graphsynth.evaluation import JudgePanel, veto_decision, weighted_problem_verdict
 from graphsynth.extraction import SimilarityVerdict, band_for_cosine, build_clusters
@@ -261,26 +265,33 @@ def test_decontamination_oracle_and_normalization():
 
 
 def test_adherence_set_semantics():
-    def extractor_for(mapping):
-        return lambda q: mapping[q]
+    # Each probe asks the mock extractor, which re-extracts exactly the
+    # bracketed phrases of the question.
+    client = BackendClient(mock=MockServer(seed=8))
+    extractor = make_descriptor("extractor")
 
-    both = adherence_report([(["A", "B"], "q")], extractor_for({"q": ["A", "B", "X"]}))
+    def report_for(concepts, extracted):
+        question = "Use " + " ".join(f"[{c}]" for c in extracted) + "."
+        return adherence_report([adherence_probe(concepts, question, extractor, client)])
+
+    both = report_for(["Alpha", "Beta"], ["Alpha", "Beta", "Xi"])
     assert (both.full_match_ratio, both.partial_match_ratio) == (1.0, 1.0)
 
-    partial = adherence_report([(["A", "B"], "q")], extractor_for({"q": ["A"]}))
+    partial = report_for(["Alpha", "Beta"], ["Alpha"])
     assert (partial.full_match_ratio, partial.partial_match_ratio) == (0.0, 1.0)
 
-    neither = adherence_report([(["A", "B"], "q")], extractor_for({"q": ["X", "Y"]}))
+    neither = report_for(["Alpha", "Beta"], ["Xi", "Upsilon"])
     assert (neither.full_match_ratio, neither.partial_match_ratio) == (0.0, 0.0)
 
     rng = random.Random(8)
     for _ in range(50):
-        items, mapping = [], {}
+        outcomes = []
         for i in range(rng.randint(1, 5)):
             inputs = [f"c{j}" for j in range(rng.randint(1, 4))]
-            mapping[f"q{i}"] = [c for c in inputs if rng.random() < 0.5]
-            items.append((inputs, f"q{i}"))
-        report = adherence_report(items, extractor_for(mapping))
+            extracted = [c for c in inputs if rng.random() < 0.5]
+            question = "Use " + " ".join(f"[{c}]" for c in extracted) + "."
+            outcomes.append(adherence_probe(inputs, question, extractor, client))
+        report = adherence_report(outcomes)
         assert report.full_match_ratio <= report.partial_match_ratio + 1e-12
 
 

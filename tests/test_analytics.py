@@ -11,6 +11,7 @@ from conftest import make_descriptor, wire_usage
 from graphsynth import analytics
 from graphsynth.analytics import (
     CostModel,
+    adherence_probe,
     adherence_report,
     cost_report,
     expansion_ratio,
@@ -21,7 +22,7 @@ from graphsynth.analytics import (
     similarity_distribution,
 )
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
-from graphsynth.errors import ValidationError
+from graphsynth.errors import ExtractionError, ValidationError
 from graphsynth.graph import ConceptCombination
 
 
@@ -297,35 +298,40 @@ class TestNgramOverlap:
             ngram_overlap(["a"], ["a"], ns=[])
 
 
+def bracketed(phrases):
+    """A question from which the mock extractor re-extracts ``phrases``
+    (each 2 to 80 characters); with none, it invents unrelated notions."""
+    return "Use " + " ".join(f"[{p}]" for p in phrases) + "."
+
+
 class TestAdherence:
-    def fixed_extractor(self, mapping):
-        def extract(question):
-            if question in mapping:
-                return mapping[question]
-            raise RuntimeError("extraction failed")
-        return extract
+    def probe(self, concepts, extracted, behaviors=None, **kwargs):
+        client = BackendClient(mock=MockServer(seed=7, behaviors=behaviors))
+        return adherence_probe(concepts, bracketed(extracted), make_descriptor("extractor"),
+                               client, **kwargs)
 
     def test_full_and_partial(self):
-        items = [(["A", "B"], "q1")]
-        report = adherence_report(items, self.fixed_extractor({"q1": ["A", "B", "X"]}))
+        report = adherence_report([self.probe(["Alpha", "Beta"], ["Alpha", "Beta", "Xi"])])
         assert report.full_match_ratio == 1.0
         assert report.partial_match_ratio == 1.0
 
     def test_partial_only(self):
-        items = [(["A", "B"], "q1")]
-        report = adherence_report(items, self.fixed_extractor({"q1": ["A"]}))
+        report = adherence_report([self.probe(["Alpha", "Beta"], ["Alpha"])])
         assert report.full_match_ratio == 0.0
         assert report.partial_match_ratio == 1.0
 
     def test_neither(self):
-        items = [(["A", "B"], "q1")]
-        report = adherence_report(items, self.fixed_extractor({"q1": ["X", "Y"]}))
+        report = adherence_report([self.probe(["Alpha", "Beta"], ["Xi", "Upsilon"])])
         assert report.full_match_ratio == 0.0
         assert report.partial_match_ratio == 0.0
 
     def test_failures_excluded_and_counted(self):
-        items = [(["A"], "ok"), (["A"], "broken")]
-        report = adherence_report(items, self.fixed_extractor({"ok": ["A"]}))
+        garbled = MockBehaviors(garbage_prompt_substrings=["[Broken]"])
+        with pytest.raises(ExtractionError):
+            self.probe(["Alpha"], ["Broken"], behaviors=garbled)
+        # The runner records that exception as a failed outcome.
+        outcomes = [self.probe(["Alpha"], ["Alpha"]), {"failed": "ExtractionError: ..."}]
+        report = adherence_report(outcomes)
         assert report.item_count == 1
         assert report.excluded_count == 1
         assert report.full_match_ratio == 1.0
@@ -333,29 +339,27 @@ class TestAdherence:
     def test_full_never_exceeds_partial_randomized(self):
         rng = random.Random(3)
         for _ in range(30):
-            items = []
-            mapping = {}
+            outcomes = []
             for i in range(rng.randint(1, 6)):
                 inputs = [f"c{j}" for j in range(rng.randint(1, 4))]
                 extracted = [c for c in inputs if rng.random() < 0.5]
                 extracted += [f"noise{j}" for j in range(rng.randint(0, 2))]
-                mapping[f"q{i}"] = extracted
-                items.append((inputs, f"q{i}"))
-            report = adherence_report(items, self.fixed_extractor(mapping))
+                outcome = self.probe(inputs, extracted)
+                assert outcome == {"full": extracted[:len(inputs)] == inputs,
+                                   "partial": any(c in extracted for c in inputs)}
+                outcomes.append(outcome)
+            report = adherence_report(outcomes)
             assert report.full_match_ratio <= report.partial_match_ratio + 1e-12
 
     def test_embedding_assisted_match(self):
-        def embed(texts):
-            # "A" and "A prime" point the same way; everything else orthogonal.
-            table = {"A": [1.0, 0.0], "A prime": [1.0, 0.0]}
-            return np.array([table.get(t, [0.0, 1.0]) for t in texts])
-
-        items = [(["A"], "q1")]
-        strict = adherence_report(items, self.fixed_extractor({"q1": ["A prime"]}))
-        assert strict.partial_match_ratio == 0.0
-        fuzzy = adherence_report(items, self.fixed_extractor({"q1": ["A prime"]}),
-                                 matcher_tolerance=0.9, embed_fn=embed)
-        assert fuzzy.partial_match_ratio == 1.0
+        # "Alpha" and "Alpha prime" point the same way.
+        behaviors = MockBehaviors(embedding_overrides={"Alpha": [1.0, 0.0],
+                                                       "Alpha prime": [1.0, 0.0]})
+        strict = self.probe(["Alpha"], ["Alpha prime"], behaviors=behaviors)
+        assert strict == {"full": False, "partial": False}
+        fuzzy = self.probe(["Alpha"], ["Alpha prime"], behaviors=behaviors,
+                           embedder=make_descriptor("embedder"), tolerance=0.9)
+        assert fuzzy == {"full": True, "partial": True}
 
 
 class TestRunReport:

@@ -450,6 +450,31 @@ class TestMockEmbeddings:
         with pytest.raises(ValueError):
             client.embed(d, [])
 
+    def test_reply_rows_are_placed_by_index(self):
+        class ReversedMock(MockServer):
+            def embeddings(self, request):
+                reply = super().embeddings(request)
+                reply["data"].reverse()
+                return reply
+
+        d = BackendDescriptor("e", "embedder", "mock", "mock-emb")
+        texts = ["alpha", "beta", "gamma"]
+        expected = BackendClient(mock=MockServer(seed=7)).embed(d, texts)
+        assert np.array_equal(BackendClient(mock=ReversedMock(seed=7)).embed(d, texts), expected)
+
+    @pytest.mark.parametrize("indices", [[2, 1, 2], [1, 2, 3], [0, 1]])
+    def test_reply_indices_must_name_each_text_once(self, indices):
+        class IndexedMock(MockServer):
+            def embeddings(self, request):
+                reply = super().embeddings(request)
+                reply["data"] = [dict(row, index=i) for row, i in zip(reply["data"], indices)]
+                return reply
+
+        client = BackendClient(mock=IndexedMock(seed=7))
+        with pytest.raises(ProtocolError, match="indices"):
+            client.embed(BackendDescriptor("e", "embedder", "mock", "mock-emb"),
+                         ["alpha", "beta", "gamma"])
+
     def test_override_vectors_are_normalized(self):
         behaviors = MockBehaviors(embedding_overrides={"x": [3.0, 4.0]})
         client = BackendClient(mock=MockServer(seed=1, behaviors=behaviors))

@@ -22,6 +22,7 @@ from graphsynth.extraction import (
     filter_low_quality,
     pairwise_similarity,
     parse_concept_list,
+    pick_representative,
     select_representatives,
 )
 from graphsynth.store import KeyConcept, SeedExample, concept_id_for
@@ -86,42 +87,36 @@ class TestFilterLowQuality:
         behaviors = MockBehaviors(quality_flags={"Problem-solving strategies": "vague"})
         client = client_with(behaviors)
         concept = kc("Problem-solving strategies")
-        verdicts = filter_low_quality([concept], descriptors["kb_judge"], client)
-        assert verdicts[0].kept is False
-        assert verdicts[0].category == "vague"
+        verdict = filter_low_quality(concept, descriptors["kb_judge"], client)
+        assert verdict.kept is False
+        assert verdict.category == "vague"
 
     def test_canonical_positive_case_kept(self, descriptors):
-        verdicts = filter_low_quality([kc("Pythagorean theorem")],
-                                      descriptors["kb_judge"], client_with())
-        assert verdicts[0].kept is True
-        assert verdicts[0].category == "ok"
+        verdict = filter_low_quality(kc("Pythagorean theorem"),
+                                     descriptors["kb_judge"], client_with())
+        assert verdict.kept is True
+        assert verdict.category == "ok"
 
     def test_flagged_overly_detailed(self, descriptors):
         text = "Solving the quadratic equation x^2+5x+6=0 by factoring"
         behaviors = MockBehaviors(quality_flags={text: "overly_detailed"})
-        verdicts = filter_low_quality([kc(text)], descriptors["kb_judge"],
-                                      client_with(behaviors))
-        assert verdicts[0].kept is False
-        assert verdicts[0].category == "overly_detailed"
+        verdict = filter_low_quality(kc(text), descriptors["kb_judge"], client_with(behaviors))
+        assert verdict.kept is False
+        assert verdict.category == "overly_detailed"
 
     def test_flagged_incorrect(self, descriptors):
         text = "A series converges if its terms approach zero"
         behaviors = MockBehaviors(quality_flags={text: "incorrect"})
-        verdicts = filter_low_quality([kc(text)], descriptors["kb_judge"],
-                                      client_with(behaviors))
-        assert verdicts[0].kept is False
-        assert verdicts[0].category == "incorrect"
+        verdict = filter_low_quality(kc(text), descriptors["kb_judge"], client_with(behaviors))
+        assert verdict.kept is False
+        assert verdict.category == "incorrect"
 
     def test_unparseable_judge_keeps_with_review_flag(self, descriptors):
         behaviors = MockBehaviors(garbage_prompt_substrings=["Weird concept"])
-        verdicts = filter_low_quality([kc("Weird concept")], descriptors["kb_judge"],
-                                      client_with(behaviors))
-        assert verdicts[0].kept is True
-        assert verdicts[0].review is True
-
-    def test_empty_input_rejected(self, descriptors, mock_client):
-        with pytest.raises(ValidationError):
-            filter_low_quality([], descriptors["kb_judge"], mock_client)
+        verdict = filter_low_quality(kc("Weird concept"), descriptors["kb_judge"],
+                                     client_with(behaviors))
+        assert verdict.kept is True
+        assert verdict.review is True
 
 
 class TestBandThresholds:
@@ -296,32 +291,28 @@ class TestConfirmSynonyms:
     def test_judge_says_different(self, descriptors):
         a = kc("Sine function in trigonometry")
         b = kc("Cosine function in trigonometry")
-        out = confirm_synonyms([self.borderline(a, b)], {a.id: a, b.id: b},
-                               descriptors["kb_judge"], client_with())
-        assert out[0].judge_confirmed is False
+        assert confirm_synonyms(self.borderline(a, b), {a.id: a, b.id: b},
+                                descriptors["kb_judge"], client_with()) is False
 
     def test_judge_confirms_configured_paraphrase(self, descriptors):
         a = kc("Triangle inequality")
         b = kc("Triangle inequality theorem")
         behaviors = MockBehaviors(synonym_yes={frozenset((a.text, b.text))})
-        out = confirm_synonyms([self.borderline(a, b)], {a.id: a, b.id: b},
-                               descriptors["kb_judge"], client_with(behaviors))
-        assert out[0].judge_confirmed is True
+        assert confirm_synonyms(self.borderline(a, b), {a.id: a, b.id: b},
+                                descriptors["kb_judge"], client_with(behaviors)) is True
 
     def test_malformed_reply_is_no(self, descriptors):
         a = kc("Mystery A")
         b = kc("Mystery B")
         behaviors = MockBehaviors(garbage_prompt_substrings=["Mystery A"])
-        out = confirm_synonyms([self.borderline(a, b)], {a.id: a, b.id: b},
-                               descriptors["kb_judge"], client_with(behaviors))
-        assert out[0].judge_confirmed is False
+        assert confirm_synonyms(self.borderline(a, b), {a.id: a, b.id: b},
+                                descriptors["kb_judge"], client_with(behaviors)) is False
 
     def test_same_band_pairs_refused(self, descriptors, mock_client):
         a, b = kc("x"), kc("y")
         same = SimilarityVerdict(pair=(a.id, b.id), cosine=0.95, band="same")
         with pytest.raises(ValidationError):
-            confirm_synonyms([same], {a.id: a, b.id: b},
-                             descriptors["kb_judge"], mock_client)
+            confirm_synonyms(same, {a.id: a, b.id: b}, descriptors["kb_judge"], mock_client)
 
 
 def verdicts_for(concepts, merge_pairs):
@@ -443,11 +434,20 @@ class TestBuildClusters:
 
 
 class TestSelectRepresentatives:
-    def test_singleton_keeps_member(self, descriptors):
+    def pair_cluster(self, x, y):
+        verdict = SimilarityVerdict(pair=tuple(sorted((x.id, y.id))), cosine=0.95,
+                                    band="same")
+        return build_clusters([x, y], [verdict])
+
+    def judge_pick(self, cluster, by_id, behaviors, descriptors):
+        members = [by_id[m] for m in sorted(cluster.member_ids)]
+        return {cluster.cluster_id: pick_representative(members, descriptors["kb_judge"],
+                                                        client_with(behaviors))}
+
+    def test_singleton_keeps_member(self):
         a = kc("Lone concept")
         clusters = build_clusters([a], [])
-        filled, final = select_representatives(clusters, {a.id: a},
-                                               descriptors["kb_judge"], client_with())
+        filled, final = select_representatives(clusters, {a.id: a}, {})
         assert filled[0].representative_id == a.id
         rep = next(c for c in final if c.id == a.id)
         assert rep.status == "representative"
@@ -456,14 +456,12 @@ class TestSelectRepresentatives:
     def test_judge_picks_member(self, descriptors):
         x = kc("Short name")
         y = kc("A much longer alternative phrasing")
-        behaviors = MockBehaviors(representative_picks=[])
+        behaviors = MockBehaviors()
         behaviors.representative_picks = {frozenset((x.text, y.text)): y.text}
-        verdict = SimilarityVerdict(pair=tuple(sorted((x.id, y.id))), cosine=0.95,
-                                    band="same")
-        clusters = build_clusters([x, y], [verdict])
-        filled, final = select_representatives(clusters, {x.id: x, y.id: y},
-                                               descriptors["kb_judge"],
-                                               client_with(behaviors))
+        clusters = self.pair_cluster(x, y)
+        by_id = {x.id: x, y.id: y}
+        picks = self.judge_pick(clusters[0], by_id, behaviors, descriptors)
+        filled, final = select_representatives(clusters, by_id, picks)
         assert filled[0].representative_id == y.id
         statuses = {c.id: c.status for c in final}
         assert statuses[y.id] == "representative"
@@ -476,12 +474,10 @@ class TestSelectRepresentatives:
         behaviors.representative_picks = {
             frozenset((x.text, y.text)): "Triangle angle sum theorem"
         }
-        verdict = SimilarityVerdict(pair=tuple(sorted((x.id, y.id))), cosine=0.95,
-                                    band="same")
-        clusters = build_clusters([x, y], [verdict])
-        filled, final = select_representatives(clusters, {x.id: x, y.id: y},
-                                               descriptors["kb_judge"],
-                                               client_with(behaviors))
+        clusters = self.pair_cluster(x, y)
+        by_id = {x.id: x, y.id: y}
+        picks = self.judge_pick(clusters[0], by_id, behaviors, descriptors)
+        filled, final = select_representatives(clusters, by_id, picks)
         rep_id = filled[0].representative_id
         assert rep_id not in {x.id, y.id}
         rep = next(c for c in final if c.id == rep_id)
@@ -491,21 +487,19 @@ class TestSelectRepresentatives:
         # Synthetic representative stays outside the member set.
         assert rep_id not in filled[0].member_ids
 
-    def test_judge_failure_falls_back_to_shortest(self, descriptors, monkeypatch):
+    def test_judge_failure_falls_back_to_shortest(self, descriptors):
         x = kc("tiny")
         y = kc("a far longer concept phrase")
-        verdict = SimilarityVerdict(pair=tuple(sorted((x.id, y.id))), cosine=0.95,
-                                    band="same")
-        clusters = build_clusters([x, y], [verdict])
-        client = client_with()
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("judge down")
-
-        monkeypatch.setattr(client, "complete", boom)
-        filled, _ = select_representatives(clusters, {x.id: x, y.id: y},
-                                           descriptors["kb_judge"], client)
-        assert filled[0].representative_id == x.id
+        clusters = self.pair_cluster(x, y)
+        by_id = {x.id: x, y.id: y}
+        behaviors = MockBehaviors()
+        behaviors.representative_picks = {frozenset((x.text, y.text)): "   "}
+        empty_reply = self.judge_pick(clusters[0], by_id, behaviors, descriptors)
+        assert empty_reply == {clusters[0].cluster_id: None}
+        # A failed pick leaves its cluster out of the picks.
+        for picks in (empty_reply, {}):
+            filled, _ = select_representatives(clusters, by_id, picks)
+            assert filled[0].representative_id == x.id
 
 
 class TestRecordRoundTrips:

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from conftest import (
     base_config, make_descriptor, src_env, toy_corpus_seeds, write_config, write_corpus,
 )
-from graphsynth import evaluation, extraction
+from graphsynth import analytics, evaluation, extraction
 from graphsynth.backends import BackendClient, MockServer
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
@@ -30,6 +31,7 @@ from graphsynth.pipeline import (
     STAGES,
     PipelineRun,
     RunLock,
+    RunPaths,
     _iter_reference_texts,
     run_stage,
 )
@@ -149,36 +151,192 @@ class SynonymRecordingMock(MockServer):
         return super()._synonym_reply(prompt)
 
 
+# Planted judge work on G0's corpus: Alpha-Beta lie in the same band;
+# Gamma-Delta, Alpha-Epsilon and Beta-Epsilon are borderline, and the judge
+# confirms only Gamma-Delta. So extract makes three synonym checks and two
+# representative picks (the judge picks Alpha, not the shorter Beta), and
+# every problem is accepted, so analyze probes each of the three items.
+PLANTED_BEHAVIORS = {
+    "embedding_overrides": {
+        "Alpha": [1.0, 0.0, 0.0, 0.0, 0.0],
+        "Beta": [0.95, math.sqrt(1 - 0.95 ** 2), 0.0, 0.0, 0.0],
+        "Gamma": [0.0, 0.0, 1.0, 0.0, 0.0],
+        "Delta": [0.0, 0.0, 0.8, 0.6, 0.0],
+        "Epsilon": [0.75, 0.0, 0.0, 0.0, math.sqrt(1 - 0.75 ** 2)],
+    },
+    "synonym_yes": [["Gamma", "Delta"]],
+    "representative_picks": [{"members": ["Alpha", "Beta"], "pick": "Alpha"}],
+    "problem_score": 0.9,
+}
+G0_TEXT_OF = {concept_id_for(t): t for t in ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")}
+# The runner's caches in the order a run-all commits to them.
+CACHE_ORDER = ("extract.concepts", "extract.quality", "extract.synonyms",
+               "extract.representatives", "synthesize.generate", "synthesize.evaluate",
+               "analyze.adherence")
+
+
+def make_planted_run(tmp_path, run_name="run"):
+    config_path, config_dict = make_run(tmp_path, run_name=run_name)
+    config_dict["mock"]["behaviors"].update(PLANTED_BEHAVIORS)
+    write_config(config_path, config_dict)
+    return load_config(config_path)
+
+
+def read_outputs_and_stats(run_dir: Path) -> dict[str, bytes]:
+    stats = {f"stats/{p.name}": p.read_bytes() for p in (run_dir / "stats").glob("*.json")}
+    return {**read_outputs(run_dir), **stats}
+
+
+def cluster_texts(run_dir: Path) -> dict[frozenset, str]:
+    """{member texts: representative text} of ``clusters.jsonl``."""
+    kb = {c.id: c.text for c in load_concepts(run_dir / "knowledge_base.jsonl")}
+    return {
+        frozenset(G0_TEXT_OF[m] for m in rec["member_ids"]): kb[rec["representative_id"]]
+        for _, rec in iter_jsonl(run_dir / "clusters.jsonl")
+    }
+
+
 class TestExtractTail:
     def test_same_and_confirmed_pairs_merge(self, tmp_path):
-        # Alpha-Beta is in the same band. Gamma-Delta, Alpha-Epsilon and
-        # Beta-Epsilon are borderline; the judge confirms only Gamma-Delta.
-        config_path, config_dict = make_run(tmp_path)
-        config_dict["mock"]["behaviors"].update({
-            "embedding_overrides": {
-                "Alpha": [1.0, 0.0, 0.0, 0.0, 0.0],
-                "Beta": [0.95, math.sqrt(1 - 0.95 ** 2), 0.0, 0.0, 0.0],
-                "Gamma": [0.0, 0.0, 1.0, 0.0, 0.0],
-                "Delta": [0.0, 0.0, 0.8, 0.6, 0.0],
-                "Epsilon": [0.75, 0.0, 0.0, 0.0, math.sqrt(1 - 0.75 ** 2)],
-            },
-            "synonym_yes": [["Gamma", "Delta"]],
-        })
-        write_config(config_path, config_dict)
-        config = load_config(config_path)
+        config = make_planted_run(tmp_path)
         mock = SynonymRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
         run_stage(config, "extract", client=BackendClient(mock=mock))
 
-        # The judge sees exactly the borderline pairs, once each, sorted by pair.
-        text_of = {concept_id_for(t): t for t in ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")}
+        # The judge sees exactly the borderline pairs, once each; the
+        # synonym cache holds them sorted by pair.
         borderline = sorted(tuple(sorted(map(concept_id_for, p))) for p in
                             [("Gamma", "Delta"), ("Alpha", "Epsilon"), ("Beta", "Epsilon")])
-        assert mock.synonym_pairs == [(text_of[a], text_of[b]) for a, b in borderline]
-        clusters = [json.loads(line) for line in
-                    (config.run_dir / "clusters.jsonl").read_text().splitlines()]
-        assert {frozenset(text_of[m] for m in c["member_ids"]) for c in clusters} == {
-            frozenset({"Alpha", "Beta"}), frozenset({"Gamma", "Delta"}), frozenset({"Epsilon"}),
+        assert sorted(mock.synonym_pairs) == sorted(
+            (G0_TEXT_OF[a], G0_TEXT_OF[b]) for a, b in borderline)
+        cache = config.run_dir / "cache" / "extract.synonyms.jsonl"
+        assert [rec["id"] for _, rec in iter_jsonl(cache)] == ["+".join(p) for p in borderline]
+        assert cluster_texts(config.run_dir) == {
+            frozenset({"Alpha", "Beta"}): "Alpha", frozenset({"Gamma", "Delta"}): "Delta",
+            frozenset({"Epsilon"}): "Epsilon",
         }
+
+    def test_chat_requests_are_work_items(self, tmp_path):
+        # Every chat request, judge calls and adherence probes included, is
+        # sent from a runner pool thread; the main thread, where each
+        # stage's stage_client runs, sends only whole-corpus embed requests.
+        class ThreadRecordingMock(PromptRecordingMock):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.main_thread_requests = []
+
+            def chat_completion(self, request):
+                if threading.current_thread() is threading.main_thread():
+                    self.main_thread_requests.append("chat")
+                return super().chat_completion(request)
+
+            def embeddings(self, request):
+                if threading.current_thread() is threading.main_thread():
+                    self.main_thread_requests.append("embed")
+                return super().embeddings(request)
+
+        config = make_planted_run(tmp_path)
+        mock = ThreadRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        tasks = Counter(p.splitlines()[0] for p in mock.prompts)
+        assert tasks["TASK: synonym-check"] == 3
+        assert tasks["TASK: pick-representative"] == 2
+        assert tasks["TASK: extract-concepts"] == 3 + 3  # seeds, then the probes
+        assert mock.main_thread_requests and set(mock.main_thread_requests) == {"embed"}
+
+    def test_probe_embeds_in_its_work_item_under_a_tolerance(self, tmp_path, monkeypatch):
+        # Probes re-extract paraphrases, so no guiding concept matches by
+        # text and each is embedded with the candidates, inside the probe's
+        # work item; at a tolerance of -1 every cosine matches.
+        real = extraction.extract_concepts
+
+        def paraphrase(seed, extractor, client):
+            phrases = real(seed, extractor, client)
+            return [p + " restated" for p in phrases] if seed.id == "adherence-probe" else phrases
+
+        class EmbedThreadMock(MockServer):
+            pool_embeds = 0
+
+            def embeddings(self, request):
+                if threading.current_thread() is not threading.main_thread():
+                    EmbedThreadMock.pool_embeds += 1
+                return super().embeddings(request)
+
+        monkeypatch.setattr(extraction, "extract_concepts", paraphrase)
+        config_path, config_dict = make_run(tmp_path)
+        config_dict["analytics"]["adherence_tolerance"] = -1.0
+        config_dict["mock"]["behaviors"]["problem_score"] = 0.9
+        config = load_config(write_config(config_path, config_dict))
+        mock = EmbedThreadMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        accepted = [i for i in read_items(config.run_dir) if i.status == "solution_accepted"]
+        probed = accepted[:config_dict["analytics"]["adherence_sample"]]
+        report = json.loads((config.run_dir / "report.json").read_text())
+        assert report["adherence"]["item_count"] == len(probed) > 0
+        assert report["adherence"]["full_match_ratio"] == 1.0
+        assert EmbedThreadMock.pool_embeds == sum(
+            len(item.combination["concept_ids"]) for item in probed)
+
+    @pytest.mark.parametrize("cache", ["extract.synonyms", "extract.representatives",
+                                       "analyze.adherence"])
+    def test_kill_inside_a_judge_cache_resumes_to_the_same_bytes(
+        self, tmp_path, monkeypatch, cache
+    ):
+        baseline = make_planted_run(tmp_path, run_name="baseline")
+        run_stage(baseline, "run-all")
+        lines = {name: len((baseline.run_dir / "cache" / f"{name}.jsonl").read_text()
+                           .splitlines()) for name in CACHE_ORDER}
+        assert lines[cache] >= 2
+        limit = sum(lines[name] for name in CACHE_ORDER[:CACHE_ORDER.index(cache)]) + 1
+
+        config = make_planted_run(tmp_path, run_name="killed")
+        monkeypatch.setenv(FAULT_ABORT_ENV, str(limit))
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(config, "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        assert len((config.run_dir / "cache" / f"{cache}.jsonl").read_text().splitlines()) == 1
+        run_stage(config, "run-all")
+        assert read_outputs_and_stats(config.run_dir) == read_outputs_and_stats(baseline.run_dir)
+
+    def test_rebuild_from_trusted_caches_sends_no_judge_prompt(self, tmp_path):
+        config = make_planted_run(tmp_path)
+        run_stage(config, "run-all")
+        fresh = read_outputs_and_stats(config.run_dir)
+        kb = config.run_dir / "knowledge_base.jsonl"
+        kb.write_text(kb.read_text().replace("Alpha", "Alpha edited"))
+        mock = PromptRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        judge = ("TASK: synonym-check", "TASK: pick-representative")
+        assert [p for p in mock.prompts if p.startswith(judge)] == []
+        assert read_outputs_and_stats(config.run_dir) == fresh
+
+    def test_failed_judge_calls_fail_only_their_items(self, tmp_path, monkeypatch):
+        def judge_down(*args):
+            raise RuntimeError("judge went away")
+
+        monkeypatch.setattr(extraction, "confirm_synonyms", judge_down)
+        monkeypatch.setattr(extraction, "pick_representative", judge_down)
+        monkeypatch.setattr(analytics, "adherence_probe", judge_down)
+        config = make_planted_run(tmp_path)
+        run_stage(config, "run-all")
+        # No borderline pair merges, and the Alpha-Beta cluster keeps its
+        # shortest member rather than the judge's pick.
+        assert cluster_texts(config.run_dir) == {
+            frozenset({"Alpha", "Beta"}): "Beta", frozenset({"Gamma"}): "Gamma",
+            frozenset({"Delta"}): "Delta", frozenset({"Epsilon"}): "Epsilon",
+        }
+        report = json.loads((config.run_dir / "report.json").read_text())
+        assert report["adherence"]["item_count"] == 0
+        assert report["adherence"]["excluded_count"] > 0
+
+    def test_every_cache_belongs_to_a_stage(self, tmp_path):
+        # So the stage record's refuse and discard rules cover each cache.
+        config = make_planted_run(tmp_path)
+        run_stage(config, "run-all")
+        paths = RunPaths(config.run_dir)
+        listed = {path for stage in STAGES for path in paths.caches(stage)}
+        on_disk = set((config.run_dir / "cache").iterdir())
+        assert {p.name.removesuffix(".jsonl") for p in on_disk} == set(CACHE_ORDER)
+        assert on_disk <= listed
 
 
 class TestGraphStage:
@@ -439,6 +597,22 @@ class TestAnalyzeStage:
         with pytest.raises(ValidationError, match=r"reference\.jsonl:2: reference record"):
             list(_iter_reference_texts(reference))
 
+    def test_plain_text_reference_read_line_by_line(self, tmp_path, monkeypatch):
+        # Long enough to cross the reader's buffer, with every kind of line
+        # boundary, so a \r\n may straddle two reads.
+        rng = random.Random(5)
+        pieces = ["word", "é", " ", "\n", "\r", "\r\n", "\u2028", "\x85", "\x0c", "\x1e"]
+        reference = tmp_path / "reference.txt"
+        reference.write_bytes("".join(rng.choices(pieces, k=40_000)).encode("utf-8"))
+        expected = [t for t in reference.read_text(encoding="utf-8").splitlines() if t.strip()]
+        assert len(expected) > 1000
+
+        def read_whole(*args, **kwargs):
+            raise AssertionError("the reference was read whole")
+
+        monkeypatch.setattr(Path, "read_text", read_whole)
+        assert list(_iter_reference_texts(reference)) == expected
+
     def test_a_stage_without_analyze_ignores_the_reference(self, tmp_path):
         config_path, config_dict = make_run(tmp_path)
         config_dict["analytics"]["decontamination_reference"] = str(tmp_path / "missing.jsonl")
@@ -596,6 +770,17 @@ class TestDeterminismAndResume:
                 for path in (config.run_dir / "cache").glob("*.jsonl")
             )
         assert committed == {limit: limit for limit in committed}
+
+    @pytest.mark.parametrize("value", ["-1", "1e3", "10 ", "x", "\u00b2"])
+    def test_bad_abort_limit_refused_before_any_request(self, tmp_path, monkeypatch, value):
+        # Such a value used to turn the fault hook off without a word.
+        config = load_config(make_run(tmp_path)[0])
+        mock = RequestCountingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        monkeypatch.setenv(FAULT_ABORT_ENV, value)
+        with pytest.raises(ConfigurationError, match=FAULT_ABORT_ENV):
+            run_stage(config, "run-all", client=BackendClient(mock=mock))
+        assert mock.requests == 0
+        assert not config.run_dir.exists()
 
     def test_config_change_mid_run_refuses_resume(self, tmp_path, monkeypatch):
         config_path, config_dict = make_run(tmp_path)
@@ -931,8 +1116,8 @@ class TestStageManifests:
         assert skipped_stages(caplog) == (
             [] if change == "edit-seed-line" else ["synthesize", "analyze"])
         if change == "edit-output":
-            # The record still vouches for extract's caches, so no per-item
-            # request is sent again; only the uncached similarity tail runs.
+            # The record still vouches for extract's caches, so no chat
+            # request is sent again; only the similarity embed request is.
             per_item = ("TASK: extract-concepts", "TASK: quality-check")
             assert [p for p in mock.prompts if p.startswith(per_item)] == []
         fresh = load_config(write_config(
@@ -1452,6 +1637,17 @@ class TestConfigParsing:
          "max_output_tokens"),
         ({"judges": [{"endpoint": "mock", "request_params": {"temperature": -1}}]},
          "temperature"),
+        # NaN and the infinities, which JSON and --set both parse, are not numbers.
+        ({"cost": {"mode": "gpu_hourly", "gpu_rate": float("nan")}}, "gpu_rate"),
+        ({"cost": {"mode": "token_priced", "tokens_in_per_sample": float("inf")}},
+         "tokens_in_per_sample"),
+        ({"graph": {"three_hop_min_weight": float("nan")}}, "three_hop_min_weight"),
+        ({"mock": {"behaviors": {"problem_score": float("nan")}}}, "problem_score"),
+        ({"mock": {"behaviors": {"embedding_overrides": {"x": [1, float("-inf")]}}}},
+         "embedding_overrides"),
+        ({"judges": [{"endpoint": "mock", "judge_weight": float("inf")}]}, "judge_weight"),
+        ({"cost": {"mode": "gpu_hourly", "gpu_count": 2.5}}, "gpu_count"),
+        ({"cost": {"mode": "gpu_hourly", "sample_count": 10.0}}, "sample_count"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -1510,6 +1706,7 @@ class TestConfigParsing:
         "backends.generator.request_params.timeout=0",
         "judges.3.judge_weight=2", "graph.combination_budget.x=2",
         "backends.generator.endpoint=ftp://h/v1",
+        "graph.three_hop_min_weight=NaN", "cost={\"mode\": \"gpu_hourly\", \"hours\": Infinity}",
     ])
     def test_run_settings_checked_before_extract(self, tmp_path, override):
         config_path, config_dict = make_run(tmp_path)
