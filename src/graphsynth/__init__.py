@@ -11,10 +11,11 @@ online against any OpenAI-compatible endpoint.
 import os
 
 # One BLAS thread unless the caller sets OPENBLAS_NUM_THREADS. The pipeline's
-# parallelism is its request pool (max_in_flight); an OpenBLAS pool on top of
-# it only spins, at numpy's import and after each small cosine product. This
-# must run before numpy is first imported, so it takes effect only when
-# graphsynth is imported before numpy, as the CLI and perfbench's worker do.
+# parallelism is its runner's max_in_flight worker threads; an OpenBLAS pool
+# on top of them only spins, at numpy's import and after each small cosine
+# product. This must run before numpy is first imported, so it takes effect
+# only when graphsynth is imported before numpy, as the CLI and perfbench's
+# worker do.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytics import (

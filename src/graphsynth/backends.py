@@ -21,11 +21,11 @@ import contextlib
 import copy
 import json
 import os
+import queue
 import random
 import re
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
@@ -438,59 +438,116 @@ def run_bounded(
 ) -> None:
     """Run callables with at most ``max_in_flight`` executing at once.
 
-    One pool serves the whole task stream: a sliding window keeps up to
-    ``max_in_flight`` tasks running and pulls the next one from ``tasks`` as
-    soon as any finishes, so tasks are made no sooner than they can start. A
-    failing task does not abort the run: its outcome is the exception
-    instance instead of a value (mirroring ``asyncio.gather`` with
-    ``return_exceptions=True``).
+    Each call starts ``max_in_flight`` worker threads that draw the task
+    stream themselves, one ``next(tasks)`` at a time under one lock, so a
+    task is made no sooner than a worker is free to run it and the stream
+    (a generator, say) runs on the worker threads, never two draws at once.
+    A worker draws only while fewer than ``2 * max_in_flight`` tasks are
+    drawn but not yet taken by the calling thread. A failing task does not
+    abort the run: its outcome is the exception instance instead of a value
+    (mirroring ``asyncio.gather`` with ``return_exceptions=True``). An
+    exception raised by the stream itself stops the drawing; the tasks in
+    flight finish and are handed over, and the exception propagates.
 
-    Whenever the completed prefix (in task order) grows, ``on_ready`` is
-    called on the calling thread with the newly completed outcomes; the
-    calls together cover every task exactly once, in order. Only outcomes
-    that have finished but not yet been handed over are kept. An exception
-    raised by ``on_ready`` stops the run: no further task is started, the
-    tasks in flight are waited for, and the exception propagates.
+    The calling thread waits for finished outcomes, takes every one that
+    is ready, and calls ``on_ready`` once with the newly completed prefix
+    (in task order); the calls together cover every task exactly once, in
+    order. Only outcomes that have finished but not yet been handed over
+    are kept. No task is drawn while ``on_ready`` runs. An exception it
+    raises stops the run: no further task is drawn, the tasks in flight
+    are waited for, and the exception propagates.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
-    pending = iter(tasks)
-    in_flight: dict[Future, int] = {}
-    finished: dict[int, Any] = {}  # outcomes not yet handed over, by position
-    submitted = 0  # tasks pulled from the stream
-    ready = 0  # length of the completed prefix handed to on_ready
-    pool = ThreadPoolExecutor(max_workers=max_in_flight)
+    stream = iter(tasks)
+    pull = threading.Condition()
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (index, outcome), or None as a worker exits
+    drawn = taken = 0  # tasks drawn from the stream; outcomes the calling thread took off ``done``
+    # The bound keeps workers faster than the calling thread from filling
+    # ``done`` without limit. Twice ``max_in_flight`` lets every slot run a
+    # task while as many outcomes wait through a commit. Outcomes behind a
+    # slow head task are taken all the same, so it never holds the other
+    # slots back.
+    ahead = 2 * max_in_flight
+    stopped = False  # nothing more is drawn
+    raised: list[BaseException] = []  # from the stream, or a task's non-Exception
 
-    def fill_window() -> None:
-        nonlocal submitted
-        while len(in_flight) < max_in_flight:
-            task = next(pending, None)
-            if task is None:
-                return
-            in_flight[pool.submit(task)] = submitted
-            submitted += 1
+    def stop(exc: BaseException | None = None) -> None:  # called under ``pull``
+        nonlocal stopped
+        stopped = True
+        if exc is not None:
+            raised.append(exc)
+        pull.notify_all()
 
-    try:
-        fill_window()
-        while in_flight:
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for fut in done:
-                idx = in_flight.pop(fut)
+    def work() -> None:
+        nonlocal drawn
+        try:
+            while True:
+                with pull:
+                    while not stopped and drawn - taken >= ahead:
+                        pull.wait()
+                    if stopped:
+                        return
+                    try:
+                        task = next(stream)
+                    except StopIteration:
+                        stop()
+                        return
+                    except BaseException as exc:
+                        stop(exc)
+                        return
+                    index = drawn
+                    drawn += 1
                 try:
-                    finished[idx] = fut.result()
-                except Exception as exc:  # per-slot failure, batch continues
-                    finished[idx] = exc
-            # Refill the freed slots before on_ready, so its work overlaps
-            # with running tasks.
-            fill_window()
+                    outcome = task()
+                except Exception as exc:  # per-slot failure, the run continues
+                    outcome = exc
+                except BaseException as exc:
+                    with pull:
+                        stop(exc)
+                    return
+                done.put((index, outcome))
+        finally:
+            done.put(None)
+
+    workers = [threading.Thread(target=work) for _ in range(max_in_flight)]
+    for worker in workers:
+        worker.start()
+    try:
+        finished: dict[int, Any] = {}  # outcomes not yet handed over, by position
+        handed = 0  # outcomes handed to on_ready
+        running = len(workers)
+        while running:
+            got = [done.get()]
+            while not done.empty():
+                got.append(done.get())
+            outcomes = 0
+            for item in got:
+                if item is None:
+                    running -= 1
+                else:
+                    finished[item[0]] = item[1]
+                    outcomes += 1
             batch = []
-            while ready in finished:
-                batch.append(finished.pop(ready))
-                ready += 1
-            if batch:
-                on_ready(batch)
+            while handed + len(batch) in finished:
+                batch.append(finished.pop(handed + len(batch)))
+            with pull:
+                taken += outcomes
+                pull.notify(outcomes)
+                if batch:
+                    try:
+                        on_ready(batch)
+                    except BaseException:
+                        stop()  # before the lock is let go, so nothing more is drawn
+                        raise
+            handed += len(batch)
+        if raised:
+            raise raised[0]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        with pull:
+            stop()
+        for worker in workers:
+            worker.join()
 
 
 # ---------------------------------------------------------------------------

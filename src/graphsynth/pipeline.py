@@ -2,15 +2,17 @@
 once in ``STAGES`` and run by one engine that writes each stage's stats.
 
 Expensive per-item work (model calls) runs through a checkpointed runner:
-one pool per stage keeps up to ``max_in_flight`` items in flight, and results
-are appended, in input order, to a per-stage cache file that is the only
-record of which items are done. Since commits follow work order, a cache
-is always a prefix of its work: the runner matches it against the work in
-lockstep, draws the rest of the work lazily, and keeps nothing per item;
-the stage reads the results back from the cache in work order. Each per-item
-task receives a scoped client, so its record keeps the backend usage of
-exactly its own calls, failed items included; the runner is the one place a
-task exception becomes a failed record. Every chat request, judge calls
+each runner call starts ``max_in_flight`` worker threads, and results are
+appended, in input order, to a per-step cache file that is the only record
+of which items are done; each batch of finished items is one write and one
+fsync. Since commits follow work order, a cache is always a prefix of its
+work: the runner matches it against the work in lockstep, and the worker
+threads draw the rest lazily, one at a time under the runner's lock, so a
+work generator runs on them; nothing is kept per item, and the stage reads
+the results back from the cache in work order. Each per-item task
+receives a scoped client, so its record keeps the backend usage of exactly
+its own calls, failed items included; the runner is the one place a task
+exception becomes a failed record. Every chat request, judge calls
 included, is made by a per-item task; a stage's own ``stage_client`` makes
 only the whole-corpus embed requests. The engine sums a stage's ``usage``
 stat over the item records, cached or fresh, plus the ``stage_client``, so
@@ -313,20 +315,22 @@ class PipelineRun:
 
         Returns a reader of one JSON-able result record per work item, read
         back from the results cache in work order. ``work`` is drawn once
-        and lazily: a payload is held only from the time it is drawn until
-        its task is done. Each task gets its own scoped client, and its
-        record carries the task's backend usage under "usage"; the usage of
-        every record, cached or fresh, is added to the stage's total, cached
-        records as the cache is matched and fresh ones as they commit. A
-        task exception becomes a {"failed": message} record (with the usage
-        of the calls made before it), so one bad item never aborts the
-        stage.
+        and lazily, its first item here and the rest by ``run_bounded``'s
+        worker threads, one draw at a time under its lock: a payload is held
+        only from the time it is drawn until its task is done. Each task
+        gets its own scoped client, and its record carries the task's
+        backend usage under "usage"; the usage of every record, cached or
+        fresh, is added to the stage's total, cached records as the cache
+        is matched and fresh ones as they commit. A task exception becomes
+        a {"failed": message} record (with the usage of the calls made
+        before it), so one bad item never aborts the stage.
 
         The results cache ``cache/<name>.jsonl`` is the only progress
         record. It is a prefix of the work: the file is cut after the
         records ``select_resumable_work`` matches, and the rest of the work
-        is run and appended in work order. ``_run_stage`` has already
-        deleted a cache its stage record does not vouch for.
+        is run and appended in work order, one write and one fsync for each
+        hand-over of finished records. ``_run_stage`` has already deleted a
+        cache its stage record does not vouch for.
         """
         cache_path = self.paths.cache(name)
         count, size, usage, rest = select_resumable_work(cache_path, work)
@@ -596,7 +600,9 @@ class PipelineRun:
         )
 
         # Serialized dedup reduction in combination order: a question's first
-        # occurrence wins, later exact duplicates are dropped.
+        # occurrence wins, later exact duplicates are dropped. The evaluate
+        # runner's worker threads draw survivors() one at a time under its
+        # lock, so the deduper and the failure count see one draw at a time.
         deduper = synthesis.QuestionDeduper()
         generation_failures = 0
 

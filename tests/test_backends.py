@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import _thread
 import json
 import random
 import re
@@ -607,6 +608,27 @@ class TestRunBounded:
         assert state["running"] == 0  # tasks in flight were waited for
         assert state["started"] < 50
 
+    def test_no_task_is_drawn_while_on_ready_runs(self):
+        state = {"committing": False, "drawn_while_committing": 0, "calls": 0}
+
+        def task():
+            time.sleep(0.001)
+
+        def tasks():
+            for _ in range(40):
+                state["drawn_while_committing"] += state["committing"]
+                yield task
+
+        def on_ready(outcomes):
+            state["committing"] = True
+            time.sleep(0.005)  # the workers finish their tasks meanwhile and want more
+            state["committing"] = False
+            state["calls"] += 1
+
+        run_bounded(tasks(), 2, on_ready=on_ready)
+        assert state["calls"] >= 1
+        assert state["drawn_while_committing"] == 0
+
     def test_pulls_a_generator_at_most_max_in_flight_ahead(self):
         lock = threading.Lock()
         state = {"pulled": 0, "finished": 0, "ahead": []}
@@ -646,6 +668,156 @@ class TestRunBounded:
         run_bounded((task for _ in range(60)), 2, on_ready=on_ready)
         assert len(handed) >= 3
         assert alive_two_calls_back and not any(alive_two_calls_back)
+
+    def test_slow_head_then_one_hand_over_carries_every_finished_follower(self):
+        count = 24
+        lock = threading.Lock()
+        state = {"finished": 0}
+        calls = []
+
+        def head():
+            deadline = time.monotonic() + 10
+            while state["finished"] < count - 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)  # time enough for the last follower's outcome to be queued
+            return 0
+
+        def make(i):
+            def task():
+                with lock:
+                    state["finished"] += 1
+                return i
+            return task
+
+        tasks = (head if i == 0 else make(i) for i in range(count))
+        run_bounded(tasks, 2, on_ready=lambda batch: calls.append(list(batch)))
+        assert calls == [list(range(count))]
+
+    def test_one_hand_over_takes_every_outcome_queued_meanwhile(self):
+        # Tasks 1-3 finish, in that order, while on_ready handles task 0; the
+        # next call must carry all three, not one per finished task.
+        state = {"drawn": 0, "finished": 0}
+        go = threading.Event()
+        calls = []
+
+        def make(i):
+            def task():
+                deadline = time.monotonic() + 10
+                if i == 0:
+                    while state["drawn"] < 4 and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    return i
+                assert go.wait(10)
+                while state["finished"] < i - 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.01)  # after the outcome before it is queued
+                state["finished"] += 1
+                return i
+            return task
+
+        def tasks():
+            for i in range(4):
+                state["drawn"] += 1
+                yield make(i)
+
+        def on_ready(batch):
+            calls.append(list(batch))
+            if len(calls) == 1:
+                go.set()
+                deadline = time.monotonic() + 10
+                while state["finished"] < 3 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)  # time enough for their outcomes to be queued
+
+        run_bounded(tasks(), 4, on_ready=on_ready)
+        assert calls == [[0], [1, 2, 3]]
+
+    def test_order_holds_and_each_task_runs_once_under_fast_thread_switching(self):
+        max_in_flight = 8
+        count = 2_000
+        rng = random.Random(11)
+        delays = [rng.choice((0, 0, 0.0001, 0.0005)) for _ in range(count)]
+        lock = threading.Lock()
+        runs = [0] * count
+        outcomes = []
+        calls = []
+
+        def make(i):
+            def task():
+                with lock:
+                    runs[i] += 1
+                if delays[i]:
+                    time.sleep(delays[i])
+                return i
+            return task
+
+        def on_ready(batch):
+            outcomes.extend(batch)
+            calls.append(len(batch))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_bounded((make(i) for i in range(count)), max_in_flight, on_ready=on_ready)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == list(range(count))
+        assert runs == [1] * count
+        assert all(calls)
+
+    def test_stream_exception_propagates_after_the_tasks_in_flight(self):
+        lock = threading.Lock()
+        state = {"started": 0, "running": 0}
+        handed = []
+
+        def task():
+            with lock:
+                state["started"] += 1
+                state["running"] += 1
+            time.sleep(0.003)
+            with lock:
+                state["running"] -= 1
+            return True
+
+        class Stream:
+            """Breaks at its 11th draw; it would go on if drawn again."""
+
+            drawn = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.drawn += 1
+                if self.drawn == 11:
+                    raise LookupError("stream broke")
+                return task
+
+        stream = Stream()
+        with pytest.raises(LookupError, match="stream broke"):
+            run_bounded(stream, 3, on_ready=handed.extend)
+        assert state["running"] == 0  # tasks in flight were waited for
+        assert stream.drawn == 11  # nothing was drawn after the failure
+        assert state["started"] <= 10
+        assert handed == [True] * state["started"]  # the tasks in flight were handed over
+
+    def test_interrupt_while_waiting_propagates_and_ends_the_workers(self):
+        before = threading.active_count()
+        started = []
+
+        def make(i):
+            def task():
+                started.append(i)
+                if i == 3:
+                    _thread.interrupt_main()
+                time.sleep(0.002)
+                return i
+            return task
+
+        with pytest.raises(KeyboardInterrupt):
+            run_bounded((make(i) for i in range(500)), 2, on_ready=lambda outcomes: None)
+        assert threading.active_count() == before
+        assert len(started) < 500
 
 
 class TestMeter:

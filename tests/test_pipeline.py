@@ -20,8 +20,8 @@ import pytest
 from conftest import (
     base_config, make_descriptor, src_env, toy_corpus_seeds, write_config, write_corpus,
 )
-from graphsynth import analytics, evaluation, extraction
-from graphsynth.backends import BackendClient, MockServer
+from graphsynth import analytics, evaluation, extraction, pipeline
+from graphsynth.backends import BackendClient, MockServer, sum_usage
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
 from graphsynth.errors import CheckpointError, ConfigurationError, ValidationError
@@ -671,6 +671,56 @@ class TestTaskFailures:
         } for rec in records)
         stats = json.loads((config.run_dir / "stats" / f"{stages[-1]}.json").read_text())
         assert stats[failures_key] == len(records)
+
+
+class TestCheckpointedRunner:
+    def test_one_fsync_per_hand_over_and_fewer_hand_overs_than_items(
+        self, tmp_path, monkeypatch
+    ):
+        # A slow head task holds its finished followers back; once it ends
+        # they reach the cache together, in one write and one fsync.
+        corpus = write_corpus(tmp_path / "corpus.jsonl", G0_SEEDS)
+        run = PipelineRun(parse_config(base_config(tmp_path, corpus, max_in_flight=2)))
+        run._record_usage = sum_usage([])
+        cache = run.paths.cache("step")
+        cache.parent.mkdir(parents=True)
+        cache.write_bytes(b'{"id": "work-000", "resu')  # a torn tail, cut with one fsync
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        hand_overs = []
+        real_run_bounded = pipeline.run_bounded
+
+        def counting_run_bounded(tasks, max_in_flight, on_ready):
+            def counted(outcomes):
+                hand_overs.append(len(outcomes))
+                on_ready(outcomes)
+            real_run_bounded(tasks, max_in_flight, counted)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        monkeypatch.setattr(pipeline, "run_bounded", counting_run_bounded)
+        head_may_end = threading.Event()
+
+        def task(i, client):
+            if i == 0:
+                assert head_may_end.wait(10)
+            elif i == 5:
+                head_may_end.set()
+            return {"v": i}
+
+        items = 40
+        results = run._run_checkpointed(
+            "step", ((f"work-{i:03d}", i) for i in range(items)), task
+        )
+        assert [rec["v"] for rec in results] == list(range(items))
+        assert sum(hand_overs) == items
+        assert hand_overs[0] >= 5  # items 1-4 finished before the head
+        assert len(fsyncs) == len(hand_overs) + 1
+        assert len(hand_overs) < items
 
 
 def cached_ids(cache: Path) -> set[str]:
