@@ -170,8 +170,3 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}", lineno) from exc
             yield lineno, obj
-
-
-def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """Every (line number, object) pair of :func:`iter_jsonl`, as a list."""
-    return list(iter_jsonl(path))

@@ -188,10 +188,19 @@ def _approx_tokens(text: str) -> int:
     return len(text.split())
 
 
-def _reported_or(usage: dict, key: str, estimate: Callable[[], int]) -> int:
+def _reported_or(usage: dict, key: str, estimate: Callable[[], int], backend_id: str) -> int:
     """The token count a reply reports under ``key``; ``estimate()`` is
-    called only when the reply lacks it."""
-    return int(usage[key]) if key in usage else estimate()
+    called only when the reply lacks it. A reported count must be an
+    integer >= 0."""
+    if key not in usage:
+        return estimate()
+    count = usage[key]
+    if not (is_int(count) and count >= 0):
+        raise ProtocolError(
+            f"backend {backend_id!r}: token counts must be nonnegative integers, "
+            f"got {key}={count!r}"
+        )
+    return count
 
 
 def _send(conn, path: str, body: bytes, headers: dict[str, str], timeout: float):
@@ -380,13 +389,15 @@ class BackendClient:
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: malformed completion response"
             ) from exc
-        usage = data.get("usage") or {}
-        input_tokens = _reported_or(usage, "prompt_tokens", lambda: _approx_tokens(prompt))
-        output_tokens = _reported_or(usage, "completion_tokens", lambda: _approx_tokens(output))
-        if input_tokens < 0 or output_tokens < 0:
+        if not isinstance(output, str):
             raise ProtocolError(
-                f"backend {descriptor.backend_id!r}: token counts must be nonnegative"
+                f"backend {descriptor.backend_id!r}: the reply's content is not a string"
             )
+        usage = data.get("usage") or {}
+        input_tokens = _reported_or(
+            usage, "prompt_tokens", lambda: _approx_tokens(prompt), descriptor.backend_id)
+        output_tokens = _reported_or(
+            usage, "completion_tokens", lambda: _approx_tokens(output), descriptor.backend_id)
         self.usage.add(descriptor.backend_id, input_tokens, output_tokens)
         return output
 
@@ -403,11 +414,17 @@ class BackendClient:
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             indices = [row["index"] for row in rows]
-            vectors = np.asarray([row["embedding"] for row in rows], dtype=np.float64)
+            vectors = np.asarray([row["embedding"] for row in rows])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: malformed embeddings response"
             ) from exc
+        # JSON numbers only: strings, null and booleans give another dtype.
+        if vectors.dtype.kind not in "iuf" or not np.isfinite(vectors).all():
+            raise ProtocolError(
+                f"backend {descriptor.backend_id!r}: embeddings must hold finite numbers only"
+            )
+        vectors = vectors.astype(np.float64, copy=False)
         if indices != list(range(len(texts))):
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: the reply's embedding indices are "
@@ -425,7 +442,8 @@ class BackendClient:
             )
         usage = data.get("usage") or {}
         input_tokens = _reported_or(
-            usage, "prompt_tokens", lambda: sum(_approx_tokens(t) for t in texts)
+            usage, "prompt_tokens", lambda: sum(_approx_tokens(t) for t in texts),
+            descriptor.backend_id,
         )
         self.usage.add(descriptor.backend_id, input_tokens, 0)
         return vectors / norms
@@ -443,11 +461,11 @@ def run_bounded(
     task is made no sooner than a worker is free to run it and the stream
     (a generator, say) runs on the worker threads, never two draws at once.
     A worker draws only while fewer than ``2 * max_in_flight`` tasks are
-    drawn but not yet taken by the calling thread. A failing task does not
-    abort the run: its outcome is the exception instance instead of a value
-    (mirroring ``asyncio.gather`` with ``return_exceptions=True``). An
-    exception raised by the stream itself stops the drawing; the tasks in
-    flight finish and are handed over, and the exception propagates.
+    drawn but not yet taken by the calling thread. An exception raised by
+    the stream or by a task stops the drawing; the tasks in flight finish,
+    those before a failed task are handed over, and the exception
+    propagates. A caller that wants a failed task recorded instead catches
+    the failure inside the task.
 
     The calling thread waits for finished outcomes, takes every one that
     is ready, and calls ``on_ready`` once with the newly completed prefix
@@ -470,7 +488,7 @@ def run_bounded(
     # slots back.
     ahead = 2 * max_in_flight
     stopped = False  # nothing more is drawn
-    raised: list[BaseException] = []  # from the stream, or a task's non-Exception
+    raised: list[BaseException] = []  # from the stream or a task
 
     def stop(exc: BaseException | None = None) -> None:  # called under ``pull``
         nonlocal stopped
@@ -500,8 +518,6 @@ def run_bounded(
                     drawn += 1
                 try:
                     outcome = task()
-                except Exception as exc:  # per-slot failure, the run continues
-                    outcome = exc
                 except BaseException as exc:
                     with pull:
                         stop(exc)

@@ -201,8 +201,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         if not (value is None or (is_int(value) and value >= 0)):
             raise ConfigurationError(f"graph.{key} must be null or an integer >= 0")
     sizes = graph.get("community_sizes")
-    if not isinstance(sizes, (list, tuple)) or any(s not in (3, 4) for s in sizes):
-        raise ConfigurationError("graph.community_sizes must be a list within {3, 4}")
+    if not isinstance(sizes, (list, tuple)) or not all(is_int(s) and s in (3, 4) for s in sizes):
+        raise ConfigurationError("graph.community_sizes must be a list of integers within {3, 4}")
     if not is_number(graph["three_hop_min_weight"]):
         raise ConfigurationError("graph.three_hop_min_weight must be a number")
 

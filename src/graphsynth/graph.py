@@ -2,14 +2,14 @@
 
 Nodes are concept ids; an (undirected) edge records how many seed examples
 mention both endpoints. Pairs at hop distance greater than one are never
-materialized as edges: distances are answered on demand by breadth-first
+materialized as edges: distances are answered on demand by a layered
 search, which is all the enumeration below ever needs (distances are capped
 at three hops).
 
 Combination kinds:
 
 * ``one_hop``    - directly connected pairs (weight = co-occurrence count)
-* ``two_hop``    - pairs at BFS distance exactly 2
+* ``two_hop``    - pairs at distance exactly 2
 * ``three_hop``  - pairs at distance exactly 3 with at least one hub endpoint
 * ``community``  - 3- or 4-cliques (weight = minimum internal edge weight)
 
@@ -18,18 +18,23 @@ minimum-hop paths of the smallest edge weight on the path. It degenerates to
 the plain edge weight at distance one and favors pairs linked through
 well-attested co-occurrences.
 
-The graph is immutable: ``build_graph`` accumulates the adjacency map and
-constructs the graph once, together with an indexed view of it. Nodes are
-numbered in sorted-id order (so index order is id order), neighbours and
-weights sit in CSR arrays, and each node keeps its forward (higher-index)
-neighbours with their weights. Two-hop pairs and communities are listed over
-that view:
+The graph is one immutable integer index: ``build_graph`` counts the pairs
+and hands them over once. Nodes are numbered in sorted-id order, so index
+order is id order; neighbours and weights sit in CSR arrays (compressed
+sparse rows), and each node keeps its forward (higher-index) neighbours with
+their weights.
 
-* Two-hop pairs come from expanding every path ``a -> m -> b`` out of one
-  source row at a time with numpy, keeping ``b > a`` not adjacent to ``a``.
-  A path's width is ``min(w(a, m), w(m, b))``; each ``b`` keeps the widest
-  path and, on a tie, the smallest middle node ``m``, which is the tie rule
-  of the breadth-first search, so the witness is ``[a, m, b]``.
+* Every hop distance is answered by one layered search over the CSR arrays.
+  Each layer gathers, with numpy, every edge ``u -> v`` from the frontier
+  into a node not yet reached, of width ``min(width(u), w(u, v))``, and
+  keeps per ``v`` the widest path and, on a tie, the smallest predecessor
+  ``u``. So a node's width is its widest-shortest-path weight, and its
+  predecessors spell one witness path. ``pairs_at_distance`` runs it from
+  each source; two-hop pairs are its second layer from each node ``a``, cut
+  to ends above ``a``, so the witness is ``[a, m, b]``. It also answers
+  distance and bottleneck queries: a pair is at distance d exactly when
+  ``pairs_at_distance(g, d)`` lists it, and the third field of its entry is
+  its bottleneck weight.
 * Cliques are listed in the manner of Chiba and Nishizeki (1985): each
   triangle or quad is found once, in ascending index order, by intersecting
   forward neighbour sets; one pass yields both sizes in tuple order.
@@ -41,32 +46,26 @@ character at or below ``+``. ``select_combinations`` samples over all four
 kinds without building what it does not keep: it counts each kind (two-hop
 pairs per source row, cliques per size under the cap), draws ranks from the
 total as ``sample_combinations`` would, and builds only those: two-hop pairs
-by re-expanding the rows that hold a drawn rank, cliques by walking the
-capped lister up to the last drawn one. One-hop and three-hop pairs are few
-and always built. A budget of None draws every rank.
-
-``pairs_at_distance`` keeps the breadth-first search: it serves three-hop
-pairs and any distance, and it is the reference the two-hop expansion is
-tested against. It also answers distance and bottleneck queries: a pair is
-at distance d exactly when ``pairs_at_distance(g, d)`` lists it, and the
-third field of its entry is its bottleneck weight.
+by searching again from the rows that hold a drawn rank, cliques by walking
+the capped lister up to the last drawn one. One-hop and three-hop pairs are
+few and always built. A budget of None draws every rank.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._util import is_int
 from .errors import ValidationError
 
 COMBINATION_KINDS = ("one_hop", "two_hop", "three_hop", "community")
-
 
 @dataclass(slots=True)
 class ConceptCombination:
@@ -118,111 +117,62 @@ class HubSet:
     min_degree_achieved: int
 
 
-class _IndexedView:
-    """Integer-indexed snapshot of an adjacency map.
+class ConceptGraph:
+    """Immutable; all queries are pure and thread-safe. Made by
+    ``build_graph``, which hands over the count of every co-occurring pair.
 
-    ``ids[i]`` is the i-th node id in sorted order. Row ``i``'s neighbours
-    are ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with edge
+    ``ids[i]`` is the i-th node id in sorted order and ``index`` maps an id
+    back to ``i``. Row ``i``'s neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with edge
     weights at the same positions of ``weights``. ``forward[i]`` maps each
     neighbour ``j > i`` to the edge weight, in ascending order of ``j``.
     """
 
-    def __init__(self, adj: dict[str, dict[str, int]]) -> None:
-        self.ids = sorted(adj)
-        index = {node: i for i, node in enumerate(self.ids)}
-        rows = [sorted((index[v], w) for v, w in adj[node].items()) for node in self.ids]
-        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=self.indptr[1:])
-        self.indices = np.array([j for row in rows for j, _ in row], dtype=np.int64)
-        self.weights = np.array([w for row in rows for _, w in row], dtype=np.int64)
-        self.forward = [{j: w for j, w in row if j > i} for i, row in enumerate(rows)]
-
-
-class ConceptGraph:
-    """Immutable; all queries are pure and thread-safe. Made by
-    ``build_graph``, which hands over a finished adjacency map."""
-
-    def __init__(self, adj: dict[str, dict[str, int]]) -> None:
-        self._adj = adj
-        self._view = _IndexedView(adj)
+    def __init__(self, nodes: Iterable[str], pairs: Mapping[tuple[str, str], int]) -> None:
+        """``pairs`` maps each edge ``(a, b)``, with ``a < b``, to its weight."""
+        self.ids = sorted(nodes)
+        self.index = {node: i for i, node in enumerate(self.ids)}
+        n, m = len(self.ids), len(pairs)
+        low = np.fromiter((self.index[a] for a, _ in pairs), dtype=np.int64, count=m)
+        high = np.fromiter((self.index[b] for _, b in pairs), dtype=np.int64, count=m)
+        weight = np.fromiter(pairs.values(), dtype=np.int64, count=m)
+        order = np.lexsort((high, low))
+        self.forward: list[dict[int, int]] = [{} for _ in range(n)]
+        for a, b, w in zip(low[order].tolist(), high[order].tolist(), weight[order].tolist()):
+            self.forward[a][b] = w
+        rows, cols = np.concatenate([low, high]), np.concatenate([high, low])
+        order = np.lexsort((cols, rows))
+        self.indices = cols[order]
+        self.weights = np.concatenate([weight, weight])[order]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
 
     # -- views ----------------------------------------------------------------
 
     @property
     def nodes(self) -> set[str]:
-        return set(self._adj)
+        return set(self.ids)
 
     def node_count(self) -> int:
-        return len(self._adj)
+        return len(self.ids)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.indices) // 2
 
     def degree(self, node: str) -> int:
-        self._require(node)
-        return len(self._adj[node])
+        i = self._position(node)
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def edges(self) -> list[tuple[str, str, int]]:
         """All edges as (a, b, weight) with a < b, sorted."""
-        out = []
-        for a in sorted(self._adj):
-            for b, w in self._adj[a].items():
-                if a < b:
-                    out.append((a, b, w))
-        out.sort()
-        return out
+        ids = self.ids
+        return [(ids[a], ids[b], w) for a, fa in enumerate(self.forward) for b, w in fa.items()]
 
-    def _require(self, node: str) -> None:
-        if node not in self._adj:
-            raise ValidationError(f"unknown concept id {node!r}")
-
-    # -- distance machinery ----------------------------------------------------
-
-    def _layered_search(
-        self, source: str, max_dist: int
-    ) -> tuple[dict[str, int], dict[str, float], dict[str, str | None]]:
-        """BFS from ``source`` out to ``max_dist`` hops tracking, per reached
-        node, the shortest-path distance, the bottleneck width over all
-        shortest paths (widest shortest path), and one predecessor achieving
-        that width.
-
-        Width is computed by dynamic programming over the BFS layer DAG:
-        width(v) = max over predecessors u in the previous layer of
-        min(width(u), w(u, v)). Ties on width pick the smallest predecessor
-        id so witnesses are deterministic.
-        """
-        self._require(source)
-        dist: dict[str, int] = {source: 0}
-        width: dict[str, float] = {source: math.inf}
-        parent: dict[str, str | None] = {source: None}
-        frontier = [source]
-        d = 0
-        while frontier and d < max_dist:
-            d += 1
-            candidates: dict[str, tuple[float, str]] = {}
-            for u in frontier:
-                for v, w in self._adj[u].items():
-                    if v in dist:
-                        continue
-                    cand = (min(width[u], w), u)
-                    best = candidates.get(v)
-                    if best is None or cand[0] > best[0] or (cand[0] == best[0] and u < best[1]):
-                        candidates[v] = cand
-            frontier = []
-            for v in sorted(candidates):
-                dist[v] = d
-                width[v], parent[v] = candidates[v]
-                frontier.append(v)
-        return dist, width, parent
-
-    def _witness(self, parent: dict[str, str | None], node: str) -> list[str]:
-        path = [node]
-        cur: str | None = node
-        while parent[cur] is not None:
-            cur = parent[cur]
-            path.append(cur)
-        path.reverse()
-        return path
+    def _position(self, node: str) -> int:
+        try:
+            return self.index[node]
+        except KeyError:
+            raise ValidationError(f"unknown concept id {node!r}") from None
 
 
 def build_graph(
@@ -236,7 +186,8 @@ def build_graph(
     raise (naming the seed), and ids never co-occurring remain isolated nodes.
     """
     known = set(all_concept_ids) if all_concept_ids is not None else None
-    adj: dict[str, dict[str, int]] = {node: {} for node in sorted(known or ())}
+    nodes = set(known or ())
+    pairs: Counter[tuple[str, str]] = Counter()
     for seed_id, concept_ids in seed_concept_sets:
         ids = sorted(set(concept_ids))
         if known is not None:
@@ -245,12 +196,9 @@ def build_graph(
                 raise ValidationError(
                     f"seed {seed_id!r} references unknown concept ids {unknown}"
                 )
-        for node in ids:
-            adj.setdefault(node, {})
-        for a, b in itertools.combinations(ids, 2):
-            adj[a][b] = adj[a].get(b, 0) + 1
-            adj[b][a] = adj[b].get(a, 0) + 1
-    return ConceptGraph(adj)
+        nodes.update(ids)
+        pairs.update(itertools.combinations(ids, 2))
+    return ConceptGraph(nodes, pairs)
 
 
 def enumerate_one_hop(g: ConceptGraph) -> list[ConceptCombination]:
@@ -259,6 +207,69 @@ def enumerate_one_hop(g: ConceptGraph) -> list[ConceptCombination]:
         ConceptCombination(kind="one_hop", concept_ids=[a, b], weight=w, witness=[a, b])
         for a, b, w in g.edges()
     ]
+
+
+# -- the layered search ---------------------------------------------------------
+
+# Parallel arrays (end, predecessor, width): paths, one per entry.
+_Paths = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _gather(g: ConceptGraph, frontier: np.ndarray, width: np.ndarray, seen: np.ndarray) -> _Paths:
+    """Every edge ``u -> v`` from a node ``u`` of ``frontier`` into a node
+    ``v`` not ``seen``, as paths of width ``min(width(u), w(u, v))``, where
+    ``width`` is parallel to ``frontier``. They are listed by ``u`` in
+    ``frontier`` order."""
+    starts = g.indptr[frontier]
+    counts = g.indptr[frontier + 1] - starts
+    # CSR position of every edge out of the frontier, grouped by u.
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    positions = shift + np.arange(shift.size)
+    ends = g.indices[positions]
+    keep = ~seen[ends]
+    via = np.repeat(frontier, counts)[keep]
+    width = np.minimum(np.repeat(width, counts)[keep], g.weights[positions[keep]])
+    return ends[keep], via, width
+
+
+def _widest(ends: np.ndarray, via: np.ndarray, width: np.ndarray) -> _Paths:
+    """Per end, its widest path and, on a tie, the one with the smallest
+    predecessor; ends ascending. The paths must be listed by ascending
+    predecessor, as ``_gather`` lists them from an ascending frontier."""
+    order = np.lexsort((-width, ends))  # stable, so ties keep predecessor order
+    ends, via, width = ends[order], via[order], width[order]
+    first = np.ones(ends.size, dtype=bool)
+    first[1:] = ends[1:] != ends[:-1]
+    return ends[first], via[first], width[first]
+
+
+def _search(
+    g: ConceptGraph, source: int, depth: int, seen: np.ndarray
+) -> tuple[list[_Paths], _Paths]:
+    """The layered search from ``source``: the nodes first reached at each
+    distance below ``depth``, as ``_widest`` layers, and every path into a
+    node first reached at ``depth``, as ``_gather`` lists it, so a caller
+    picks only the paths it keeps.
+
+    By dynamic programming over the layers, a node's width is the bottleneck
+    weight over its shortest paths from ``source``, and its predecessor the
+    smallest one on such a path. ``seen`` is an all-False scratch array over
+    the nodes, left all-False on return.
+    """
+    lo, hi = g.indptr[source], g.indptr[source + 1]
+    paths = g.indices[lo:hi], np.full(hi - lo, source), g.weights[lo:hi]
+    seen[source] = True
+    layers: list[_Paths] = []
+    while len(layers) < depth - 1:
+        # The source's row holds one path per end already.
+        layer = _widest(*paths) if layers else paths
+        seen[layer[0]] = True
+        layers.append(layer)
+        paths = _gather(g, layer[0], layer[2], seen)
+    seen[source] = False
+    for reached, _, _ in layers:
+        seen[reached] = False
+    return layers, paths
 
 
 def pairs_at_distance(
@@ -271,86 +282,62 @@ def pairs_at_distance(
 
     ``sources`` restricts one endpoint to the given set (used for
     hub-anchored enumeration); pairs qualifying from both endpoints are
-    emitted once. The same machinery serves distances beyond three for
-    quality-by-distance studies.
+    emitted once, with the witness found from the smaller source. The same
+    search serves distances beyond three for quality-by-distance studies.
     """
     if distance < 1:
         raise ValidationError("distance must be >= 1")
-    chosen = sorted(g.nodes if sources is None else set(sources))
-    found: dict[tuple[str, str], tuple[float, list[str]]] = {}
+    chosen = range(g.node_count()) if sources is None else sorted(
+        {g._position(s) for s in sources})
+    seen = np.zeros(g.node_count(), dtype=bool)
+    parent = np.zeros(g.node_count(), dtype=np.int64)
+    found: dict[tuple[int, int], tuple[int, list[int]]] = {}
     for src in chosen:
-        dist, width, parent = g._layered_search(src, max_dist=distance)
-        for node, d in dist.items():
-            if d != distance:
-                continue
-            key = (src, node) if src < node else (node, src)
+        layers, paths = _search(g, src, distance, seen)
+        layers.append(_widest(*paths))
+        for reached, via, _ in layers:
+            parent[reached] = via
+        ends, _, width = layers[-1]
+        for v, w in zip(ends.tolist(), width.tolist()):
+            key = (src, v) if src < v else (v, src)
             if key in found:
                 continue
-            path = g._witness(parent, node)
-            if key[0] != src:
-                path = list(reversed(path))
-            found[key] = (width[node], path)
-    return [(a, b, w, path) for (a, b), (w, path) in sorted(found.items())]
+            path = [v]  # from v back to src
+            for _ in range(distance):
+                path.append(int(parent[path[-1]]))
+            found[key] = (w, path if v < src else path[::-1])
+    ids = g.ids
+    return [(ids[a], ids[b], w, [ids[i] for i in path])
+            for (a, b), (w, path) in sorted(found.items())]
 
 
 def enumerate_two_hop(g: ConceptGraph) -> list[ConceptCombination]:
-    """Pairs connected through exactly one intermediate node.
-
-    Equal to ``pairs_at_distance(g, 2)`` in pairs, weights and witnesses,
-    computed by middle-node expansion one source row at a time.
-    """
-    view = g._view
-    adjacent = np.zeros(len(view.ids), dtype=bool)
+    """Pairs connected through exactly one intermediate node, as
+    ``pairs_at_distance(g, 2)`` lists them, one source row at a time."""
+    seen = np.zeros(g.node_count(), dtype=bool)
     out: list[ConceptCombination] = []
-    for a in range(len(view.ids)):
-        ends, via, width = _two_hop_row(view, a, adjacent)
-        out.extend(_two_hop_combo(view.ids, a, b, m, w) for b, m, w in zip(ends, via, width))
+    for a in range(g.node_count()):
+        ends, via, width = (x.tolist() for x in _two_hop_row(g, a, seen))
+        out.extend(_two_hop_combo(g.ids, a, b, m, w) for b, m, w in zip(ends, via, width))
     return out
 
 
-def _two_hop_paths(
-    view: _IndexedView, a: int, adjacent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every path ``a -> m -> b`` with ``b > a`` not adjacent to ``a``, as
-    parallel arrays (end ``b``, middle ``m``, width). ``adjacent`` is an
-    all-False scratch array over the nodes, left all-False on return."""
-    indptr, indices, weights = view.indptr, view.indices, view.weights
-    lo, hi = indptr[a], indptr[a + 1]
-    mids = indices[lo:hi]
-    starts = indptr[mids]
-    counts = indptr[mids + 1] - starts
-    # CSR position of every path a -> m -> b, grouped by m.
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    positions = shift + np.arange(shift.size)
-    ends = indices[positions]
-    adjacent[mids] = True
-    keep = (ends > a) & ~adjacent[ends]
-    adjacent[mids] = False
-    via = np.repeat(mids, counts)[keep]
-    width = np.minimum(np.repeat(weights[lo:hi], counts)[keep], weights[positions[keep]])
-    return ends[keep], via, width
+def _two_hop_row(g: ConceptGraph, a: int, seen: np.ndarray) -> _Paths:
+    """Row ``a``'s two-hop pairs as ``_widest`` paths (end, middle, width):
+    the search's second layer from ``a``, cut to ends above ``a``."""
+    ends, via, width = _search(g, a, 2, seen)[1]
+    keep = ends > a
+    return _widest(ends[keep], via[keep], width[keep])
 
 
-def _two_hop_row(
-    view: _IndexedView, a: int, adjacent: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    """Row ``a``'s two-hop pairs as lists (end, middle, width), ends
-    ascending: per end the widest path and, on a tie, the smallest middle."""
-    ends, via, width = _two_hop_paths(view, a, adjacent)
-    order = np.lexsort((via, -width, ends))
-    ends, via, width = ends[order], via[order], width[order]
-    first = np.ones(ends.size, dtype=bool)
-    first[1:] = ends[1:] != ends[:-1]
-    return ends[first].tolist(), via[first].tolist(), width[first].tolist()
-
-
-def _two_hop_row_counts(view: _IndexedView) -> np.ndarray:
-    """Number of two-hop pairs out of each source row, without building
-    them: the distinct ends of the row's paths, counted after a sort."""
-    adjacent = np.zeros(len(view.ids), dtype=bool)
-    counts = np.zeros(len(view.ids), dtype=np.int64)
-    for a in range(len(view.ids)):
-        ends = np.sort(_two_hop_paths(view, a, adjacent)[0])
+def _two_hop_row_counts(g: ConceptGraph) -> np.ndarray:
+    """Number of two-hop pairs out of each source row: the distinct ends
+    above it of the search's second layer, with no path picked."""
+    seen = np.zeros(g.node_count(), dtype=bool)
+    counts = np.zeros(g.node_count(), dtype=np.int64)
+    for a in range(g.node_count()):
+        ends = _search(g, a, 2, seen)[1][0]
+        ends = np.sort(ends[ends > a])
         if ends.size:
             counts[a] = 1 + np.count_nonzero(ends[1:] != ends[:-1])
     return counts
@@ -369,11 +356,11 @@ def identify_hubs(g: ConceptGraph, fraction: float) -> HubSet:
     if g.node_count() == 0:
         raise ValidationError("cannot select hubs from an empty graph")
     k = max(1, math.ceil(fraction * g.node_count()))
-    ranked = sorted(g.nodes, key=lambda n: (-g.degree(n), n))
-    hubs = ranked[:k]
+    degrees = np.diff(g.indptr)
+    hubs = np.argsort(-degrees, kind="stable")[:k]  # ties in index order, which is id order
     return HubSet(
-        hub_ids=set(hubs),
-        min_degree_achieved=min(g.degree(n) for n in hubs),
+        hub_ids={g.ids[i] for i in hubs.tolist()},
+        min_degree_achieved=int(degrees[hubs].min()),
     )
 
 
@@ -401,22 +388,21 @@ def enumerate_communities(
     sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
         raise ValidationError("cap must be >= 0")
-    view = g._view
     out: list[ConceptCombination] = []
     for size in sizes:
-        out.extend(_community_combo(view, members)
-                   for members in itertools.islice(_cliques(view, (size,)), cap))
+        out.extend(_community_combo(g, members)
+                   for members in itertools.islice(_cliques(g, (size,)), cap))
     return out
 
 
 def _community_sizes(sizes: Iterable[int]) -> list[int]:
-    sizes = sorted(set(sizes))
-    if any(s not in (3, 4) for s in sizes):
-        raise ValidationError("community sizes must be within {3, 4}")
-    return sizes
+    sizes = list(sizes)
+    if not all(is_int(s) and s in (3, 4) for s in sizes):
+        raise ValidationError("community sizes must be integers within {3, 4}")
+    return sorted(set(sizes))
 
 
-def _cliques(view: _IndexedView, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _cliques(g: ConceptGraph, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every clique whose size (3 or 4) is in ``sizes``, as an ascending
     index tuple, in tuple order, so a triangle comes just before the quads
     that extend it. Each clique is reached once, from its lowest member,
@@ -424,7 +410,7 @@ def _cliques(view: _IndexedView, sizes: Sequence[int]) -> Iterator[tuple[int, ..
     if not sizes:
         return
     triangles, quads = 3 in sizes, 4 in sizes
-    forward = view.forward
+    forward = g.forward
     for a, fa in enumerate(forward):
         for b in fa:
             common = fa.keys() & forward[b].keys()
@@ -437,38 +423,28 @@ def _cliques(view: _IndexedView, sizes: Sequence[int]) -> Iterator[tuple[int, ..
 
 
 def _capped_cliques(
-    view: _IndexedView, sizes: Sequence[int], cap: int | None
+    g: ConceptGraph, sizes: Sequence[int], cap: int | None
 ) -> Iterator[tuple[int, ...]]:
     """``_cliques`` keeping only the first ``cap`` cliques of each size: the
     lists ``enumerate_communities`` builds, merged in tuple order."""
     kept = dict.fromkeys(sizes, 0)
-    for members in _cliques(view, sizes):
+    for members in _cliques(g, sizes):
         if cap is None or kept[len(members)] < cap:
             kept[len(members)] += 1
             yield members
 
 
-def _community_combo(view: _IndexedView, members: tuple[int, ...]) -> ConceptCombination:
+def _community_combo(g: ConceptGraph, members: tuple[int, ...]) -> ConceptCombination:
     return ConceptCombination(
         kind="community",
-        concept_ids=[view.ids[i] for i in members],
-        weight=_clique_weight(view, members),
+        concept_ids=[g.ids[i] for i in members],
+        weight=_clique_weight(g, members),
     )
 
 
-def _clique_weight(view: _IndexedView, members: tuple[int, ...]) -> int:
-    """Minimum edge weight among ascending ``members``; raises when an edge
-    is missing."""
-    weights = []
-    for u, v in itertools.combinations(members, 2):
-        w = view.forward[u].get(v)
-        if w is None:
-            raise ValidationError(
-                f"community {tuple(view.ids[i] for i in members)} is not a clique: "
-                f"missing edge {view.ids[u]}-{view.ids[v]}"
-            )
-        weights.append(w)
-    return min(weights)
+def _clique_weight(g: ConceptGraph, members: tuple[int, ...]) -> int:
+    """Minimum edge weight among the ascending indices of a clique."""
+    return min(g.forward[u][v] for u, v in itertools.combinations(members, 2))
 
 
 # The one combination order: kind in this order, then the concept-id tuple.
@@ -561,12 +537,11 @@ def select_combinations(
         raise ValidationError("cap must be >= 0")
     if budget is not None and budget < 0:
         raise ValidationError("budget must be >= 0")
-    view = g._view
     one_hop = enumerate_one_hop(g)
     three_hop = enumerate_three_hop(g, hubs, min_weight=min_weight)
-    row_counts = _two_hop_row_counts(view)
+    row_counts = _two_hop_row_counts(g)
     cliques = dict.fromkeys(sizes, 0)
-    for members in _cliques(view, sizes):
+    for members in _cliques(g, sizes):
         cliques[len(members)] += 1
     kept = sum(n if cap is None else min(n, cap) for n in cliques.values())
     enumerated = {
@@ -588,36 +563,36 @@ def select_combinations(
         within[kind] = ranks[lo:hi] - start
         start = end
     builders = {
-        "community": lambda drawn: _cliques_at(view, drawn, sizes, cap),
+        "community": lambda drawn: _cliques_at(g, drawn, sizes, cap),
         "one_hop": lambda drawn: (one_hop[r] for r in drawn.tolist()),
         "three_hop": lambda drawn: (three_hop[r] for r in drawn.tolist()),
-        "two_hop": lambda drawn: _two_hop_at(view, drawn, row_counts),
+        "two_hop": lambda drawn: _two_hop_at(g, drawn, row_counts),
     }
     return Selection(enumerated, sum(cliques.values()) - kept, within, builders)
 
 
 def _cliques_at(
-    view: _IndexedView, within: np.ndarray, sizes: Sequence[int], cap: int | None
+    g: ConceptGraph, within: np.ndarray, sizes: Sequence[int], cap: int | None
 ) -> Iterator[ConceptCombination]:
     """The capped cliques at ascending ranks ``within``, walking the lister
     only up to the last of them."""
-    cliques, position = _capped_cliques(view, sizes, cap), 0
+    cliques, position = _capped_cliques(g, sizes, cap), 0
     for rank in within.tolist():
-        yield _community_combo(view, next(itertools.islice(cliques, rank - position, None)))
+        yield _community_combo(g, next(itertools.islice(cliques, rank - position, None)))
         position = rank + 1
 
 
 def _two_hop_at(
-    view: _IndexedView, within: np.ndarray, row_counts: np.ndarray
+    g: ConceptGraph, within: np.ndarray, row_counts: np.ndarray
 ) -> Iterator[ConceptCombination]:
     """The two-hop pairs at ascending ranks ``within``, given the pairs per
-    source row: only the rows holding a rank are expanded again."""
+    source row: the search runs again only from the rows holding a rank."""
     row_ends = np.cumsum(row_counts)
     rows = np.searchsorted(row_ends, within, side="right")
     offsets = within - (row_ends[rows] - row_counts[rows])
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # where each row's ranks start
-    adjacent = np.zeros(len(view.ids), dtype=bool)
+    seen = np.zeros(g.node_count(), dtype=bool)
     for a, ks in zip(rows[firsts].tolist(), np.split(offsets, firsts[1:])):
-        ends, via, width = _two_hop_row(view, a, adjacent)
+        ends, via, width = (x.tolist() for x in _two_hop_row(g, a, seen))
         for k in ks.tolist():
-            yield _two_hop_combo(view.ids, a, ends[k], via[k], width[k])
+            yield _two_hop_combo(g.ids, a, ends[k], via[k], width[k])

@@ -538,15 +538,13 @@ class PipelineRun:
         )
 
         params = config.graph_params
-        hubs = graphmod.identify_hubs(g, float(params["hub_fraction"]))
-        cap = params.get("community_cap")
-        budget = params.get("combination_budget")
+        hubs = graphmod.identify_hubs(g, params["hub_fraction"])
         selection = graphmod.select_combinations(
             g, hubs,
-            min_weight=float(params["three_hop_min_weight"]),
-            sizes=params.get("community_sizes", (3, 4)),
-            cap=None if cap is None else int(cap),
-            budget=None if budget is None else int(budget),
+            min_weight=params["three_hop_min_weight"],
+            sizes=params["community_sizes"],
+            cap=params["community_cap"],
+            budget=params["combination_budget"],
             seed=config.random_seed,
         )
         write_jsonl_atomic(

@@ -26,7 +26,7 @@ from ._util import (
     canonical_json,
     canonicalize,
     content_hash,
-    read_jsonl,
+    iter_jsonl,
     write_atomic,
     write_jsonl_atomic,
 )
@@ -275,7 +275,7 @@ def load_seed_corpus(path: str | Path) -> list[SeedExample]:
     """
     seeds: list[SeedExample] = []
     seen: dict[str, int] = {}
-    for lineno, rec in read_jsonl(path):
+    for lineno, rec in iter_jsonl(path):
         seed = SeedExample.from_record(rec, line=lineno)
         if seed.id in seen:
             raise CorpusError(
@@ -292,7 +292,7 @@ def save_seed_corpus(path: str | Path, seeds: Sequence[SeedExample]) -> None:
 
 
 def load_concepts(path: str | Path) -> list[KeyConcept]:
-    return [KeyConcept.from_record(rec, line=lineno) for lineno, rec in read_jsonl(path)]
+    return [KeyConcept.from_record(rec, line=lineno) for lineno, rec in iter_jsonl(path)]
 
 
 def save_concepts(path: str | Path, concepts: Sequence[KeyConcept]) -> None:

@@ -97,6 +97,27 @@ def widest_shortest_path_weight(
     return best
 
 
+def bfs_witness(
+    adj: dict[str, set[str]],
+    weights: dict[tuple[str, str], int],
+    a: str,
+    b: str,
+) -> list[str]:
+    """One widest shortest path from a to b, built backwards from b: the
+    last hop comes from the neighbour u one hop closer to a that maximises
+    min(width(a, u), w(u, b)), the smallest id on a tie, and the path to u
+    is chosen the same way."""
+    d = bfs_distance(adj, a, b)
+    if d is None:
+        raise ValueError("unreachable")
+    if d == 0:
+        return [a]
+    closer = [u for u in adj[b] if bfs_distance(adj, a, u) == d - 1]
+    u = min(closer, key=lambda u: (
+        -min(widest_shortest_path_weight(adj, weights, a, u), weights[tuple(sorted((u, b)))]), u))
+    return bfs_witness(adj, weights, a, u) + [b]
+
+
 def is_novel(concept_ids: list[str], seed_concept_sets: list[set[str]]) -> bool:
     """True when the concept set is contained in no seed example's concept
     set, by testing every seed. An empty set is not novel by convention."""

@@ -196,6 +196,62 @@ class TestMockCompletion:
             }
 
 
+class TestMalformedReplies:
+    """Replies ``json.loads`` accepts but the client must not: each is a
+    ``ProtocolError``, and no usage is counted."""
+
+    GEN = BackendDescriptor("g", "generator", "mock", "m")
+    EMB = BackendDescriptor("e", "embedder", "mock", "m")
+
+    @pytest.mark.parametrize("usage", [None, {"prompt_tokens": 1, "completion_tokens": 1}],
+                             ids=["no-counts", "counts"])
+    def test_null_content(self, usage):
+        class NullContentMock(MockServer):
+            def chat_completion(self, request):
+                reply = {"choices": [{"message": {"content": None}}]}
+                if usage is not None:
+                    reply["usage"] = usage
+                return reply
+
+        client = BackendClient(mock=NullContentMock())
+        with pytest.raises(ProtocolError, match="content"):
+            client.complete(self.GEN, "ping")
+        assert client.usage.totals() == {}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1"])
+    def test_embedding_holds_a_non_number(self, value):
+        class BadVectorMock(MockServer):
+            def embeddings(self, request):
+                reply = super().embeddings(request)
+                reply["data"][1]["embedding"][0] = value
+                return reply
+
+        client = BackendClient(mock=BadVectorMock(seed=7))
+        with pytest.raises(ProtocolError, match="finite numbers"):
+            client.embed(self.EMB, ["alpha", "beta"])
+        assert client.usage.totals() == {}
+
+    @pytest.mark.parametrize("count", [float("nan"), 2.5, "3", True])
+    def test_token_count_is_not_an_integer(self, count):
+        class BadCountMock(MockServer):
+            def chat_completion(self, request):
+                reply = super().chat_completion(request)
+                reply["usage"]["completion_tokens"] = count
+                return reply
+
+            def embeddings(self, request):
+                reply = super().embeddings(request)
+                reply["usage"]["prompt_tokens"] = count
+                return reply
+
+        client = BackendClient(mock=BadCountMock(seed=7))
+        with pytest.raises(ProtocolError, match="nonnegative integers"):
+            client.complete(self.GEN, "ping")
+        with pytest.raises(ProtocolError, match="nonnegative integers"):
+            client.embed(self.EMB, ["alpha"])
+        assert client.usage.totals() == {}
+
+
 class TestLiveHttp:
     def test_retry_two_500s_then_success(self, http_endpoint):
         ScriptedHandler.script = [500, 500]
@@ -522,17 +578,38 @@ class TestRunBounded:
         assert results == list(range(6))
         assert order == list(range(6))
 
-    def test_one_failure_does_not_abort_batch(self):
-        def ok():
-            return "fine"
+    def test_task_exception_stops_the_run_after_the_tasks_in_flight(self):
+        failed = threading.Event()
+        state = {"running": 0, "drawn": 0}
+        lock = threading.Lock()
+        handed = []
+
+        def slow(i):
+            def task():
+                with lock:
+                    state["running"] += 1
+                # Still running when the third task fails, so it is in flight.
+                failed.wait(timeout=5)
+                time.sleep(0.02)
+                with lock:
+                    state["running"] -= 1
+                return i
+            return task
 
         def bad():
+            failed.set()
             raise RuntimeError("slot failure")
 
-        results = collect([ok, bad, ok, ok, ok], max_in_flight=2)
-        assert results[0] == "fine"
-        assert isinstance(results[1], RuntimeError)
-        assert results[2:] == ["fine", "fine", "fine"]
+        def tasks():
+            for task in (slow(0), slow(1), bad, slow(3), slow(4)):
+                state["drawn"] += 1
+                yield task
+
+        with pytest.raises(RuntimeError, match="slot failure"):
+            run_bounded(tasks(), 3, on_ready=handed.extend)
+        assert state["running"] == 0  # tasks in flight were waited for
+        assert state["drawn"] == 3  # nothing was drawn after the failure
+        assert handed == [0, 1]  # the tasks in flight were handed over
 
     def test_zero_cap_rejected(self):
         with pytest.raises(ValueError):

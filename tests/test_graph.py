@@ -147,14 +147,31 @@ class TestTwoHop:
         assert enumerate_two_hop(g) == []
 
     def test_matches_breadth_first_reference(self):
-        # Weights 1-2 make equal-width paths common, so the smallest-middle
+        # Weights 1-2 make equal-width paths common, so the smallest-predecessor
         # tie rule is exercised; ids like n5 and n123 sort unlike numbers.
         rng = random.Random(47)
         for _ in range(200):
-            g, _, _ = random_graph(rng, max_nodes=14, max_weight=2, density=0.35,
-                                   label=lambda i: f"n{i * 37 % 1000}")
+            g, adj, weights = random_graph(rng, max_nodes=14, max_weight=2, density=0.35,
+                                           label=lambda i: f"n{i * 37 % 1000}")
+
+            def reference(distance, source=None):
+                # Each pair's witness runs from the source, or from its
+                # smaller endpoint, and is listed from the smaller one.
+                out = []
+                for a, b in sorted(oracles.all_pairs_at_distance(adj, distance)):
+                    if source not in (None, a, b):
+                        continue
+                    start, end = (b, a) if source == b else (a, b)
+                    path = oracles.bfs_witness(adj, weights, start, end)
+                    out.append((a, b, oracles.widest_shortest_path_weight(adj, weights, a, b),
+                                path if start == a else path[::-1]))
+                return out
+
             got = [(*c.concept_ids, c.weight, c.witness) for c in enumerate_two_hop(g)]
-            assert got == pairs_at_distance(g, 2)
+            assert got == reference(2)
+            assert pairs_at_distance(g, 3) == reference(3)
+            source = rng.choice(sorted(adj))
+            assert pairs_at_distance(g, 3, sources=[source]) == reference(3, source)
 
     def test_witness_is_valid_shortest_path(self):
         rng = random.Random(3)
@@ -280,6 +297,13 @@ class TestCommunities:
             selection = select_combinations(g, identify_hubs(g, 1.0), sizes=sizes, budget=0)
             assert selection.enumerated["community"] == len(enumerate_communities(g, sizes, cap=None))
             assert selection.cap_truncated == 0
+
+    @pytest.mark.parametrize("sizes", [(2,), (5,), (3.0,), (3, 4.0)])
+    def test_sizes_are_integers_within_three_and_four(self, g0, sizes):
+        with pytest.raises(ValidationError, match="community sizes"):
+            enumerate_communities(g0, sizes)
+        with pytest.raises(ValidationError, match="community sizes"):
+            select_combinations(g0, identify_hubs(g0, 1.0), sizes=sizes)
 
     def test_cap_truncates_deterministically(self):
         g = build_graph([("P", {"a", "b", "c", "d", "e"})])  # K5

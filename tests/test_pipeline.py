@@ -1698,6 +1698,8 @@ class TestConfigParsing:
         ({"judges": [{"endpoint": "mock", "judge_weight": float("inf")}]}, "judge_weight"),
         ({"cost": {"mode": "gpu_hourly", "gpu_count": 2.5}}, "gpu_count"),
         ({"cost": {"mode": "gpu_hourly", "sample_count": 10.0}}, "sample_count"),
+        # 3.0 would pass as 3 but change the fingerprint.
+        ({"graph": {"community_sizes": [3.0, 4]}}, "community_sizes"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
