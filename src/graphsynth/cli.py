@@ -44,6 +44,16 @@ _FLAG_KEYS = {
 }
 
 
+def number(text: str) -> int | float:
+    """A numeric flag value as typed: an integer literal stays an int, so
+    ``--min-weight 2`` fingerprints like the config default ``2``; any other
+    value parses as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsynth",
@@ -64,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         if stage in ("graph", "run-all"):
             p.add_argument("--budget", dest="budget", type=int,
                            help="max combinations to keep (uniform sample)")
-            p.add_argument("--hub-fraction", dest="hub_fraction", type=float)
-            p.add_argument("--min-weight", dest="min_weight", type=float,
+            p.add_argument("--hub-fraction", dest="hub_fraction", type=number)
+            p.add_argument("--min-weight", dest="min_weight", type=number,
                            help="bottleneck weight floor for three-hop pairs")
             p.add_argument("--cap", dest="cap", type=int,
                            help="max communities kept per clique size")

@@ -48,7 +48,10 @@ pairs per source row, cliques per size under the cap), draws ranks from the
 total as ``sample_combinations`` would, and builds only those: two-hop pairs
 by searching again from the rows that hold a drawn rank, cliques by walking
 the capped lister up to the last drawn one. One-hop and three-hop pairs are
-few and always built. A budget of None draws every rank.
+always built, but the search drops every three-hop pair below the weight
+floor before it builds the pair or its witness. The draw holds 8 bytes per
+rank of the total where ``random.sample`` would hold a Python int object,
+and a budget of None draws every rank.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -163,10 +167,12 @@ class ConceptGraph:
         i = self._position(node)
         return int(self.indptr[i + 1] - self.indptr[i])
 
-    def edges(self) -> list[tuple[str, str, int]]:
-        """All edges as (a, b, weight) with a < b, sorted."""
+    def edges(self) -> Iterator[tuple[str, str, int]]:
+        """All edges as (a, b, weight) with a < b, sorted, one at a time."""
         ids = self.ids
-        return [(ids[a], ids[b], w) for a, fa in enumerate(self.forward) for b, w in fa.items()]
+        for a, fa in enumerate(self.forward):
+            for b, w in fa.items():
+                yield ids[a], ids[b], w
 
     def _position(self, node: str) -> int:
         try:
@@ -276,6 +282,7 @@ def pairs_at_distance(
     g: ConceptGraph,
     distance: int,
     sources: Iterable[str] | None = None,
+    min_width: float | None = None,
 ) -> list[tuple[str, str, float, list[str]]]:
     """All unordered pairs at exactly ``distance`` hops, as
     (a, b, bottleneck_width, witness_path) with a < b, sorted.
@@ -284,6 +291,12 @@ def pairs_at_distance(
     hub-anchored enumeration); pairs qualifying from both endpoints are
     emitted once, with the witness found from the smaller source. The same
     search serves distances beyond three for quality-by-distance studies.
+
+    ``min_width`` drops every pair whose bottleneck width is below it as
+    soon as the last layer is reached, before its witness is walked, so
+    memory follows the pairs kept. A pair's width is the same from either
+    end, so the pairs kept and their witnesses are those of the unfiltered
+    list.
     """
     if distance < 1:
         raise ValidationError("distance must be >= 1")
@@ -298,6 +311,9 @@ def pairs_at_distance(
         for reached, via, _ in layers:
             parent[reached] = via
         ends, _, width = layers[-1]
+        if min_width is not None:
+            keep = width >= min_width
+            ends, width = ends[keep], width[keep]
         for v, w in zip(ends.tolist(), width.tolist()):
             key = (src, v) if src < v else (v, src)
             if key in found:
@@ -368,11 +384,12 @@ def enumerate_three_hop(
     g: ConceptGraph, hubs: HubSet, min_weight: float = 2
 ) -> list[ConceptCombination]:
     """Pairs (hub, other) at distance exactly 3 whose bottleneck weight
-    reaches ``min_weight``; low-weight pairs are dropped."""
+    reaches ``min_weight``; low-weight pairs are dropped by the search,
+    before they are built."""
     return [
         ConceptCombination(kind="three_hop", concept_ids=[a, b], weight=w, witness=path)
-        for a, b, w, path in pairs_at_distance(g, 3, sources=hubs.hub_ids)
-        if w >= min_weight
+        for a, b, w, path in pairs_at_distance(
+            g, 3, sources=hubs.hub_ids, min_width=min_weight)
     ]
 
 
@@ -529,8 +546,9 @@ def select_combinations(
     ranks are drawn from the counts alone, with the same
     ``random.Random(seed)`` draw, and only the drawn two-hop rows and the
     cliques up to the last drawn one are walked again, as the records are
-    iterated. One-hop and three-hop pairs are always built. A budget of
-    None, or one at least the total, draws every rank.
+    iterated. One-hop and three-hop pairs are always built, three-hop pairs
+    only above ``min_weight``. A budget of None, or one at least the total,
+    draws every rank.
     """
     sizes = _community_sizes(sizes)
     if cap is not None and cap < 0:
@@ -552,8 +570,7 @@ def select_combinations(
     if budget is None or budget >= total:
         ranks = np.arange(total, dtype=np.int64)
     else:
-        ranks = np.array(random.Random(seed).sample(range(total), budget), dtype=np.int64)
-        ranks.sort()
+        ranks = _draw_ranks(total, budget, seed)
     # Each kind's drawn ranks, counted from the kind's first combination.
     within: dict[str, np.ndarray] = {}
     start = 0
@@ -569,6 +586,38 @@ def select_combinations(
         "two_hop": lambda drawn: _two_hop_at(g, drawn, row_counts),
     }
     return Selection(enumerated, sum(cliques.values()) - kept, within, builders)
+
+
+def _draw_ranks(total: int, budget: int, seed: int) -> np.ndarray:
+    """``sorted(random.Random(seed).sample(range(total), budget))`` as an
+    int64 array, holding 8 bytes per rank instead of a Python int.
+
+    It takes ``Random.sample``'s branch for the same sizes and makes the
+    same ``randrange`` calls, each ``sample``'s ``_randbelow`` of the same
+    bound. When a list of the population is no larger than a set of the
+    sample, ``sample`` swap-removes from a copy of the population: here the
+    drawn value is swapped to the pool's tail, which leaves the rest of the
+    pool as ``sample`` leaves it, so the tail ends up holding the sample.
+    Otherwise ``sample`` redraws values already in its set of drawn ones,
+    and the set is the sample.
+    """
+    rng = random.Random(seed)
+    setsize = 21  # as in Random.sample: a small set minus an empty list
+    if budget > 5:
+        setsize += 4 ** math.ceil(math.log(budget * 3, 4))
+    if total <= setsize:
+        pool = array("q", range(total))
+        for i in range(budget):
+            j, last = rng.randrange(total - i), total - i - 1
+            pool[j], pool[last] = pool[last], pool[j]
+        return np.sort(np.frombuffer(pool, dtype=np.int64)[total - budget:])
+    drawn: set[int] = set()
+    for _ in range(budget):
+        j = rng.randrange(total)
+        while j in drawn:
+            j = rng.randrange(total)
+        drawn.add(j)
+    return np.sort(np.fromiter(drawn, dtype=np.int64, count=budget))
 
 
 def _cliques_at(

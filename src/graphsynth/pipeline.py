@@ -523,15 +523,7 @@ class PipelineRun:
         the sampled ranks and build only those combinations, each written
         out as it is built."""
         config = self.config
-        seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
-        concepts = load_concepts(self.paths.file("knowledge_base"))
-        rep_ids = {c.id for c in concepts if c.status == "representative"}
-        if not rep_ids:
-            raise ValidationError("knowledge base is empty; run extract first")
-
-        g = graphmod.build_graph(
-            [(s.id, s.concept_ids) for s in seeds], all_concept_ids=rep_ids
-        )
+        g = self._concept_graph()
         write_jsonl_atomic(
             self.paths.file("graph_edges"),
             ({"a": a, "b": b, "weight": w} for a, b, w in g.edges()),
@@ -560,6 +552,19 @@ class PipelineRun:
             "sampled_total": len(selection),
             "sampled_by_kind": selection.sampled_by_kind,
         }
+
+    def _concept_graph(self) -> graphmod.ConceptGraph:
+        """The co-occurrence graph over the knowledge base's representatives.
+        Of the seeds it keeps only their concept ids, and of the concepts
+        only the representative ids, until the graph is built; none of them
+        outlive this call."""
+        seed_sets = [(s.id, s.concept_ids)
+                     for s in load_seed_corpus(self.paths.file("seeds_enriched"))]
+        rep_ids = {c.id for c in load_concepts(self.paths.file("knowledge_base"))
+                   if c.status == "representative"}
+        if not rep_ids:
+            raise ValidationError("knowledge base is empty; run extract first")
+        return graphmod.build_graph(seed_sets, all_concept_ids=rep_ids)
 
     # -- stage: synthesize -------------------------------------------------------
 

@@ -58,12 +58,12 @@ class TestBuildGraph:
     def test_empty_corpus(self):
         g = build_graph([])
         assert g.node_count() == 0
-        assert g.edges() == []
+        assert list(g.edges()) == []
 
     def test_single_concept_seed_is_isolated_node(self):
         g = build_graph([("P1", {"X"})])
         assert g.nodes == {"X"}
-        assert g.edges() == []
+        assert list(g.edges()) == []
 
     def test_unknown_concept_names_seed(self):
         with pytest.raises(ValidationError, match="P9"):
@@ -149,7 +149,7 @@ class TestTwoHop:
     def test_matches_breadth_first_reference(self):
         # Weights 1-2 make equal-width paths common, so the smallest-predecessor
         # tie rule is exercised; ids like n5 and n123 sort unlike numbers.
-        rng = random.Random(47)
+        rng, pick = random.Random(47), random.Random(53)
         for _ in range(200):
             g, adj, weights = random_graph(rng, max_nodes=14, max_weight=2, density=0.35,
                                            label=lambda i: f"n{i * 37 % 1000}")
@@ -172,6 +172,16 @@ class TestTwoHop:
             assert pairs_at_distance(g, 3) == reference(3)
             source = rng.choice(sorted(adj))
             assert pairs_at_distance(g, 3, sources=[source]) == reference(3, source)
+            # The width floor drops pairs and never changes a kept one; a
+            # pair joining two sources keeps the smaller source's witness.
+            for chosen in ([source], pick.sample(sorted(adj), 2)):
+                anchored: dict = {}
+                for s in sorted(chosen):
+                    for pair in reference(3, s):
+                        anchored.setdefault(pair[:2], pair)
+                for w in (1, 2, 3):
+                    assert pairs_at_distance(g, 3, sources=chosen, min_width=w) == \
+                        [pair for _, pair in sorted(anchored.items()) if pair[2] >= w]
 
     def test_witness_is_valid_shortest_path(self):
         rng = random.Random(3)
@@ -447,6 +457,17 @@ class TestSampling:
         a = sample_combinations(combos, 10, seed=1)
         b = sample_combinations(combos, 10, seed=2)
         assert a != b
+
+    @pytest.mark.parametrize("n", [1, 6, 21, 86, 1_000, 50_000])
+    def test_draw_ranks_matches_random_sample(self, n):
+        # Random.sample swap-removes from a list of the population when it is
+        # no larger than a set of the sample, and redraws into a set
+        # otherwise; these sizes take each branch at some budgets.
+        for k in sorted({k for k in (0, 1, 5, 6, n // 2, n - 1, n) if k <= n}):
+            for seed in (0, 7):
+                ranks = graph_module._draw_ranks(n, k, seed)
+                assert ranks.dtype == "int64"
+                assert ranks.tolist() == sorted(random.Random(seed).sample(range(n), k))
 
 
 def build_everything(g, hubs, sizes, cap):

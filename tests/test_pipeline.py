@@ -1439,6 +1439,17 @@ class TestCli:
         assert data == {"run_dir": run_dir, "seed_corpus": corpus, "random_seed": 3,
                         "graph": {"hub_fraction": 0.5}}
 
+        # An integer typed for a numeric flag stays an int, so a run resumed
+        # without the flag keeps the fingerprint of the default it repeats.
+        args = build_parser().parse_args(["run-all", "--config", "c.json", "--min-weight", "2"])
+        (override,) = _collect_overrides(args)
+        assert apply_override({}, override) == {"graph": {"three_hop_min_weight": 2}}
+        assert type(apply_override({}, override)["graph"]["three_hop_min_weight"]) is int
+        _, config_dict = make_run(tmp_path)
+        del config_dict["graph"]["three_hop_min_weight"]
+        flagged = apply_override(json.loads(json.dumps(config_dict)), override)
+        assert parse_config(flagged).fingerprint() == parse_config(config_dict).fingerprint()
+
     @pytest.mark.parametrize("override,path,value", [
         ("judges.0.judge_weight=2", ("judges", 0, "judge_weight"), 2),
         ("judges.2.endpoint=mock", ("judges", 2, "endpoint"), "mock"),
