@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import extraction
+from . import backends, extraction
 from ._util import canonicalize, is_int, is_number
 from .backends import BackendClient, BackendDescriptor
 from .errors import ValidationError
@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_NGRAM_SIZES = (8, 10, 13, 15)
-EMBED_BATCH_SIZE = 128
 
 
 @dataclass
@@ -121,8 +120,8 @@ def expansion_ratio(n_synth: int, n_seed: int) -> float:
 class SeedSimilarity:
     """Max-cosine-to-seed distribution, folded over a stream of texts.
 
-    :meth:`add` buffers texts and embeds them ``EMBED_BATCH_SIZE`` at a
-    time. The seeds are embedded on the first flush, so a stream with no
+    :meth:`add` buffers texts and embeds them ``backends.EMBED_BATCH_SIZE``
+    at a time. The seeds are embedded on the first flush, so a stream with no
     text makes no request. Each embedded chunk is folded into the histogram
     counts and into a running sum of its row maxima (built-in ``sum``,
     started from the total so far), so the mean is one left-to-right float
@@ -148,19 +147,19 @@ class SeedSimilarity:
 
     def add(self, text: str) -> None:
         self._pending.append(text)
-        if len(self._pending) == EMBED_BATCH_SIZE:
+        if len(self._pending) == backends.EMBED_BATCH_SIZE:
             self._flush()
 
     def _flush(self) -> None:
         if not self._pending:
             return
         if self._seed_vecs is None:
-            self._seed_vecs = _embed_batched(self._client, self._embedder, self._seed_texts)
+            self._seed_vecs = self._client.embed_batched(self._embedder, self._seed_texts)
         self._fold(self._client.embed(self._embedder, self._pending))
         self._pending = []
 
     def _fold(self, vectors: np.ndarray) -> None:
-        """Fold one embedded chunk (at most ``EMBED_BATCH_SIZE`` rows) in."""
+        """Fold one embedded chunk (at most ``backends.EMBED_BATCH_SIZE`` rows) in."""
         row_max = np.clip((vectors @ self._seed_vecs.T).max(axis=1), -1.0, 1.0)
         counts, _ = np.histogram(np.clip(row_max, 0.0, 1.0), bins=self._edges)
         self._counts += counts
@@ -210,17 +209,6 @@ def _bin_edges(bin_width: float) -> list[float]:
     if n_bins * width != 1:
         raise ValidationError("bin width must divide 1 exactly")
     return [float(i * width) for i in range(n_bins + 1)]
-
-
-def _embed_batched(
-    client: BackendClient,
-    embedder: BackendDescriptor,
-    texts: Sequence[str],
-) -> np.ndarray:
-    chunks = []
-    for start in range(0, len(texts), EMBED_BATCH_SIZE):
-        chunks.append(client.embed(embedder, texts[start:start + EMBED_BATCH_SIZE]))
-    return np.vstack(chunks)
 
 
 class NoveltyCounter:

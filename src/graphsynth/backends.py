@@ -3,7 +3,8 @@
 The wire protocol is the de-facto OpenAI-compatible one: POST
 ``{endpoint}/chat/completions`` for generation/judging and
 ``{endpoint}/embeddings`` for vectors. ``complete`` returns the reply text
-and ``embed`` unit row vectors; token counts go only to the client's
+and ``embed`` unit row vectors (``embed_batched`` splits a long text list
+into requests of ``EMBED_BATCH_SIZE``); token counts go only to the client's
 ``UsageTracker``. Both build the payload and hand it to one request path,
 ``BackendClient._post``, the only place that tells the transports apart.
 A descriptor whose endpoint is the marker string ``"mock"`` goes to an
@@ -47,7 +48,12 @@ ROLES = (
 
 MOCK_ENDPOINT = "mock"
 
+# Texts per embed request made by BackendClient.embed_batched.
+EMBED_BATCH_SIZE = 128
+
 _RETRYABLE_STATUS = {408, 409, 425, 429, 500, 502, 503, 504}
+# The types json.loads gives a JSON number (bool, a subclass of int, is not one).
+_JSON_NUMBER_TYPES = frozenset((float, int))
 
 
 @dataclass
@@ -414,13 +420,16 @@ class BackendClient:
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             indices = [row["index"] for row in rows]
-            vectors = np.asarray([row["embedding"] for row in rows])
+            embeddings = [row["embedding"] for row in rows]
+            # JSON numbers only. numpy would give a string or null another
+            # dtype, but would read a boolean among numbers as 1 or 0.
+            numbers_only = all(_JSON_NUMBER_TYPES.issuperset(map(type, e)) for e in embeddings)
+            vectors = np.asarray(embeddings)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: malformed embeddings response"
             ) from exc
-        # JSON numbers only: strings, null and booleans give another dtype.
-        if vectors.dtype.kind not in "iuf" or not np.isfinite(vectors).all():
+        if not numbers_only or vectors.dtype.kind not in "iuf" or not np.isfinite(vectors).all():
             raise ProtocolError(
                 f"backend {descriptor.backend_id!r}: embeddings must hold finite numbers only"
             )
@@ -447,6 +456,32 @@ class BackendClient:
         )
         self.usage.add(descriptor.backend_id, input_tokens, 0)
         return vectors / norms
+
+    def embed_batched(self, descriptor: BackendDescriptor, texts: Sequence[str]) -> np.ndarray:
+        """Embed ``texts`` ``EMBED_BATCH_SIZE`` at a time, one :meth:`embed`
+        request per batch, into one ``(len(texts), d)`` array of unit rows in
+        the order given.
+
+        Each batch's rows are written into the array as its reply arrives,
+        so besides the array only one batch is held. A batch whose width
+        differs from the first batch's is a :class:`ProtocolError`.
+        """
+        if len(texts) == 0:
+            raise ValueError("embed_batched() requires a nonempty list of texts")
+        size = EMBED_BATCH_SIZE
+        out: np.ndarray | None = None
+        for start in range(0, len(texts), size):
+            batch = self.embed(descriptor, texts[start:start + size])
+            if out is None:
+                out = np.empty((len(texts), batch.shape[1]))
+            elif batch.shape[1] != out.shape[1]:
+                raise ProtocolError(
+                    f"backend {descriptor.backend_id!r}: embeddings {batch.shape[1]} wide "
+                    f"for texts {start}..{start + len(batch) - 1}, but "
+                    f"{out.shape[1]} wide for the first batch"
+                )
+            out[start:start + len(batch)] = batch
+        return out
 
 
 def run_bounded(

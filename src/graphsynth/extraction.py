@@ -35,8 +35,9 @@ logger = logging.getLogger(__name__)
 
 SAME_BAND_THRESHOLD = 0.90
 JUDGE_BAND_THRESHOLD = 0.70
-# Rows of the cosine matrix held at once by pairwise_similarity.
-SIMILARITY_BLOCK_ROWS = 1024
+# Rows and columns of the cosine tiles computed by pairwise_similarity:
+# 256 x 1,024 float64 is 2 MiB.
+SIMILARITY_TILE = (256, 1024)
 
 BANDS = ("distinct", "judge_checked", "same")
 QUALITY_CATEGORIES = ("ok", "vague", "incorrect", "overly_detailed")
@@ -216,11 +217,13 @@ def pairwise_similarity(
 ) -> list[SimilarityVerdict]:
     """Banded verdicts for the non-distinct concept pairs only.
 
-    Cosines on unit vectors are computed in blocks of
-    ``SIMILARITY_BLOCK_ROWS`` rows, and a verdict is built only for a pair
-    whose band is ``same`` or ``judge_checked``. Every pair left out is
-    distinct. Each pair is ordered by concept id and the list is sorted by
-    pair. Memory is one block plus the returned pairs, not K(K-1)/2 verdicts.
+    The concepts are sorted by id and embedded in batches
+    (:meth:`BackendClient.embed_batched`) into one K x d array. Cosines on
+    its unit rows are computed in ``SIMILARITY_TILE`` tiles, skipping those
+    below the diagonal, and a verdict is built only for a pair whose band is
+    ``same`` or ``judge_checked``. Every pair left out is distinct. Each pair
+    is ordered by concept id and the list is sorted by pair. Memory is the
+    embeddings, one tile and the kept pairs, not K(K-1)/2 verdicts.
     Only the kept cosines are clipped to [-1, 1]; for a threshold in [0, 1]
     the clip cannot move a cosine across it, so both must lie there.
     """
@@ -228,24 +231,36 @@ def pairwise_similarity(
         raise ValidationError("pairwise_similarity requires at least two concepts")
     if not (0.0 <= same_threshold <= 1.0 and 0.0 <= judge_threshold <= 1.0):
         raise ValidationError("pairwise_similarity thresholds must lie within [0, 1]")
-    texts = [canonicalize(c.text) for c in concepts]
-    order = sorted(range(len(concepts)), key=lambda i: concepts[i].id)
-    ids = [concepts[i].id for i in order]
-    vectors = client.embed(embedder, texts)[order]
+    concepts = sorted(concepts, key=lambda c: c.id)
+    ids = [c.id for c in concepts]
+    vectors = client.embed_batched(embedder, [canonicalize(c.text) for c in concepts])
     # band_for_cosine checks "same" first, so the lower threshold decides
     # which pairs are non-distinct.
     floor = min(same_threshold, judge_threshold)
+    tile_rows, tile_cols = SIMILARITY_TILE
     verdicts = []
-    for start in range(0, len(ids), SIMILARITY_BLOCK_ROWS):
-        block = vectors[start:start + SIMILARITY_BLOCK_ROWS] @ vectors[start:].T
-        rows, cols = np.nonzero(block >= floor)
-        upper = cols > rows
-        rows, cols = rows[upper], cols[upper]
-        cosines = np.clip(block[rows, cols], -1.0, 1.0)
-        for r, c, cosine in zip(rows.tolist(), cols.tolist(), cosines.tolist()):
+    for r0 in range(0, len(ids), tile_rows):
+        band = vectors[r0:r0 + tile_rows]
+        kept_rows, kept_cols, kept_cosines = [], [], []
+        # Column tiles start at the band's first row: none lies wholly below
+        # the diagonal.
+        for c0 in range(r0, len(ids), tile_cols):
+            tile = band @ vectors[c0:c0 + tile_cols].T
+            rows, cols = np.nonzero(tile >= floor)
+            cosines = tile[rows, cols]
+            rows += r0
+            cols += c0
+            upper = cols > rows
+            kept_rows.append(rows[upper])
+            kept_cols.append(cols[upper])
+            kept_cosines.append(cosines[upper])
+        rows, cols = np.concatenate(kept_rows), np.concatenate(kept_cols)
+        order = np.lexsort((cols, rows))
+        cosines = np.clip(np.concatenate(kept_cosines)[order], -1.0, 1.0)
+        for r, c, cosine in zip(rows[order].tolist(), cols[order].tolist(), cosines.tolist()):
             verdicts.append(
                 SimilarityVerdict(
-                    pair=(ids[start + r], ids[start + c]),
+                    pair=(ids[r], ids[c]),
                     cosine=cosine,
                     band=band_for_cosine(cosine, same_threshold, judge_threshold),
                 )

@@ -454,7 +454,8 @@ class PipelineRun:
         kept = [c for c in raw_concepts if quality[c.id].kept]
         kept_by_id = {c.id: c for c in kept}
 
-        # The similarity tail: one embed request, then a synonym check per
+        # The similarity tail: embed requests of at most
+        # ``backends.EMBED_BATCH_SIZE`` concepts, then a synonym check per
         # borderline pair and a representative pick per multi-member cluster
         # (its id names the members, so changed members are asked again).
         # A failed check refuses the merge; a failed pick takes the shortest.

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import make_descriptor, wire_usage
-from graphsynth import analytics
+from graphsynth import analytics, backends
 from graphsynth.analytics import (
     CostModel,
     adherence_probe,
@@ -106,7 +106,7 @@ class TestSimilarityDistribution:
         seeds = [f"seed text {i}" for i in range(12)]
         whole = similarity_distribution(synth, seeds, self.embedder(),
                                         BackendClient(mock=MockServer(seed=5)))
-        monkeypatch.setattr(analytics, "EMBED_BATCH_SIZE", 7)
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 7)
         blocked = similarity_distribution(synth, seeds, self.embedder(),
                                           BackendClient(mock=MockServer(seed=5)))
         assert blocked.histogram == whole.histogram
@@ -412,7 +412,7 @@ class EmbedRecordingMock(MockServer):
 
 
 class TestSimilarityFold:
-    """The streamed fold embeds in ``EMBED_BATCH_SIZE`` chunks and folds
+    """The streamed fold embeds in ``backends.EMBED_BATCH_SIZE`` chunks and folds
     each chunk's row maxima; it must give what one stacked product gives."""
 
     @pytest.mark.parametrize("n_synth", [127, 128, 129])
@@ -428,7 +428,7 @@ class TestSimilarityFold:
         # then stacked, multiplied once and reduced.
         stacked_mock = EmbedRecordingMock(seed=9)
         client = BackendClient(mock=stacked_mock)
-        size = analytics.EMBED_BATCH_SIZE
+        size = backends.EMBED_BATCH_SIZE
         synth_vecs = np.vstack([client.embed(embedder, synth[i:i + size])
                                 for i in range(0, n_synth, size)])
         seed_vecs = client.embed(embedder, seeds)

@@ -218,7 +218,7 @@ class TestMalformedReplies:
             client.complete(self.GEN, "ping")
         assert client.usage.totals() == {}
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1", True, False])
     def test_embedding_holds_a_non_number(self, value):
         class BadVectorMock(MockServer):
             def embeddings(self, request):
@@ -538,6 +538,53 @@ class TestMockEmbeddings:
         d = BackendDescriptor("e", "embedder", "mock", "mock-emb")
         vec = client.embed(d, ["x"])[0]
         assert np.allclose(vec, [0.6, 0.8])
+
+
+class RequestRecordingMock(MockServer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.embed_requests: list[list[str]] = []
+
+    def embeddings(self, request):
+        self.embed_requests.append(list(request["input"]))
+        return super().embeddings(request)
+
+
+class TestEmbedBatched:
+    EMB = BackendDescriptor("e", "embedder", "mock", "mock-emb")
+
+    @pytest.mark.parametrize("n_texts", [1, 6, 7, 8])
+    def test_batches_fill_one_array_in_text_order(self, monkeypatch, n_texts):
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 3)
+        texts = [f"text {i}" for i in range(n_texts)]
+        mock = RequestRecordingMock(seed=7)
+        client = BackendClient(mock=mock)
+        vectors = client.embed_batched(self.EMB, texts)
+        assert mock.embed_requests == [texts[i:i + 3] for i in range(0, n_texts, 3)]
+        # Each row is normalised on its own, so a batch gives the same rows
+        # as one request for every text.
+        one = BackendClient(mock=MockServer(seed=7)).embed(self.EMB, texts)
+        assert vectors.dtype == np.float64 and np.array_equal(vectors, one)
+        assert client.usage.totals()["e"]["calls"] == len(mock.embed_requests)
+
+    def test_a_batch_of_another_width_is_a_protocol_error(self, monkeypatch):
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 2)
+
+        class NarrowingMock(MockServer):
+            calls = 0
+
+            def embeddings(self, request):
+                self.calls += 1
+                self.embedding_dim = 32 if self.calls == 1 else 16
+                return super().embeddings(request)
+
+        client = BackendClient(mock=NarrowingMock(seed=7))
+        with pytest.raises(ProtocolError, match=r"backend 'e'.*16 wide.*32 wide"):
+            client.embed_batched(self.EMB, ["alpha", "beta", "gamma"])
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            BackendClient(mock=MockServer()).embed_batched(self.EMB, [])
 
 
 def collect(tasks, max_in_flight):

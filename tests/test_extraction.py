@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from graphsynth import extraction
+from graphsynth import backends, extraction
 from graphsynth.backends import BackendClient, MockBehaviors, MockServer
 from graphsynth.errors import ExtractionError, ValidationError
 from graphsynth.extraction import (
@@ -265,9 +265,14 @@ class TestPairwiseSimilarity:
         assert [v.pair for v in verdicts] == list(itertools.combinations(ids, 2))
         assert all(v.band == "same" and v.cosine == 1.0 for v in verdicts)
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 64])
-    def test_matches_brute_force_all_pairs(self, descriptors, monkeypatch, block_rows):
-        monkeypatch.setattr(extraction, "SIMILARITY_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("batch", [2, 128], ids=["batch2", "batch128"])
+    @pytest.mark.parametrize("tile", [(1, 1), (3, 5), (64, 7), (256, 1024)],
+                             ids=["1x1", "3x5", "64x7", "256x1024"])
+    def test_matches_brute_force_all_pairs(self, descriptors, monkeypatch, tile, batch):
+        # Tiles narrower than the 3-15 concepts in one direction or both,
+        # and embed batches of fewer texts than concepts.
+        monkeypatch.setattr(extraction, "SIMILARITY_TILE", tile)
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", batch)
         rng = random.Random(23)
         for trial in range(25):
             concepts, overrides = exact_embedding_corpus(rng, trial)
