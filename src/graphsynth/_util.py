@@ -103,9 +103,14 @@ def stable_int(*parts: str) -> int:
     return int(content_hash(*parts)[:16], 16)
 
 
+# Built once: json.dumps with any non-default setting builds a new encoder
+# per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
     """Canonical JSON encoding used for fingerprints and record files."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def write_atomic(path: str | Path, data: str | Iterable[str]) -> None:

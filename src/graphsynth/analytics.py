@@ -11,11 +11,11 @@ Conventions worth knowing:
 * Adherence matching defaults to canonicalized string equality; matching by
   embedding cosine is opt-in because it changes the metric.
 
-Similarity, novelty and n-gram overlap are each an accumulator fed one item
-at a time (``SeedSimilarity``, ``NoveltyCounter``, ``NgramOverlap``), so the
-analyze stage reads the items once and keeps no item, embedding or n-gram
-object. ``similarity_distribution``, ``novelty_rate`` and ``ngram_overlap``
-feed a whole corpus to one and report.
+Novelty and n-gram overlap are each an accumulator fed one item at a time
+(``NoveltyCounter``, ``NgramOverlap``), and seed similarity one fed a chunk
+of per-item maxima at a time (``SeedSimilarity``), so the analyze stage
+keeps no item, item embedding or n-gram object. ``similarity_distribution``,
+``novelty_rate`` and ``ngram_overlap`` feed a whole corpus to one and report.
 """
 
 from __future__ import annotations
@@ -117,57 +117,35 @@ def expansion_ratio(n_synth: int, n_seed: int) -> float:
     return n_synth / n_seed
 
 
-class SeedSimilarity:
-    """Max-cosine-to-seed distribution, folded over a stream of texts.
+def max_cosines(vectors: np.ndarray, seed_vecs: np.ndarray) -> list[float]:
+    """Each unit row's maximum cosine against the seed rows, clipped to
+    [-1, 1]."""
+    return np.clip((vectors @ seed_vecs.T).max(axis=1), -1.0, 1.0).tolist()
 
-    :meth:`add` buffers texts and embeds them ``backends.EMBED_BATCH_SIZE``
-    at a time. The seeds are embedded on the first flush, so a stream with no
-    text makes no request. Each embedded chunk is folded into the histogram
-    counts and into a running sum of its row maxima (built-in ``sum``,
-    started from the total so far), so the mean is one left-to-right float
-    sum over every item, in item order. No embedding outlives its chunk.
+
+class SeedSimilarity:
+    """Max-cosine-to-seed distribution, folded over chunks of per-item maxima
+    (:func:`max_cosines`) in item order.
+
+    Each chunk is folded into the histogram counts and into a running sum
+    (built-in ``sum``, started from the total so far), so the mean is one
+    left-to-right float sum over every item, in item order, however the
+    items were chunked. No chunk outlives its :meth:`add`.
     """
 
-    def __init__(
-        self,
-        seed_texts: Sequence[str],
-        embedder: BackendDescriptor,
-        client: BackendClient,
-        bin_width: float = HISTOGRAM_BIN_WIDTH,
-    ):
-        self._seed_texts = seed_texts
-        self._embedder = embedder
-        self._client = client
-        self._seed_vecs: np.ndarray | None = None
-        self._pending: list[str] = []
+    def __init__(self, bin_width: float = HISTOGRAM_BIN_WIDTH):
         self._edges = np.asarray(_bin_edges(bin_width))
         self._counts = np.zeros(len(self._edges) - 1, dtype=np.int64)
         self._total = 0.0
         self._count = 0
 
-    def add(self, text: str) -> None:
-        self._pending.append(text)
-        if len(self._pending) == backends.EMBED_BATCH_SIZE:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        if self._seed_vecs is None:
-            self._seed_vecs = self._client.embed_batched(self._embedder, self._seed_texts)
-        self._fold(self._client.embed(self._embedder, self._pending))
-        self._pending = []
-
-    def _fold(self, vectors: np.ndarray) -> None:
-        """Fold one embedded chunk (at most ``backends.EMBED_BATCH_SIZE`` rows) in."""
-        row_max = np.clip((vectors @ self._seed_vecs.T).max(axis=1), -1.0, 1.0)
-        counts, _ = np.histogram(np.clip(row_max, 0.0, 1.0), bins=self._edges)
+    def add(self, maxima: Sequence[float]) -> None:
+        counts, _ = np.histogram(np.clip(maxima, 0.0, 1.0), bins=self._edges)
         self._counts += counts
-        self._total = sum(row_max.tolist(), self._total)
-        self._count += len(row_max)
+        self._total = sum(maxima, self._total)
+        self._count += len(maxima)
 
     def report(self) -> SimilarityReport:
-        self._flush()
         if self._count == 0:
             raise ValidationError("similarity_distribution needs nonempty corpora")
         return SimilarityReport(
@@ -189,12 +167,18 @@ def similarity_distribution(
     (a left-to-right float sum over the items, divided by the count), a
     fixed-width histogram over [0, 1] and its CDF (one cumulative fraction
     per upper bin edge). Scores are clipped into [0, 1] for binning so counts
-    always sum to the item count. See :class:`SeedSimilarity`."""
+    always sum to the item count.
+
+    The seeds are embedded first, then the items one
+    :func:`backends.embed_batches` batch per request, each folded into a
+    :class:`SeedSimilarity`; the analyze stage makes the same requests as
+    work items."""
     if not synth_texts or not seed_texts:
         raise ValidationError("similarity_distribution needs nonempty corpora")
-    similarity = SeedSimilarity(seed_texts, embedder, client, bin_width=bin_width)
-    for text in synth_texts:
-        similarity.add(text)
+    seed_vecs = client.embed_batched(embedder, seed_texts)
+    similarity = SeedSimilarity(bin_width=bin_width)
+    for batch in backends.embed_batches(synth_texts):
+        similarity.add(max_cosines(client.embed(embedder, batch), seed_vecs))
     return similarity.report()
 
 

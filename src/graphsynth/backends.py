@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import json
 import os
 import queue
@@ -48,7 +49,7 @@ ROLES = (
 
 MOCK_ENDPOINT = "mock"
 
-# Texts per embed request made by BackendClient.embed_batched.
+# Texts per embed request: the size of each batch of embed_batches.
 EMBED_BATCH_SIZE = 128
 
 _RETRYABLE_STATUS = {408, 409, 425, 429, 500, 502, 503, 504}
@@ -458,30 +459,48 @@ class BackendClient:
         return vectors / norms
 
     def embed_batched(self, descriptor: BackendDescriptor, texts: Sequence[str]) -> np.ndarray:
-        """Embed ``texts`` ``EMBED_BATCH_SIZE`` at a time, one :meth:`embed`
-        request per batch, into one ``(len(texts), d)`` array of unit rows in
-        the order given.
-
-        Each batch's rows are written into the array as its reply arrives,
-        so besides the array only one batch is held. A batch whose width
-        differs from the first batch's is a :class:`ProtocolError`.
-        """
+        """Embed ``texts`` in :func:`embed_batches`, one :meth:`embed` request
+        per batch, into one ``(len(texts), d)`` array of unit rows in the
+        order given (see :func:`stack_rows`)."""
         if len(texts) == 0:
             raise ValueError("embed_batched() requires a nonempty list of texts")
-        size = EMBED_BATCH_SIZE
-        out: np.ndarray | None = None
-        for start in range(0, len(texts), size):
-            batch = self.embed(descriptor, texts[start:start + size])
-            if out is None:
-                out = np.empty((len(texts), batch.shape[1]))
-            elif batch.shape[1] != out.shape[1]:
-                raise ProtocolError(
-                    f"backend {descriptor.backend_id!r}: embeddings {batch.shape[1]} wide "
-                    f"for texts {start}..{start + len(batch) - 1}, but "
-                    f"{out.shape[1]} wide for the first batch"
-                )
-            out[start:start + len(batch)] = batch
-        return out
+        return stack_rows(
+            (self.embed(descriptor, batch) for batch in embed_batches(texts)),
+            len(texts), descriptor.backend_id,
+        )
+
+
+def embed_batches(items: Iterable[Any]) -> Iterator[list[Any]]:
+    """``items`` in consecutive lists of ``EMBED_BATCH_SIZE`` (the last may be
+    shorter), drawn lazily: the texts, or whatever names them, of one embed
+    request each."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, EMBED_BATCH_SIZE)):
+        yield batch
+
+
+def stack_rows(batches: Iterable[np.ndarray], count: int, backend_id: str) -> np.ndarray:
+    """Write consecutive embedding batches, in order, into one ``(count, d)``
+    array.
+
+    Each batch's rows are written as it is drawn, so besides the array only
+    one batch is held. A batch whose width differs from the first batch's
+    is a :class:`ProtocolError`.
+    """
+    out: np.ndarray | None = None
+    start = 0
+    for batch in batches:
+        if out is None:
+            out = np.empty((count, batch.shape[1]))
+        elif batch.shape[1] != out.shape[1]:
+            raise ProtocolError(
+                f"backend {backend_id!r}: embeddings {batch.shape[1]} wide "
+                f"for texts {start}..{start + len(batch) - 1}, but "
+                f"{out.shape[1]} wide for the first batch"
+            )
+        out[start:start + len(batch)] = batch
+        start += len(batch)
+    return out
 
 
 def run_bounded(

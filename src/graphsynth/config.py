@@ -7,7 +7,8 @@ here as defaults so nothing quality-critical is hard-coded in stage logic.
 The config fingerprint covers every effective setting except the run
 directory, ``max_in_flight``, which changes how many items run at once but
 not their results, and the paths of the input files, whose contents each
-stage record hashes instead. Results caches written under a different
+stage record hashes instead. A number is hashed by its value, so ``2.0``
+and ``2`` fingerprint alike. Results caches written under a different
 fingerprint refuse to resume.
 """
 
@@ -125,7 +126,8 @@ class RunConfig:
         ``max_in_flight`` and the input paths (``seed_corpus``,
         ``templates_dir``, ``analytics.decontamination_reference``): a resume
         may change any of them without changing results. The stage records
-        hash the contents of the input files instead."""
+        hash the contents of the input files instead. An integral float is
+        hashed as its int (see :func:`_integral_floats_as_ints`)."""
         effective = {
             k: v for k, v in self.raw.items()
             if k not in ("run_dir", "max_in_flight", "seed_corpus", "templates_dir")
@@ -133,7 +135,19 @@ class RunConfig:
         effective["analytics"] = {
             k: v for k, v in effective["analytics"].items() if k != "decontamination_reference"
         }
-        return content_hash(canonical_json(effective))
+        return content_hash(canonical_json(_integral_floats_as_ints(effective)))
+
+
+def _integral_floats_as_ints(value: Any) -> Any:
+    """``value`` with every integral float inside it replaced by its int,
+    so that ``2.0`` and ``2`` encode alike; a bool stays a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_floats_as_ints(v) for v in value]
+    return value
 
 
 def _parse_descriptor(key: str, role: str, rec: dict) -> BackendDescriptor:

@@ -1,7 +1,7 @@
 """Stage orchestration: extract -> graph -> synthesize -> analyze, declared
 once in ``STAGES`` and run by one engine that writes each stage's stats.
 
-Expensive per-item work (model calls) runs through a checkpointed runner:
+Every backend request is made by a work item of a checkpointed runner:
 each runner call starts ``max_in_flight`` worker threads, and results are
 appended, in input order, to a per-step cache file that is the only record
 of which items are done; each batch of finished items is one write and one
@@ -12,11 +12,12 @@ work generator runs on them; nothing is kept per item, and the stage reads
 the results back from the cache in work order. Each per-item task
 receives a scoped client, so its record keeps the backend usage of exactly
 its own calls, failed items included; the runner is the one place a task
-exception becomes a failed record. Every chat request, judge calls
-included, is made by a per-item task; a stage's own ``stage_client`` makes
-only the whole-corpus embed requests. The engine sums a stage's ``usage``
-stat over the item records, cached or fresh, plus the ``stage_client``, so
-a resumed run reports the same totals as an uninterrupted one. The stage's
+exception becomes a failed record. The embed requests are work items too:
+extract's similarity tail is one, and analyze's seed and item embeddings
+are one per batch. Their caches are required: a task exception there stops
+the stage, and a resume retries from the first uncommitted item. The engine
+sums a stage's ``usage`` stat over the item records, cached or fresh, so a
+resumed run reports the same totals as an uninterrupted one. The stage's
 final output file is rewritten atomically, streamed from the cache. From the
 graph stage to ``items.jsonl`` no stage holds a record per item.
 Interrupting a run at any point and resuming therefore lands on the same
@@ -50,17 +51,28 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import analytics, extraction, evaluation, synthesis
 from . import graph as graphmod
 from ._util import (
     canonical_json,
     canonicalize,
+    content_hash,
     file_sha256,
     iter_jsonl,
     write_atomic,
     write_jsonl_atomic,
 )
-from .backends import BackendClient, MockServer, run_bounded, sum_usage
+from .backends import (
+    BackendClient,
+    BackendDescriptor,
+    MockServer,
+    embed_batches,
+    run_bounded,
+    stack_rows,
+    sum_usage,
+)
 from .config import RunConfig
 from .errors import CheckpointError, ConfigurationError, ValidationError
 from .evaluation import JudgePanel
@@ -239,9 +251,8 @@ class PipelineRun:
         self._abort = _AbortBudget()
 
     def _run_stage(self, stage: str) -> None:
-        """Run one stage body with a fresh ``stage_client`` for its
-        whole-corpus embed requests; write the counters it returns, plus the
-        stage's usage, to ``stats/<stage>.json``.
+        """Run one stage body; write the counters it returns, plus the usage
+        of its work items' records, to ``stats/<stage>.json``.
 
         The stage record ``manifests/<stage>.json`` is read once and decides,
         in order: a stage that calls a backend is skipped while the record
@@ -276,12 +287,11 @@ class PipelineRun:
                 path.unlink()
         record = {"fingerprint": fingerprint, "inputs": inputs, "outputs": None}
         write_checkpoint(record, record_path)
-        self.stage_client = self.client.scoped()
         self._record_usage = sum_usage([])
         # Looked up at call time, so a wrapper installed on the class is used.
         counters = getattr(self, f"cmd_{stage}")()
         if counters is not None:
-            counters["usage"] = sum_usage([self._record_usage, self.stage_client.usage.total()])
+            counters["usage"] = self._record_usage
             write_atomic(self.paths.stats(stage), canonical_json(counters) + "\n")
         write_checkpoint({**record, "outputs": self._digests(spec.writes)}, record_path)
 
@@ -309,6 +319,7 @@ class PipelineRun:
         name: str,
         work: Iterable[tuple[str, Any]],
         task_fn: Callable[[Any, BackendClient], dict],
+        required: bool = False,
     ) -> CacheReader:
         """Run ``task_fn(payload, client)`` per (id, payload) work item with
         resumable progress.
@@ -323,7 +334,9 @@ class PipelineRun:
         fresh, is added to the stage's total, cached records as the cache
         is matched and fresh ones as they commit. A task exception becomes
         a {"failed": message} record (with the usage of the calls made
-        before it), so one bad item never aborts the stage.
+        before it), so one bad item never aborts the stage; when the results
+        are ``required``, it propagates instead, after the items before it
+        are committed, and the failed item is not cached.
 
         The results cache ``cache/<name>.jsonl`` is the only progress
         record. It is a prefix of the work: the file is cut after the
@@ -335,7 +348,7 @@ class PipelineRun:
         cache_path = self.paths.cache(name)
         count, size, usage, rest = select_resumable_work(cache_path, work)
         self._count_usage([usage])
-        pending = (self._wrap_task(task_fn, wid, payload) for wid, payload in rest)
+        pending = (self._wrap_task(task_fn, wid, payload, required) for wid, payload in rest)
         first = next(pending, None)
         if first is None and not cache_path.exists():
             return CacheReader(cache_path, count)
@@ -368,13 +381,16 @@ class PipelineRun:
         self._record_usage = sum_usage([self._record_usage, *usages])
 
     def _wrap_task(
-        self, task_fn: Callable[[Any, BackendClient], dict], wid: str, payload: Any
+        self, task_fn: Callable[[Any, BackendClient], dict], wid: str, payload: Any,
+        required: bool,
     ) -> Callable[[], tuple[str, dict]]:
         def run() -> tuple[str, dict]:
             client = self.client.scoped()
             try:
                 record = task_fn(payload, client)
             except Exception as exc:
+                if required:
+                    raise
                 record = {"failed": f"{type(exc).__name__}: {exc}"}
             record["usage"] = client.usage.total()
             return wid, record
@@ -454,19 +470,31 @@ class PipelineRun:
         kept = [c for c in raw_concepts if quality[c.id].kept]
         kept_by_id = {c.id: c for c in kept}
 
-        # The similarity tail: embed requests of at most
-        # ``backends.EMBED_BATCH_SIZE`` concepts, then a synonym check per
-        # borderline pair and a representative pick per multi-member cluster
-        # (its id names the members, so changed members are asked again).
-        # A failed check refuses the merge; a failed pick takes the shortest.
+        # The similarity tail: one required work item (its id digests the
+        # kept concept ids) embeds the kept concepts and keeps the
+        # non-distinct pairs as [a, b, cosine, band]; JSON writes a float by
+        # its repr, so the cosines read back exactly. Then a synonym check
+        # per borderline pair and a representative pick per multi-member
+        # cluster (its id names the members, so changed members are asked
+        # again). A failed check refuses the merge; a failed pick takes the
+        # shortest.
         thresholds = config.thresholds
-        verdicts = []
-        if len(kept) >= 2:
+
+        def similarity_task(concepts: list[KeyConcept], client: BackendClient) -> dict:
             verdicts = extraction.pairwise_similarity(
-                kept, embedder, self.stage_client,
+                concepts, embedder, client,
                 same_threshold=thresholds["same_band"],
                 judge_threshold=thresholds["judge_band"],
             )
+            return {"pairs": [[*v.pair, v.cosine, v.band] for v in verdicts]}
+
+        similarity_work = [(content_hash(*(c.id for c in kept)), kept)] if len(kept) >= 2 else []
+        verdicts = [
+            extraction.SimilarityVerdict(pair=(a, b), cosine=cosine, band=band)
+            for rec in self._run_checkpointed(
+                "extract.similarity", similarity_work, similarity_task, required=True)
+            for a, b, cosine, band in rec["pairs"]
+        ]
         borderline = [v for v in verdicts if v.band == "judge_checked"]
 
         def synonym_task(v: extraction.SimilarityVerdict, client: BackendClient) -> dict:
@@ -700,10 +728,12 @@ class PipelineRun:
         """Compute the run report: scale, novelty, similarity, cost,
         decontamination, adherence, and stage counters.
 
-        ``items.jsonl`` is read once, one item at a time. Each item feeds
-        one small accumulator per report section; only the first
-        ``adherence_sample`` accepted items' ids, concept ids and questions
-        are kept whole, for the adherence probes, one work item each."""
+        ``items.jsonl`` is read one item at a time. Each item feeds one small
+        accumulator per report section; only the first ``adherence_sample``
+        accepted items' ids, concept ids and questions are kept whole, for
+        the adherence probes, one work item each. When some item was
+        accepted, :meth:`_seed_similarity` computes the similarity section
+        from its own work items."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         params = config.analytics_params
@@ -712,12 +742,6 @@ class PipelineRun:
         sample_size = params["adherence_sample"]
 
         novelty = analytics.NoveltyCounter(s.concept_ids for s in seeds)
-        similarity = None
-        if seeds:
-            similarity = analytics.SeedSimilarity(
-                [s.question for s in seeds], embedder, self.stage_client,
-                bin_width=float(params["similarity_bin_width"]),
-            )
         reference = params.get("decontamination_reference")
         overlap = None
         if reference:
@@ -744,8 +768,6 @@ class PipelineRun:
                 continue
             accepted += 1
             question = item["question"]
-            if similarity is not None:
-                similarity.add(question)
             if overlap is not None:
                 overlap.add(question)
             if len(adherence_work) < sample_size:
@@ -776,8 +798,9 @@ class PipelineRun:
         }
 
         sim_section = None
-        if similarity is not None and accepted:
-            report = similarity.report()
+        if seeds and accepted:
+            report = self._seed_similarity(
+                seeds, embedder, float(params["similarity_bin_width"]))
             sim_section = {
                 "bin_edges": report.bin_edges,
                 "histogram": report.histogram,
@@ -823,12 +846,11 @@ class PipelineRun:
             stage: _load_stats(self.paths.stats(stage))
             for stage in list(STAGES)[:list(STAGES).index("analyze")]
         }
-        # Analyze writes no stats: its own calls (the probes and the embed
-        # requests) are counted here, on top of the earlier stages' usage.
+        # Analyze writes no stats: its own calls (the embed requests and the
+        # probes) are counted here, on top of the earlier stages' usage.
         sections["backend_usage"] = sum_usage([
             *((stats or {}).get("usage") or {} for stats in sections["stage_counters"].values()),
             self._record_usage,
-            self.stage_client.usage.total(),
         ])
 
         report = analytics.run_report(sections)
@@ -836,6 +858,48 @@ class PipelineRun:
             self.paths.file("report"),
             json.dumps(report, sort_keys=True, indent=2) + "\n",
         )
+
+    def _seed_similarity(
+        self, seeds: list[SeedExample], embedder: BackendDescriptor, bin_width: float
+    ) -> analytics.SimilarityReport:
+        """The accepted questions' max-cosine-to-seed report, from two
+        required caches: ``analyze.seeds`` holds the unit rows of each
+        ``backends.EMBED_BATCH_SIZE`` seeds, and ``analyze.similarity``, one
+        item per as many accepted questions (read again from
+        ``items.jsonl``), their clipped row maxima against the seed rows,
+        folded in batch order into ``SeedSimilarity``."""
+
+        def embed_task(texts: list[str], client: BackendClient) -> dict:
+            return {"rows": client.embed(embedder, texts).tolist()}
+
+        seed_rows = self._run_checkpointed(
+            "analyze.seeds",
+            ((content_hash(*(s.id for s in batch)), [s.question for s in batch])
+             for batch in embed_batches(seeds)),
+            embed_task, required=True,
+        )
+        seed_vecs = stack_rows(
+            (np.asarray(rec["rows"]) for rec in seed_rows), len(seeds), embedder.backend_id
+        )
+
+        def accepted() -> Iterator[tuple[str, str]]:
+            for _, item in iter_jsonl(self.paths.file("items")):
+                if item["status"] == "solution_accepted":
+                    yield item["id"], item["question"]
+
+        def maxima_task(texts: list[str], client: BackendClient) -> dict:
+            return {"maxima": analytics.max_cosines(client.embed(embedder, texts), seed_vecs)}
+
+        maxima = self._run_checkpointed(
+            "analyze.similarity",
+            ((content_hash(*(wid for wid, _ in batch)), [q for _, q in batch])
+             for batch in embed_batches(accepted())),
+            maxima_task, required=True,
+        )
+        similarity = analytics.SeedSimilarity(bin_width=bin_width)
+        for rec in maxima:
+            similarity.add(rec["maxima"])
+        return similarity.report()
 
 
 def _load_stats(path: Path) -> dict | None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import string
 
@@ -442,12 +443,28 @@ class TestSimilarityFold:
         assert sorted(folded_mock.embed_requests) == sorted(stacked_mock.embed_requests)
 
     def test_a_stream_without_text_makes_no_request(self):
-        mock = EmbedRecordingMock(seed=9)
-        similarity = analytics.SeedSimilarity(["seed"], make_descriptor("embedder"),
-                                              BackendClient(mock=mock))
         with pytest.raises(ValidationError):
-            similarity.report()
+            analytics.SeedSimilarity().report()
+        mock = EmbedRecordingMock(seed=9)
+        with pytest.raises(ValidationError):
+            similarity_distribution([], ["seed"], make_descriptor("embedder"),
+                                    BackendClient(mock=mock))
         assert mock.embed_requests == []
+
+    def test_fold_of_cached_maxima_equals_one_pass(self):
+        # Maxima that went through JSON, in chunks of any size, fold to the
+        # report one pass over the embedded items gives.
+        embedder = make_descriptor("embedder")
+        synth = [f"synth text {i}" for i in range(45)]
+        seeds = [f"seed text {i}" for i in range(11)]
+        client = BackendClient(mock=MockServer(seed=9))
+        whole = similarity_distribution(synth, seeds, embedder, client)
+        maxima = analytics.max_cosines(client.embed(embedder, synth),
+                                       client.embed(embedder, seeds))
+        folded = analytics.SeedSimilarity()
+        for start in range(0, len(maxima), 7):
+            folded.add(json.loads(json.dumps(maxima[start:start + 7])))
+        assert folded.report() == whole
 
 
 class TestNgramNames:

@@ -20,11 +20,13 @@ import pytest
 from conftest import (
     base_config, make_descriptor, src_env, toy_corpus_seeds, write_config, write_corpus,
 )
-from graphsynth import analytics, evaluation, extraction, pipeline
+from graphsynth import analytics, backends, evaluation, extraction, pipeline
 from graphsynth.backends import BackendClient, MockServer, sum_usage
 from graphsynth.cli import main as cli_main
 from graphsynth.config import load_config, parse_config
-from graphsynth.errors import CheckpointError, ConfigurationError, ValidationError
+from graphsynth.errors import (
+    CheckpointError, ConfigurationError, TransportError, ValidationError,
+)
 from graphsynth.pipeline import (
     FAULT_ABORT_ENV,
     OUTPUT_FILES,
@@ -170,16 +172,22 @@ PLANTED_BEHAVIORS = {
 }
 G0_TEXT_OF = {concept_id_for(t): t for t in ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")}
 # The runner's caches in the order a run-all commits to them.
-CACHE_ORDER = ("extract.concepts", "extract.quality", "extract.synonyms",
+CACHE_ORDER = ("extract.concepts", "extract.quality", "extract.similarity", "extract.synonyms",
                "extract.representatives", "synthesize.generate", "synthesize.evaluate",
-               "analyze.adherence")
+               "analyze.seeds", "analyze.similarity", "analyze.adherence")
 
 
-def make_planted_run(tmp_path, run_name="run"):
-    config_path, config_dict = make_run(tmp_path, run_name=run_name)
+def make_planted_run(tmp_path, run_name="run", **config_extra):
+    config_path, config_dict = make_run(tmp_path, run_name=run_name, **config_extra)
     config_dict["mock"]["behaviors"].update(PLANTED_BEHAVIORS)
     write_config(config_path, config_dict)
     return load_config(config_path)
+
+
+def cache_lines(run_dir: Path) -> dict[str, int]:
+    """Committed records per results cache, by cache name."""
+    return {path.name.removesuffix(".jsonl"): len(path.read_bytes().splitlines())
+            for path in (run_dir / "cache").glob("*.jsonl")}
 
 
 def read_outputs_and_stats(run_dir: Path) -> dict[str, bytes]:
@@ -216,22 +224,24 @@ class TestExtractTail:
         }
 
     def test_chat_requests_are_work_items(self, tmp_path):
-        # Every chat request, judge calls and adherence probes included, is
-        # sent from a runner pool thread; the main thread, where each
-        # stage's stage_client runs, sends only whole-corpus embed requests.
+        # Every request, judge calls, adherence probes and the similarity
+        # embeds included, is sent from a runner pool thread; the main
+        # thread sends none.
         class ThreadRecordingMock(PromptRecordingMock):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.main_thread_requests = []
+                self.requests = Counter()
+
+            def record(self, kind):
+                on_main = threading.current_thread() is threading.main_thread()
+                self.requests[kind, "main" if on_main else "pool"] += 1
 
             def chat_completion(self, request):
-                if threading.current_thread() is threading.main_thread():
-                    self.main_thread_requests.append("chat")
+                self.record("chat")
                 return super().chat_completion(request)
 
             def embeddings(self, request):
-                if threading.current_thread() is threading.main_thread():
-                    self.main_thread_requests.append("embed")
+                self.record("embed")
                 return super().embeddings(request)
 
         config = make_planted_run(tmp_path)
@@ -241,7 +251,9 @@ class TestExtractTail:
         assert tasks["TASK: synonym-check"] == 3
         assert tasks["TASK: pick-representative"] == 2
         assert tasks["TASK: extract-concepts"] == 3 + 3  # seeds, then the probes
-        assert mock.main_thread_requests and set(mock.main_thread_requests) == {"embed"}
+        # Extract's similarity tail, analyze's one seed batch and its one
+        # batch of accepted questions.
+        assert mock.requests == {("chat", "pool"): len(mock.prompts), ("embed", "pool"): 3}
 
     def test_probe_embeds_in_its_work_item_under_a_tolerance(self, tmp_path, monkeypatch):
         # Probes re-extract paraphrases, so no guiding concept matches by
@@ -254,11 +266,14 @@ class TestExtractTail:
             return [p + " restated" for p in phrases] if seed.id == "adherence-probe" else phrases
 
         class EmbedThreadMock(MockServer):
-            pool_embeds = 0
+            probe_embeds = 0
 
             def embeddings(self, request):
-                if threading.current_thread() is not threading.main_thread():
-                    EmbedThreadMock.pool_embeds += 1
+                # A probe embeds one guiding concept with the paraphrases.
+                concept, *candidates = request["input"]
+                if candidates and all(c.endswith(" restated") for c in candidates):
+                    assert threading.current_thread() is not threading.main_thread()
+                    EmbedThreadMock.probe_embeds += 1
                 return super().embeddings(request)
 
         monkeypatch.setattr(extraction, "extract_concepts", paraphrase)
@@ -273,7 +288,7 @@ class TestExtractTail:
         report = json.loads((config.run_dir / "report.json").read_text())
         assert report["adherence"]["item_count"] == len(probed) > 0
         assert report["adherence"]["full_match_ratio"] == 1.0
-        assert EmbedThreadMock.pool_embeds == sum(
+        assert EmbedThreadMock.probe_embeds == sum(
             len(item.combination["concept_ids"]) for item in probed)
 
     @pytest.mark.parametrize("cache", ["extract.synonyms", "extract.representatives",
@@ -517,6 +532,18 @@ class RequestCountingMock(MockServer):
         return super().embeddings(request)
 
 
+class EmbedRecordingMock(MockServer):
+    """Records the texts of every embed request it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.embed_requests = []
+
+    def embeddings(self, request):
+        self.embed_requests.append(request["input"])
+        return super().embeddings(request)
+
+
 class TestAnalyzeStage:
     def test_report_sections(self, tmp_path):
         corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(8, 1, 3))
@@ -577,6 +604,76 @@ class TestAnalyzeStage:
         assert report["similarity"] == "not computed"
         assert report["adherence"] == "not computed"
 
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kill_after_k_similarity_chunks_resends_only_the_rest(
+        self, tmp_path, monkeypatch, k
+    ):
+        # One text per embed request: the planted run's three seeds and
+        # three accepted questions make three work items in each analyze
+        # embed cache.
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 1)
+        baseline = make_planted_run(tmp_path, run_name="baseline")
+        run_stage(baseline, "run-all")
+        lines = cache_lines(baseline.run_dir)
+        assert lines["analyze.seeds"] == lines["analyze.similarity"] == 3
+        limit = sum(lines[name] for name in
+                    CACHE_ORDER[:CACHE_ORDER.index("analyze.similarity")]) + k
+
+        config = make_planted_run(tmp_path, run_name="killed")
+        monkeypatch.setenv(FAULT_ABORT_ENV, str(limit))
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(config, "run-all")
+        monkeypatch.delenv(FAULT_ABORT_ENV)
+        assert cache_lines(config.run_dir)["analyze.similarity"] == k
+
+        mock = EmbedRecordingMock(seed=config.mock_seed, behaviors=config.mock_behaviors)
+        run_stage(config, "run-all", client=BackendClient(mock=mock))
+        accepted = [i.question for i in read_items(baseline.run_dir)
+                    if i.status == "solution_accepted"]
+        assert sorted(mock.embed_requests) == sorted([q] for q in accepted[k:])
+        assert read_outputs_and_stats(config.run_dir) == read_outputs_and_stats(baseline.run_dir)
+
+    def test_unreachable_embedder_exits_two_and_resume_retries_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        # The embedder goes away after analyze's three seed requests and its
+        # first question request. With one item in flight, the second
+        # question's item fails: analyze stops, nothing failed is cached,
+        # and the resume sends only the two uncommitted items' requests.
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 1)
+        baseline = make_planted_run(tmp_path, run_name="baseline")
+        run_stage(baseline, "run-all")
+        config = make_planted_run(tmp_path, run_name="down", max_in_flight=1)
+        config_path = str(tmp_path / "down.json")
+        for stage in ("extract", "graph", "synthesize"):
+            run_stage(config, stage)
+
+        real = MockServer.embeddings
+        served = []
+        limit = 4
+
+        def embeddings(self, request):
+            if len(served) == limit:
+                raise TransportError("embedder unreachable", attempts=1)
+            served.append(request["input"])
+            return real(self, request)
+
+        monkeypatch.setattr(MockServer, "embeddings", embeddings)
+        assert cli_main(["analyze", "--config", config_path]) == 2
+        lines = cache_lines(config.run_dir)
+        assert (lines["analyze.seeds"], lines["analyze.similarity"]) == (3, 1)
+        assert "analyze.adherence" not in lines
+        analyze_caches = (config.run_dir / "cache").glob("analyze.*.jsonl")
+        assert all('"failed"' not in path.read_text() for path in analyze_caches)
+
+        served.clear()
+        limit = None
+        assert cli_main(["analyze", "--config", config_path]) == 0
+        accepted = [i.question for i in read_items(baseline.run_dir)
+                    if i.status == "solution_accepted"]
+        assert served == [[q] for q in accepted[1:]]
+        assert read_outputs_and_stats(config.run_dir) == read_outputs_and_stats(baseline.run_dir)
 
     @pytest.mark.parametrize("stage", ["run-all", "analyze"])
     def test_missing_reference_fails_before_any_request(self, tmp_path, stage):
@@ -1553,6 +1650,21 @@ class TestConfigParsing:
                            base_dir=tmp_path).fingerprint()
         assert fp1 == fp2 == fp4 == fp5 == fp6 == fp7
         assert fp1 != fp3
+
+    def test_fingerprint_hashes_an_integral_float_as_its_int(self, tmp_path):
+        base = {"run_dir": "a", "seed_corpus": "c.jsonl"}
+        config_path = write_config(tmp_path / "run.json", base)
+        default = parse_config(dict(base)).fingerprint()  # three_hop_min_weight is 2
+
+        def fingerprint(value: str) -> str:
+            return load_config(config_path, [f"graph.three_hop_min_weight={value}"]).fingerprint()
+
+        assert fingerprint("2.0") == fingerprint("2") == default
+        assert fingerprint("2.5") != default
+        # Nested sections too.
+        assert (parse_config(dict(base, mock={"behaviors": {"problem_score": 1}})).fingerprint()
+                == parse_config(dict(base, mock={"behaviors": {"problem_score": 1.0}}))
+                .fingerprint())
 
     def test_bad_threshold_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -387,6 +387,39 @@ class TestAtomicWriteDurability:
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
+class TestCanonicalJson:
+    def test_prebuilt_encoder_matches_json_dumps_on_random_records(self):
+        import math
+        import random
+
+        from graphsynth._util import canonical_json
+
+        rng = random.Random(19)
+        alphabet = "az09 \"\\/\n\t\x00\x7fé中\u2028\U0001f600\ud800"
+
+        def text():
+            return "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+
+        def scalar():
+            return rng.choice([
+                None, True, False, rng.randint(-10**20, 10**20), rng.uniform(-1e6, 1e6),
+                rng.random() * 10.0 ** rng.randint(-320, 300), -0.0, math.inf, text(),
+            ])
+
+        def value(depth):
+            kind = rng.random() if depth < 4 else 0.0
+            if kind < 0.5:
+                return scalar()
+            if kind < 0.75:
+                return [value(depth + 1) for _ in range(rng.randint(0, 4))]
+            return {text(): value(depth + 1) for _ in range(rng.randint(0, 4))}
+
+        for _ in range(5000):
+            record = {text(): value(1) for _ in range(rng.randint(0, 5))}
+            assert canonical_json(record) == json.dumps(
+                record, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
 class TestIterJsonl:
     def test_lazy_reader_yields_line_numbers_and_objects(self, tmp_path):
         from graphsynth._util import iter_jsonl

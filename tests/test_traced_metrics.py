@@ -59,12 +59,11 @@ def test_traced_run_and_traced_resume_report_finite_metrics(tmp_path):
     full = run_worker(tmp_path, config("full"), "full", trace=True)
     assert_finite_metrics(full)
 
-    stats = {s: json.loads((tmp_path / "full" / "stats" / f"{s}.json").read_text())
-             for s in ("extract", "synthesize")}
-    # One commit per work item: every extract item and every generate item,
-    # then one evaluate item.
-    abort_after = (stats["extract"]["seeds"] + stats["extract"]["raw_concepts"]
-                   + stats["synthesize"]["combinations"] + 1)
+    # One commit per work item: every record of the extract caches and of
+    # the generate cache, then one evaluate item.
+    caches = [*(tmp_path / "full" / "cache").glob("extract.*.jsonl"),
+              tmp_path / "full" / "cache" / "synthesize.generate.jsonl"]
+    abort_after = sum(len(path.read_bytes().splitlines()) for path in caches) + 1
     aborted = run_worker(tmp_path, config("resumed"), "aborted", trace=False,
                          env_extra={FAULT_ABORT_ENV: str(abort_after)})
     assert aborted["status"] == "aborted"
