@@ -256,8 +256,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         except (TypeError, ValidationError) as exc:
             raise ConfigurationError(f"cost: {exc}") from exc
         for key in per_sample:
-            if not is_number(cost.get(key, 0)):
-                raise ConfigurationError(f"cost.{key} must be a number")
+            value = cost.get(key, 0)
+            if not (is_number(value) and value >= 0):
+                raise ConfigurationError(f"cost.{key} must be a number >= 0")
     mock_cfg = merged["mock"] or {}
     if not isinstance(mock_cfg, dict) or not isinstance(mock_cfg.get("behaviors") or {}, dict):
         raise ConfigurationError("mock and mock.behaviors must each be null or an object")

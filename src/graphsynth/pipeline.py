@@ -14,15 +14,17 @@ receives a scoped client, so its record keeps the backend usage of exactly
 its own calls, failed items included; the runner is the one place a task
 exception becomes a failed record. The embed requests are work items too:
 extract's similarity tail is one, and analyze's seed and item embeddings
-are one per batch. Their caches are required: a task exception there stops
-the stage, and a resume retries from the first uncommitted item. The engine
-sums a stage's ``usage`` stat over the item records, cached or fresh, so a
-resumed run reports the same totals as an uninterrupted one. The stage's
-final output file is rewritten atomically, streamed from the cache. From the
-graph stage to ``items.jsonl`` no stage holds a record per item.
-Interrupting a run at any point and resuming therefore lands on the same
-final bytes as an uninterrupted run, because every mock-backed computation
-is a pure function of its inputs.
+are one per batch; analyze's one pass over ``items.jsonl`` feeds its report
+and is the work generator of the item embeddings. Their caches are
+required: a task exception there stops the stage, and a resume retries
+from the first uncommitted item. The engine sums a stage's ``usage`` stat
+over the item records, cached or fresh, so a resumed run reports the same
+totals as an uninterrupted one. The stage's final output file is rewritten
+atomically, streamed from the cache. From the graph stage to
+``items.jsonl`` no stage holds a record per item. Interrupting a run at
+any point and resuming therefore lands on the same final bytes as an
+uninterrupted run, because every mock-backed computation is a pure
+function of its inputs.
 
 Each ``STAGES`` entry also names the files its stage reads and writes, by
 role. ``manifests/<stage>.json`` is the stage's one resume record: the
@@ -728,12 +730,14 @@ class PipelineRun:
         """Compute the run report: scale, novelty, similarity, cost,
         decontamination, adherence, and stage counters.
 
-        ``items.jsonl`` is read one item at a time. Each item feeds one small
-        accumulator per report section; only the first ``adherence_sample``
-        accepted items' ids, concept ids and questions are kept whole, for
-        the adherence probes, one work item each. When some item was
-        accepted, :meth:`_seed_similarity` computes the similarity section
-        from its own work items."""
+        ``items.jsonl`` is read once, one item at a time. Each item feeds one
+        small accumulator per report section; only the first
+        ``adherence_sample`` accepted items' ids, concept ids and questions
+        are kept whole, for the adherence probes, one work item each. The
+        pass is the work generator of :meth:`_seed_similarity`'s runner,
+        which embeds the accepted questions: the seeds are embedded once the
+        pass reaches the first accepted item, and a run without one makes no
+        embed request and keeps no ``similarity_histogram.csv``."""
         config = self.config
         seeds = load_seed_corpus(self.paths.file("seeds_enriched"))
         params = config.analytics_params
@@ -749,30 +753,60 @@ class PipelineRun:
                 _iter_reference_texts(Path(reference)), ns=params["ngram_sizes"]
             )
 
-        accepted = problem_accepted = scored = 0
-        kind_counts: dict[str, int] = {}
+        # The one pass over items.jsonl: it feeds every accumulator and
+        # yields each accepted item's id and question for the similarity
+        # runner, whose worker threads draw it one item at a time under the
+        # runner's lock.
+        accepted = problem_accepted = 0
         quality_by_kind: dict[str, dict[str, float]] = {}
         adherence_work: list[tuple[str, tuple[list[str], str]]] = []
-        for _, item in iter_jsonl(self.paths.file("items")):
-            combo = graphmod.ConceptCombination.from_record(item["combination"])
-            novelty.add(combo.concept_ids)
-            if item.get("weighted_score") is not None:
-                scored += 1
-                kind_counts[combo.kind] = kind_counts.get(combo.kind, 0) + 1
-                bucket = quality_by_kind.setdefault(combo.kind, {"count": 0, "sum": 0.0})
-                bucket["count"] += 1
-                bucket["sum"] += item["weighted_score"]
-            if item["status"] in ("problem_accepted", "solution_accepted", "solution_rejected"):
-                problem_accepted += 1
-            if item["status"] != "solution_accepted":
-                continue
-            accepted += 1
-            question = item["question"]
-            if overlap is not None:
-                overlap.add(question)
-            if len(adherence_work) < sample_size:
-                adherence_work.append((item["id"], (combo.concept_ids, question)))
 
+        def accepted_questions() -> Iterator[tuple[str, str]]:
+            nonlocal accepted, problem_accepted
+            for _, item in iter_jsonl(self.paths.file("items")):
+                combo = graphmod.ConceptCombination.from_record(item["combination"])
+                novelty.add(combo.concept_ids)
+                if item.get("weighted_score") is not None:
+                    bucket = quality_by_kind.setdefault(combo.kind, {"count": 0, "sum": 0.0})
+                    bucket["count"] += 1
+                    bucket["sum"] += item["weighted_score"]
+                if item["status"] in ("problem_accepted", "solution_accepted",
+                                      "solution_rejected"):
+                    problem_accepted += 1
+                if item["status"] != "solution_accepted":
+                    continue
+                accepted += 1
+                question = item["question"]
+                if overlap is not None:
+                    overlap.add(question)
+                if len(adherence_work) < sample_size:
+                    adherence_work.append((item["id"], (combo.concept_ids, question)))
+                yield item["id"], question
+
+        # The first accepted item is drawn here, so a run without one makes
+        # no embed request; the similarity runner drains the rest of the pass.
+        questions = accepted_questions()
+        first = next(questions, None)
+        similarity_path = self.paths.file("similarity_histogram")
+        sim_section = None
+        if seeds and first is not None:
+            report = self._seed_similarity(
+                seeds, itertools.chain([first], questions), embedder,
+                float(params["similarity_bin_width"]),
+            )
+            sim_section = {
+                "bin_edges": report.bin_edges,
+                "histogram": report.histogram,
+                "cdf": report.cdf,
+                "mean_max_cosine": report.mean_max_cosine,
+            }
+            _write_histogram_csv(similarity_path, report)
+        else:
+            for _ in questions:
+                pass
+            similarity_path.unlink(missing_ok=True)
+
+        scored = sum(b["count"] for b in quality_by_kind.values())
         sections: dict[str, Any] = {}
         sections["seed_count"] = len(seeds)
         sections["expansion"] = {
@@ -780,7 +814,7 @@ class PipelineRun:
             "synthesized": accepted,
             "ratio": analytics.expansion_ratio(accepted, len(seeds)) if seeds else None,
         }
-        sections["combination_kinds"] = kind_counts
+        sections["combination_kinds"] = {kind: b["count"] for kind, b in quality_by_kind.items()}
         sections["problem_quality_by_kind"] = {
             kind: {
                 "count": int(b["count"]),
@@ -796,18 +830,6 @@ class PipelineRun:
             "rate": novelty.rate() if novelty.count else None,
             "items_considered": novelty.count,
         }
-
-        sim_section = None
-        if seeds and accepted:
-            report = self._seed_similarity(
-                seeds, embedder, float(params["similarity_bin_width"]))
-            sim_section = {
-                "bin_edges": report.bin_edges,
-                "histogram": report.histogram,
-                "cdf": report.cdf,
-                "mean_max_cosine": report.mean_max_cosine,
-            }
-            _write_histogram_csv(self.paths.file("similarity_histogram"), report)
         sections["similarity"] = sim_section
 
         cost_cfg = config.cost_params
@@ -860,14 +882,15 @@ class PipelineRun:
         )
 
     def _seed_similarity(
-        self, seeds: list[SeedExample], embedder: BackendDescriptor, bin_width: float
+        self, seeds: list[SeedExample], questions: Iterator[tuple[str, str]],
+        embedder: BackendDescriptor, bin_width: float,
     ) -> analytics.SimilarityReport:
-        """The accepted questions' max-cosine-to-seed report, from two
-        required caches: ``analyze.seeds`` holds the unit rows of each
+        """The max-cosine-to-seed report of ``questions``, (item id,
+        question) pairs drawn once, from two required caches:
+        ``analyze.seeds`` holds the unit rows of each
         ``backends.EMBED_BATCH_SIZE`` seeds, and ``analyze.similarity``, one
-        item per as many accepted questions (read again from
-        ``items.jsonl``), their clipped row maxima against the seed rows,
-        folded in batch order into ``SeedSimilarity``."""
+        item per as many questions, their clipped row maxima against the
+        seed rows, folded in batch order into ``SeedSimilarity``."""
 
         def embed_task(texts: list[str], client: BackendClient) -> dict:
             return {"rows": client.embed(embedder, texts).tolist()}
@@ -882,18 +905,13 @@ class PipelineRun:
             (np.asarray(rec["rows"]) for rec in seed_rows), len(seeds), embedder.backend_id
         )
 
-        def accepted() -> Iterator[tuple[str, str]]:
-            for _, item in iter_jsonl(self.paths.file("items")):
-                if item["status"] == "solution_accepted":
-                    yield item["id"], item["question"]
-
         def maxima_task(texts: list[str], client: BackendClient) -> dict:
             return {"maxima": analytics.max_cosines(client.embed(embedder, texts), seed_vecs)}
 
         maxima = self._run_checkpointed(
             "analyze.similarity",
             ((content_hash(*(wid for wid, _ in batch)), [q for _, q in batch])
-             for batch in embed_batches(accepted())),
+             for batch in embed_batches(questions)),
             maxima_task, required=True,
         )
         similarity = analytics.SeedSimilarity(bin_width=bin_width)

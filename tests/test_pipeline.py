@@ -604,6 +604,77 @@ class TestAnalyzeStage:
         assert report["similarity"] == "not computed"
         assert report["adherence"] == "not computed"
 
+    def test_items_jsonl_is_read_once(self, tmp_path, monkeypatch):
+        # One pass feeds the report's accumulators, the decontamination
+        # overlap and the adherence sample, and the similarity runner.
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(json.dumps({"question": "quantity q0"}) + "\n")
+        config = make_planted_run(tmp_path, analytics={
+            "adherence_sample": 5, "decontamination_reference": str(reference)})
+        for stage in ("extract", "graph", "synthesize"):
+            run_stage(config, stage)
+        items_path = config.run_dir / "items.jsonl"
+        reads = []
+        real = pipeline.iter_jsonl
+
+        def counting(path, *args, **kwargs):
+            if Path(path) == items_path:
+                reads.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "iter_jsonl", counting)
+        run_stage(config, "analyze")
+        assert len(reads) == 1
+        report = json.loads((config.run_dir / "report.json").read_text())
+        assert report["expansion"]["synthesized"] == 3
+        assert report["similarity"] != "not computed"
+        assert report["decontamination"] != "not computed"
+        assert report["adherence"]["item_count"] == 3
+
+    def test_the_pass_loses_no_update_on_the_runner_threads(self, tmp_path, monkeypatch):
+        # The report's accumulators are fed by the similarity runner's worker
+        # threads. More threads than cores, one question per work item and a
+        # short switch interval: a lost update would change the report.
+        monkeypatch.setattr(backends, "EMBED_BATCH_SIZE", 1)
+        corpus = write_corpus(tmp_path / "corpus.jsonl", toy_corpus_seeds(12, 2, 6))
+        configs = {}
+        for workers in (1, 8):
+            config_dict = base_config(tmp_path, corpus, run_name=f"w{workers}",
+                                      max_in_flight=workers)
+            config_dict["mock"]["behaviors"]["problem_score"] = 0.9
+            config_path = write_config(tmp_path / f"w{workers}.json", config_dict)
+            configs[workers] = load_config(config_path)
+        for stage in ("extract", "graph", "synthesize"):
+            run_stage(configs[1], stage)
+        shutil.copytree(configs[1].run_dir, configs[8].run_dir)
+        run_stage(configs[1], "analyze")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_stage(configs[8], "analyze")
+        finally:
+            sys.setswitchinterval(interval)
+        report = json.loads((configs[1].run_dir / "report.json").read_text())
+        assert report["expansion"]["synthesized"] >= 20
+        assert read_outputs(configs[8].run_dir) == read_outputs(configs[1].run_dir)
+
+    def test_no_accepted_item_removes_an_earlier_histogram(self, tmp_path):
+        config = make_planted_run(tmp_path)
+        run_stage(config, "run-all")
+        histogram = config.run_dir / "similarity_histogram.csv"
+        assert histogram.exists()
+        items_path = config.run_dir / "items.jsonl"
+        items = [rec for _, rec in iter_jsonl(items_path)]
+        for item in items:
+            if item["status"] == "solution_accepted":
+                item["status"] = "solution_rejected"
+        items_path.write_text("".join(json.dumps(item) + "\n" for item in items))
+        run_stage(config, "analyze")
+        report = json.loads((config.run_dir / "report.json").read_text())
+        assert report["expansion"]["synthesized"] == 0
+        assert report["similarity"] == "not computed"
+        assert not histogram.exists()
+
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_kill_after_k_similarity_chunks_resends_only_the_rest(
@@ -1823,6 +1894,11 @@ class TestConfigParsing:
         ({"cost": {"mode": "gpu_hourly", "sample_count": 10.0}}, "sample_count"),
         # 3.0 would pass as 3 but change the fingerprint.
         ({"graph": {"community_sizes": [3.0, 4]}}, "community_sizes"),
+        # A negative token count would price a sample below zero.
+        ({"cost": {"mode": "token_priced", "tokens_in_per_sample": -500}},
+         "tokens_in_per_sample"),
+        ({"cost": {"mode": "token_priced", "tokens_out_per_sample": -0.5}},
+         "tokens_out_per_sample"),
     ])
     def test_bad_run_settings_rejected(self, settings, match):
         with pytest.raises(ConfigurationError, match=match):
