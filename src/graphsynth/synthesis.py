@@ -115,9 +115,9 @@ class PromptTemplate:
                 f"template {self.template_id!r} needs {self.arity} concepts, "
                 f"got {len(concept_texts)}"
             )
-        return self.body.format(
-            **{f"concept_{i}": text for i, text in enumerate(concept_texts, start=1)}
-        )
+        # Only the placeholders are replaced, so any other brace in the body
+        # (LaTeX, a set) stays literal, and so does a backslash in a concept.
+        return _PLACEHOLDER_RE.sub(lambda m: concept_texts[int(m.group(1)) - 1], self.body)
 
 
 def default_templates() -> dict[int, PromptTemplate]:

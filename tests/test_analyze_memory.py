@@ -1,7 +1,7 @@
 """The analyze stage reads ``items.jsonl`` in one pass and keeps a small
 accumulator per report section, so its memory must grow far slower than
 its input: no item dict, embedding or n-gram tuple may outlive the pass.
-The items come from ``tools/analyze_scale.py``, which measures the same
+The items come from ``tools/stage_scale.py``, which measures the same
 stage at larger counts in a fresh interpreter."""
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from conftest import base_config, toy_corpus_seeds, write_corpus
 from graphsynth.config import parse_config
 from graphsynth.pipeline import run_stage
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "analyze_scale.py"
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_scale.py"
 
 # A stage that keeps every item grows by about 3.7 KB per item here.
 MAX_BYTES_PER_ADDED_ITEM = 1500
 
 
 def analyze_tool():
-    spec = importlib.util.spec_from_file_location("analyze_scale", TOOL)
+    spec = importlib.util.spec_from_file_location("stage_scale", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

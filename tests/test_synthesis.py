@@ -47,6 +47,12 @@ class TestPromptTemplate:
         t = PromptTemplate("ok", "use {concept_1} with {concept_2}", arity=2)
         assert t.render(["alpha", "beta"]) == "use alpha with beta"
 
+    def test_render_keeps_other_braces_and_backslashes_literal(self):
+        t = PromptTemplate("latex", r"take $\frac{1}{2}$ of {x, y}: {concept_2}, {concept_1}",
+                           arity=2)
+        assert t.render([r"\sum_{i} a_i", r"\1 group"]) == (
+            r"take $\frac{1}{2}$ of {x, y}: \1 group, \sum_{i} a_i")
+
     def test_defaults_cover_all_arities(self):
         templates = default_templates()
         assert set(templates) == {2, 3, 4}
